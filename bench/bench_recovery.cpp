@@ -1,20 +1,22 @@
-// Recovery-tier cost study: what verified checkpoints buy a rejoining
-// replica.
+// Recovery-tier cost study: what verified checkpoints and TrieSync buy a
+// rejoining replica.
 //
-//   * BM_QuorumRejoinVsLag — rejoin cost (simulated time + blocks
-//     replayed) as the laggard's deficit grows, snapshots off vs on
-//     (args: lag, snapshots). Off = the PR-2 behavior: replay every
-//     missed block. On = nearest checkpoint + delta.
-//   * BM_QuorumRejoinVsChainLength — the headline property: with
-//     snapshots on and the LAG held fixed, rejoin cost stays flat as the
-//     chain grows (args: chain length).
-//   * BM_SnapshotMakeVsStateSize — canonical snapshot construction cost
-//     and size against world-state size (arg: key count).
-//   * BM_QuorumRejoinUnderLoss — snapshot transfer to convergence at
-//     0-30% uniform message loss, resume loop included (arg: loss %).
+// A rejoin fetches a peer's newer checkpoint over TrieSync — only the
+// trie nodes the laggard's own state lacks move, the root confirmed by a
+// peer vote quorum — then replays the post-checkpoint tail from the
+// delivery log. Without checkpoints (interval 0) it replays every missed
+// block.
+//
+//   * BM_QuorumRejoinVsLag — rejoin cost (wall time, simulated time,
+//     blocks replayed, node bytes received) as the laggard's deficit
+//     grows, checkpoints off vs on (args: lag, checkpoints).
+//   * BM_QuorumRejoinVsChainLength — with checkpoints on and the LAG held
+//     fixed, rejoin cost stays flat as the chain grows (arg: chain
+//     length).
+//   * BM_QuorumRejoinUnderLoss — TrieSync rejoin to convergence at 0-30%
+//     uniform message loss, resume loop included (arg: loss %).
 #include <benchmark/benchmark.h>
 
-#include "ledger/snapshot.hpp"
 #include "platforms/quorum/quorum.hpp"
 
 namespace {
@@ -55,18 +57,19 @@ struct Fixture {
 
 void BM_QuorumRejoinVsLag(benchmark::State& state) {
   const auto lag = static_cast<std::uint64_t>(state.range(0));
-  const bool snapshots = state.range(1) != 0;
+  const bool checkpoints = state.range(1) != 0;
   // Deliberately NOT a multiple of the interval: the nearest checkpoint
-  // sits below the sealed height, so snapshot rejoins still replay a
-  // real (bounded) delta instead of a degenerate zero.
+  // sits below the sealed height, so checkpointed rejoins still replay a
+  // real (bounded) tail instead of a degenerate zero.
   constexpr std::uint64_t kChainLen = 94;
   constexpr std::uint64_t kInterval = 8;
   std::uint64_t blocks_replayed = 0;
+  std::uint64_t node_bytes = 0;
   std::uint64_t sim_us = 0;
   std::uint64_t rejoins = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    Fixture f(snapshots ? kInterval : 0);
+    Fixture f(checkpoints ? kInterval : 0);
     f.lag_node_c(kChainLen, lag);
     const std::uint64_t applied_before = f.quorum.blocks_applied("NodeC");
     const std::uint64_t t0 = f.net.clock().now();
@@ -74,14 +77,17 @@ void BM_QuorumRejoinVsLag(benchmark::State& state) {
     f.quorum.rejoin("NodeC");
     state.PauseTiming();
     blocks_replayed += f.quorum.blocks_applied("NodeC") - applied_before;
+    node_bytes += f.quorum.rejoin_stats().node_bytes_received;
     sim_us += f.net.clock().now() - t0;
     ++rejoins;
     state.ResumeTiming();
   }
   state.counters["lag_blocks"] = static_cast<double>(lag);
-  state.counters["snapshots"] = snapshots ? 1.0 : 0.0;
+  state.counters["checkpoints"] = checkpoints ? 1.0 : 0.0;
   state.counters["blocks_replayed_per_rejoin"] =
       static_cast<double>(blocks_replayed) / static_cast<double>(rejoins);
+  state.counters["node_bytes_per_rejoin"] =
+      static_cast<double>(node_bytes) / static_cast<double>(rejoins);
   state.counters["sim_us_per_rejoin"] =
       static_cast<double>(sim_us) / static_cast<double>(rejoins);
 }
@@ -99,6 +105,7 @@ void BM_QuorumRejoinVsChainLength(benchmark::State& state) {
   constexpr std::uint64_t kLag = 8;
   constexpr std::uint64_t kInterval = 8;
   std::uint64_t blocks_replayed = 0;
+  std::uint64_t node_bytes = 0;
   std::uint64_t sim_us = 0;
   std::uint64_t rejoins = 0;
   for (auto _ : state) {
@@ -111,6 +118,7 @@ void BM_QuorumRejoinVsChainLength(benchmark::State& state) {
     f.quorum.rejoin("NodeC");
     state.PauseTiming();
     blocks_replayed += f.quorum.blocks_applied("NodeC") - applied_before;
+    node_bytes += f.quorum.rejoin_stats().node_bytes_received;
     sim_us += f.net.clock().now() - t0;
     ++rejoins;
     state.ResumeTiming();
@@ -118,6 +126,8 @@ void BM_QuorumRejoinVsChainLength(benchmark::State& state) {
   state.counters["chain_blocks"] = static_cast<double>(chain_len);
   state.counters["blocks_replayed_per_rejoin"] =
       static_cast<double>(blocks_replayed) / static_cast<double>(rejoins);
+  state.counters["node_bytes_per_rejoin"] =
+      static_cast<double>(node_bytes) / static_cast<double>(rejoins);
   state.counters["sim_us_per_rejoin"] =
       static_cast<double>(sim_us) / static_cast<double>(rejoins);
 }
@@ -126,32 +136,6 @@ BENCHMARK(BM_QuorumRejoinVsChainLength)
     ->Arg(30)
     ->Arg(62)
     ->Arg(126)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SnapshotMakeVsStateSize(benchmark::State& state) {
-  const auto keys = static_cast<std::size_t>(state.range(0));
-  ledger::WorldState world;
-  for (std::size_t i = 0; i < keys; ++i) {
-    world.put("asset/" + std::to_string(i),
-              to_bytes("owner-" + std::to_string(i % 17)));
-  }
-  std::size_t snapshot_bytes = 0;
-  std::size_t chunks = 0;
-  for (auto _ : state) {
-    const ledger::Snapshot snap =
-        ledger::Snapshot::make(1, crypto::sha256(to_bytes("tip")), world);
-    benchmark::DoNotOptimize(snap.root());
-    snapshot_bytes = snap.body_size();
-    chunks = snap.chunk_count();
-  }
-  state.counters["state_keys"] = static_cast<double>(keys);
-  state.counters["snapshot_bytes"] = static_cast<double>(snapshot_bytes);
-  state.counters["chunks"] = static_cast<double>(chunks);
-}
-BENCHMARK(BM_SnapshotMakeVsStateSize)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
 void BM_QuorumRejoinUnderLoss(benchmark::State& state) {

@@ -159,11 +159,12 @@ if [[ -z "${BENCH_SKIP_RECOVERY:-}" ]]; then
     if [[ -s "$RTMP" ]]; then
       mv "$RTMP" "$REC_OUT"
       python3 - "$REC_OUT" <<'PY'
-import json, sys
+import json, os, sys
 path = sys.argv[1]
 with open(path) as f:
     data = json.load(f)
-data["context"]["snapshots_args"] = {"0": "full replay", "1": "checkpoint + delta"}
+data["context"]["checkpoints_args"] = {"0": "full replay", "1": "TrieSync checkpoint + tail replay"}
+data["context"]["build_type"] = os.environ.get("VEIL_BENCH_BUILD_TYPE", "unknown")
 with open(path, "w") as f:
     json.dump(data, f, indent=2)
 PY

@@ -524,7 +524,7 @@ void ShardMap::finalize(std::uint64_t shard_index, const std::string& xid) {
 }
 
 void ShardMap::apply_outcome(Shard& shard, const std::string& xid,
-                             const XDecision& decision, bool log_outcome) {
+                             XDecision decision, bool log_outcome) {
   const auto it = shard.prepared.find(xid);
   if (it == shard.prepared.end()) return;
   const Transaction subtx = it->second.prepare.subtx;

@@ -284,8 +284,11 @@ class ShardMap {
   void finalize(std::uint64_t shard_index, const std::string& xid);
   /// WAL-log the verdict, then apply (seal the subtx into a block) or
   /// unlock. `log_outcome` is false when re-driving a recovered verdict.
+  /// The decision is taken by value: callers pass the prepared entry's
+  /// own pending decision, and the entry is erased before the verdict is
+  /// applied.
   void apply_outcome(Shard& shard, const std::string& xid,
-                     const XDecision& decision, bool log_outcome);
+                     XDecision decision, bool log_outcome);
   bool verify_commit_cert(const PreparedTx& p, const XDecision& d) const;
   /// Both decisions validly signed by the same decider, opposite
   /// verdicts: convict, quarantine, poison the xid.

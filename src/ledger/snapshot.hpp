@@ -1,24 +1,23 @@
-// Verified state snapshots: canonical, content-addressed, chunked.
+// Interval checkpoints: the replica's committed state frozen at a height.
 //
-// A snapshot freezes a replica's committed state (WorldState + chain
-// head) into a canonical byte string, content-addressed by a Merkle root
-// over fixed-size chunks. The root is the whole trust story: a joiner
-// that has authenticated the root (against a quorum of peer digests, or
-// its own sealed delivery log) can accept chunks from ANY donor —
-// including a Byzantine one — because each chunk verifies independently
-// against the chunk-hash vector committed under the root. Tampering is
-// detected per chunk; an equivocated header fails root verification
-// before a single chunk is fetched.
+// A checkpoint is (height, tip hash, WorldState). With the trie-backed
+// WorldState the state is an O(1) copy-on-write handle, so keeping the
+// latest checkpoint resident costs nothing beyond the trie nodes the
+// live state has since replaced. It serves two purposes:
 //
-// Snapshots are also what the SnapshotStore seals into the WAL as
-// compaction checkpoints (ledger/wal.hpp): the durable checkpoint record
-// and the wire snapshot are the same canonical bytes, so "what I'd serve
-// a joiner" and "what I'd replay after a crash" can never diverge.
+//  * durability — every checkpoint is sealed into the replica's WAL as a
+//    checkpoint record and the prefix behind it is compacted away
+//    (ledger/wal.hpp), so restart replays checkpoint + tail, not genesis;
+//  * rejoin — the resident state is what the replica donates to a
+//    lagging peer over TrieSync (ledger/triesync.hpp), which serves its
+//    content-addressed trie nodes straight from this handle. Replicas
+//    checkpoint on the same deterministic schedule, so live honest peers
+//    hold identical roots at identical heights — the vote quorum a
+//    joiner verifies an offered root against.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "crypto/sha256.hpp"
@@ -27,107 +26,22 @@
 
 namespace veil::ledger {
 
-/// Wire header of a snapshot: everything a joiner needs to verify chunks
-/// before it has any of them. Decode-fuzzed; malformed headers throw
-/// common::Error and are dropped by the transfer engine.
-struct SnapshotHeader {
-  std::uint64_t height = 0;
-  crypto::Digest tip_hash{};
-  std::uint64_t body_bytes = 0;  // canonical body length
-  std::uint32_t chunk_size = 0;  // every chunk but the last is this long
-  std::vector<crypto::Digest> chunk_hashes;
-  crypto::Digest root{};  // content address (see compute_root)
-
-  std::size_t chunk_count() const { return chunk_hashes.size(); }
-
-  /// Recompute the content address from the announced fields.
-  static crypto::Digest compute_root(
-      std::uint64_t height, const crypto::Digest& tip_hash,
-      std::uint64_t body_bytes, std::uint32_t chunk_size,
-      const std::vector<crypto::Digest>& chunk_hashes);
-
-  /// True iff the announced root matches the announced fields and the
-  /// chunk geometry is coherent (count x size covers body_bytes). A
-  /// self-consistent header can still lie about the STATE — that is what
-  /// quorum root verification is for — but it cannot lie about which
-  /// chunks belong to it.
-  bool self_consistent() const;
-
-  common::Bytes encode() const;
-  static SnapshotHeader decode(common::BytesView data);
-};
-
-/// A materialized snapshot: header + canonical body. Built by donors and
-/// the SnapshotStore; reassembled chunk-by-chunk by joiners.
-class Snapshot {
- public:
-  static constexpr std::uint32_t kDefaultChunkSize = 1024;
-
-  /// Snapshot the given state at the given chain head. Canonical: two
-  /// replicas with bit-identical state produce bit-identical snapshots
-  /// and therefore equal roots.
-  static Snapshot make(std::uint64_t height, const crypto::Digest& tip_hash,
-                       const WorldState& state,
-                       std::uint32_t chunk_size = kDefaultChunkSize);
-
-  const SnapshotHeader& header() const { return header_; }
-  std::uint64_t height() const { return header_.height; }
-  const crypto::Digest& root() const { return header_.root; }
-  std::size_t chunk_count() const { return header_.chunk_count(); }
-  std::size_t body_size() const { return body_.size(); }
-  common::BytesView body() const { return body_; }
-
-  /// Chunk payload by index (throws common::Error if out of range).
-  common::Bytes chunk(std::size_t index) const;
-
-  /// Verify one received chunk against the header's commitment: right
-  /// length for its position, and hash equal to chunk_hashes[index].
-  static bool verify_chunk(const SnapshotHeader& header, std::size_t index,
-                           common::BytesView data);
-
-  /// Reassemble a body from per-index chunks (all previously accepted by
-  /// verify_chunk) and decode the WorldState. Returns nullopt if any
-  /// chunk is missing or the assembly fails verification.
-  static std::optional<WorldState> assemble(
-      const SnapshotHeader& header,
-      const std::vector<common::Bytes>& chunks);
-
-  /// Decode this snapshot's own body.
-  WorldState state() const { return WorldState::decode(body_); }
-
-  /// Full codec (WAL sealing, tests). Decode re-verifies the header
-  /// against the body and throws on mismatch — a sealed snapshot cannot
-  /// be tampered without detection.
-  common::Bytes encode() const;
-  static Snapshot decode(common::BytesView data);
-
-  /// Attack/test hook: pair an arbitrary header with an arbitrary body,
-  /// skipping consistency checks. This is how Byzantine donor fixtures
-  /// serve tampered chunks under an honest-looking header.
-  static Snapshot forge(SnapshotHeader header, common::Bytes body);
-
- private:
-  Snapshot() = default;
-
-  SnapshotHeader header_;
-  common::Bytes body_;  // canonical WorldState encoding
-};
-
-// ---- Checkpoint policy ----------------------------------------------------
-
 struct SnapshotConfig {
   /// Take a checkpoint every `interval` blocks; 0 disables checkpointing
-  /// (the PR-2 behavior: WAL grows without bound, rejoin replays all).
+  /// (the WAL grows without bound and every rejoin replays).
   std::uint64_t interval = 0;
-  std::uint32_t chunk_size = Snapshot::kDefaultChunkSize;
-  /// Compact the WAL behind each checkpoint (fsync-ordered; see
-  /// WriteAheadLog::compact). Off = checkpoint records only.
-  bool compact_wal = true;
+};
+
+/// One resident checkpoint.
+struct Checkpoint {
+  std::uint64_t height = 0;
+  crypto::Digest tip_hash{};
+  WorldState state;  // O(1) trie handle
 };
 
 /// Per-replica checkpoint driver: owns the policy, keeps the latest
-/// snapshot resident so the replica can serve state transfer without
-/// re-serializing, and seals each checkpoint into the replica's WAL.
+/// checkpoint resident and seals each one into the replica's WAL,
+/// compacting the prefix it supersedes.
 class SnapshotStore {
  public:
   explicit SnapshotStore(SnapshotConfig config = {}) : config_(config) {}
@@ -137,8 +51,8 @@ class SnapshotStore {
 
   /// Call after every committed block. Takes a checkpoint when `height`
   /// lands on the interval; returns true if one was taken. `aux` rides
-  /// the WAL checkpoint record but not the wire snapshot (platform-
-  /// private sidecar, e.g. Quorum private state).
+  /// the WAL checkpoint record only (platform-private sidecar, e.g.
+  /// Quorum private state) and never leaves the replica.
   bool maybe_checkpoint(WriteAheadLog& wal, std::uint64_t height,
                         const crypto::Digest& tip_hash,
                         const WorldState& state, common::BytesView aux = {});
@@ -148,30 +62,20 @@ class SnapshotStore {
                   const crypto::Digest& tip_hash, const WorldState& state,
                   common::BytesView aux = {});
 
-  /// Rebuild the resident snapshot after a restart (from the WAL's
-  /// recovered checkpoint) without touching the WAL.
+  /// Make a recovered checkpoint resident again after a restart, without
+  /// touching the WAL (which already holds its record).
   void restore(std::uint64_t height, const crypto::Digest& tip_hash,
                const WorldState& state);
 
-  /// Latest checkpoint snapshot, if any was taken since construction or
-  /// restore. This is what the transfer engine offers donors' peers.
-  const Snapshot* latest() const {
-    return latest_ ? &*latest_ : nullptr;
-  }
-
-  /// The checkpoint state itself, kept resident. With the trie-backed
-  /// WorldState this is an O(1) copy-on-write handle onto the state as
-  /// of the checkpoint — delta sync (ledger/triesync.hpp) serves
-  /// content-addressed trie nodes straight from it, no re-encoding.
-  /// Meaningful only when latest() != nullptr.
-  const WorldState& latest_state() const { return latest_state_; }
+  /// Latest checkpoint taken since construction or restore (nullptr if
+  /// none). This is what the replica donates over TrieSync.
+  const Checkpoint* latest() const { return latest_ ? &*latest_ : nullptr; }
 
   std::uint64_t checkpoints_taken() const { return checkpoints_taken_; }
 
  private:
   SnapshotConfig config_;
-  std::optional<Snapshot> latest_;
-  WorldState latest_state_;
+  std::optional<Checkpoint> latest_;
   std::uint64_t checkpoints_taken_ = 0;
 };
 

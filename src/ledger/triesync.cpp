@@ -38,6 +38,42 @@ void require_done(const common::Reader& r, const char* what) {
 
 // ---- Wire codecs ----------------------------------------------------------
 
+common::Bytes SnapshotRequest::encode() const {
+  common::Writer w;
+  w.str(scope);
+  w.u64(min_height);
+  return w.take();
+}
+
+SnapshotRequest SnapshotRequest::decode(common::BytesView data) {
+  common::Reader r(data);
+  SnapshotRequest req;
+  req.scope = r.str();
+  req.min_height = r.u64();
+  require_done(r, "snapshot request");
+  return req;
+}
+
+common::Bytes RootVote::encode() const {
+  common::Writer w;
+  w.str(scope);
+  w.u64(height);
+  w.boolean(known);
+  write_digest(w, root);
+  return w.take();
+}
+
+RootVote RootVote::decode(common::BytesView data) {
+  common::Reader r(data);
+  RootVote vote;
+  vote.scope = r.str();
+  vote.height = r.u64();
+  vote.known = r.boolean();
+  vote.root = read_digest(r);
+  require_done(r, "root vote");
+  return vote;
+}
+
 common::Bytes TrieSyncOffer::encode() const {
   common::Writer w;
   w.str(scope);
@@ -114,6 +150,30 @@ NodeBatch NodeBatch::decode(common::BytesView data) {
   return batch;
 }
 
+// ---- Reject taxonomy ------------------------------------------------------
+
+const char* to_string(TransferReject reason) {
+  switch (reason) {
+    case TransferReject::MalformedOffer:
+      return "malformed offer";
+    case TransferReject::OfferCheckFailed:
+      return "offer contradicts delivery log";
+    case TransferReject::EquivocatedRoot:
+      return "equivocated root";
+    case TransferReject::TamperedNode:
+      return "tampered trie node";
+    case TransferReject::InconsistentBody:
+      return "inconsistent node set";
+    case TransferReject::DonorGone:
+      return "donor gone";
+  }
+  return "unknown";
+}
+
+bool is_misbehavior(TransferReject reason) {
+  return reason != TransferReject::DonorGone;
+}
+
 // ---- Engine ---------------------------------------------------------------
 
 TrieSync::TrieSync(net::ReliableChannel& channel, Callbacks callbacks)
@@ -174,7 +234,8 @@ bool TrieSync::active(const net::Principal& self,
   return transfers_.contains(Key{self, scope});
 }
 
-void TrieSync::handle(const net::Principal& self, const net::Message& msg) {
+void TrieSync::handle(const net::Principal& self, const net::Message& msg,
+                      bool tamper_nodes) {
   try {
     if (msg.topic == kTopicRequest) {
       on_request(self, msg);
@@ -185,7 +246,7 @@ void TrieSync::handle(const net::Principal& self, const net::Message& msg) {
     } else if (msg.topic == kTopicVote) {
       on_vote(self, msg);
     } else if (msg.topic == kTopicFetch) {
-      on_fetch(self, msg);
+      on_fetch(self, msg, tamper_nodes);
     } else if (msg.topic == kTopicNodes) {
       on_nodes(self, msg);
     }
@@ -245,7 +306,8 @@ void TrieSync::on_vote_request(const net::Principal& self,
   channel_->send(self, msg.from, kTopicVote, vote.encode());
 }
 
-void TrieSync::on_fetch(const net::Principal& self, const net::Message& msg) {
+void TrieSync::on_fetch(const net::Principal& self, const net::Message& msg,
+                        bool tamper_nodes) {
   const NodeRequest req = NodeRequest::decode(msg.payload);
   NodeBatch batch;
   batch.scope = req.scope;
@@ -263,6 +325,10 @@ void TrieSync::on_fetch(const net::Principal& self, const net::Message& msg) {
       // lacks is simply skipped (the joiner's resume re-asks, and a
       // donor that keeps skipping starves out and fails over benignly).
       if (it != store.end()) batch.nodes.push_back(it->second);
+    }
+    if (tamper_nodes && !batch.nodes.empty()) {
+      common::Bytes& node = batch.nodes.front();
+      node[node.size() / 2] ^= 0x01;
     }
   }
   channel_->send(self, msg.from, kTopicNodes, batch.encode());
@@ -535,8 +601,11 @@ void TrieSync::drop_donor(const net::Principal& self, const Key& key,
   for (const crypto::Digest& h : tt.outstanding) tt.pending.push_back(h);
   tt.outstanding.clear();
   if (is_misbehavior(reason)) {
-    // A donor dropped for proven misbehavior loses its vote too (the
-    // platform just quarantined it; see SnapshotTransfer::drop_donor).
+    // A donor dropped for proven misbehavior loses its vote too: the
+    // platform just quarantined it, so counting it toward the quorum
+    // denominator would stall every subsequent vote round (it can never
+    // answer), and counting its past answers would let it poison the
+    // next donor's verification.
     std::erase(tt.voters, donor);
     std::erase(tt.donors, donor);
   }

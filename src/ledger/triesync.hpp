@@ -1,11 +1,11 @@
-// Trie-node delta state transfer: rejoin by fetching only what changed.
+// Trie-node delta state transfer: the one rejoin protocol.
 //
-// The chunked SnapshotTransfer (transfer.hpp) ships the whole canonical
-// state body, so a replica that lagged by one block pays O(state) bytes
-// to rejoin. With the trie-backed WorldState the state IS a set of
-// content-addressed nodes, and a lagging replica already holds almost
-// all of them — everything off the paths the missed blocks touched.
-// This engine ships exactly the complement:
+// A replica that fell behind (crash, long partition, quarantine release)
+// fetches a peer's checkpoint instead of replaying the whole chain. With
+// the trie-backed WorldState the state IS a set of content-addressed
+// nodes, and a lagging replica already holds almost all of them —
+// everything off the paths the missed blocks touched. This engine ships
+// exactly the complement:
 //
 //   joiner                         donor                voters
 //     |-- tsync.req -------------->|                      |
@@ -31,8 +31,14 @@
 //    cannot smuggle state into the reused portion either — the root
 //    recomputes from verified hashes all the way down.
 //
+// The engine raises platform callbacks instead of touching audit/
+// quarantine itself (the ledger layer does not link audit): the platform
+// emits signed Evidence and quarantines the donor in on_reject.
+//
 // Cost: bytes transferred ~ O(nodes changed since the joiner's state),
-// i.e. O(touched keys × depth), independent of total account count.
+// i.e. O(touched keys x depth), independent of total account count. A
+// joiner with empty state pays the whole node image (1.07x the canonical
+// state encoding at 256 B values, ~2x at 8 B values; docs/fault_model.md).
 #pragma once
 
 #include <cstdint>
@@ -47,16 +53,37 @@
 #include "common/bytes.hpp"
 #include "ledger/state.hpp"
 #include "ledger/state_trie.hpp"
-#include "ledger/transfer.hpp"
 #include "net/reliable.hpp"
 
 namespace veil::ledger {
 
 // ---- Wire types (all decode-fuzzed) ---------------------------------------
 
+/// tsync.req: ask a donor for its latest checkpoint at or above
+/// min_height. Also reused on tsync.vote-req, where min_height carries the
+/// exact height being voted on.
+struct SnapshotRequest {
+  std::string scope;  // platform-defined (Fabric channel, "quorum", ...)
+  std::uint64_t min_height = 0;
+
+  common::Bytes encode() const;
+  static SnapshotRequest decode(common::BytesView data);
+};
+
+/// tsync.vote: the voter's own checkpoint state root at the requested
+/// height (known=false when it has no checkpoint there).
+struct RootVote {
+  std::string scope;
+  std::uint64_t height = 0;
+  bool known = false;
+  crypto::Digest root{};
+
+  common::Bytes encode() const;
+  static RootVote decode(common::BytesView data);
+};
+
 /// tsync.offer: the donor's checkpoint coordinates, or a refusal. The
-/// state root plays the role SnapshotHeader played for chunked transfer:
-/// it is the content address everything else verifies against.
+/// state root is the content address everything else verifies against.
 struct TrieSyncOffer {
   std::string scope;
   bool available = false;
@@ -91,6 +118,21 @@ struct NodeBatch {
 };
 
 // ---- Engine ---------------------------------------------------------------
+
+/// Why a joiner gave up on a donor.
+enum class TransferReject {
+  MalformedOffer,    // offered height below the requested minimum
+  OfferCheckFailed,  // height/tip contradicts the sealed delivery log
+  EquivocatedRoot,   // quorum of peers disavows the offered root
+  TamperedNode,      // trie node fails hash verification / will not decode
+  InconsistentBody,  // every node verified but the graft cannot close
+  DonorGone,         // donor refused / lost the root (benign, no evidence)
+};
+
+const char* to_string(TransferReject reason);
+/// True when the reason proves misbehavior (platforms emit Evidence and
+/// quarantine); false for benign failover.
+bool is_misbehavior(TransferReject reason);
 
 struct TrieSyncStats {
   std::uint64_t requests_sent = 0;
@@ -141,11 +183,14 @@ class TrieSync {
       const net::Principal& self, const std::string& scope,
       std::uint64_t height, const crypto::Digest& tip_hash, WorldState state,
       const Report& report)>;
-  /// Same contract as SnapshotTransfer::Reject (shared taxonomy).
+  /// Joiner gave up on `donor`. proof_a/proof_b are the two halves of
+  /// the misbehavior proof (the donor's offer + contradicting bytes);
+  /// empty for benign reasons (is_misbehavior(reason) == false).
   using Reject = std::function<void(
       const net::Principal& self, const std::string& scope,
       const net::Principal& donor, TransferReject reason,
       common::BytesView proof_a, common::BytesView proof_b)>;
+  /// All donors exhausted; the platform falls back to full replay.
   using Fail = std::function<void(const net::Principal& self,
                                   const std::string& scope)>;
 
@@ -188,8 +233,12 @@ class TrieSync {
 
   /// Route one delivered message; platforms call this from their channel
   /// handlers for owns_topic() messages. Malformed payloads are counted
-  /// and dropped, never thrown.
-  void handle(const net::Principal& self, const net::Message& msg);
+  /// and dropped, never thrown. `tamper_nodes` is an attack hook for
+  /// Byzantine-donor fixtures: `self` then answers tsync.fetch with one
+  /// byte flipped in the first node it ships — bytes that hash to no
+  /// requested node, so the joiner convicts it as TamperedNode.
+  void handle(const net::Principal& self, const net::Message& msg,
+              bool tamper_nodes = false);
 
   const TrieSyncStats& stats() const { return stats_; }
 
@@ -223,7 +272,8 @@ class TrieSync {
   void on_offer(const net::Principal& self, const net::Message& msg);
   void on_vote_request(const net::Principal& self, const net::Message& msg);
   void on_vote(const net::Principal& self, const net::Message& msg);
-  void on_fetch(const net::Principal& self, const net::Message& msg);
+  void on_fetch(const net::Principal& self, const net::Message& msg,
+                bool tamper);
   void on_nodes(const net::Principal& self, const net::Message& msg);
 
   void send_request(const net::Principal& self, Transfer& t);

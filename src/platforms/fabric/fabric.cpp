@@ -56,64 +56,27 @@ FabricNetwork::FabricNetwork(net::Transport& network,
       registry_(network.auditor()),
       engine_(registry_),
       channel_(network),
-      transfer_(channel_,
-                ledger::SnapshotTransfer::Callbacks{
-                    .provider =
-                        [this](const net::Principal& self,
-                               const std::string& scope,
-                               std::uint64_t min_height) {
-                          return provide_snapshot(self, scope, min_height);
-                        },
-                    .offer_check =
-                        [this](const net::Principal&, const std::string& scope,
-                               const ledger::SnapshotHeader& header) {
-                          return check_offer(scope, header);
-                        },
-                    .on_complete =
-                        [this](const net::Principal& self,
-                               const std::string& scope,
-                               const ledger::SnapshotHeader& header,
-                               ledger::WorldState state) {
-                          install_snapshot(self, scope, header,
-                                           std::move(state));
-                        },
-                    .on_reject =
-                        [this](const net::Principal& self,
-                               const std::string& scope,
-                               const net::Principal& donor,
-                               ledger::TransferReject reason,
-                               common::BytesView proof_a,
-                               common::BytesView proof_b) {
-                          on_transfer_reject(self, scope, donor, reason,
-                                             proof_a, proof_b);
-                        },
-                    .on_fail = nullptr,
-                }),
       triesync_(channel_,
                 ledger::TrieSync::Callbacks{
                     .provider =
                         [this](const net::Principal& self,
-                               const std::string& scope,
-                               std::uint64_t min_height) {
-                          return provide_trie(self, scope, min_height);
+                               const std::string& scope, std::uint64_t) {
+                          return provide_trie(self, scope);
                         },
                     .offer_check =
                         [this](const net::Principal&, const std::string& scope,
                                std::uint64_t height,
                                const crypto::Digest& tip_hash) {
-                          ledger::SnapshotHeader probe;
-                          probe.height = height;
-                          probe.tip_hash = tip_hash;
-                          return check_offer(scope, probe);
+                          return check_offer(scope, height, tip_hash);
                         },
                     .on_complete =
                         [this](const net::Principal& self,
                                const std::string& scope, std::uint64_t height,
                                const crypto::Digest& tip_hash,
                                ledger::WorldState state,
-                               const ledger::TrieSync::Report& report) {
+                               const ledger::TrieSync::Report&) {
                           install_delta(self, scope, height, tip_hash,
-                                        std::move(state), report);
+                                        std::move(state));
                         },
                     .on_reject =
                         [this](const net::Principal& self,
@@ -156,12 +119,11 @@ void FabricNetwork::add_org(const std::string& org) {
   // per distinct message.
   const std::string peer = peer_of(org);
   channel_.attach(peer, [this, org](const net::Message& msg) {
-    if (ledger::SnapshotTransfer::owns_topic(msg.topic)) {
-      transfer_.handle(peer_of(org), msg);
-      return;
-    }
     if (ledger::TrieSync::owns_topic(msg.topic)) {
-      triesync_.handle(peer_of(org), msg);
+      const auto attack = byz_offerers_.find(org);
+      triesync_.handle(peer_of(org), msg,
+                       attack != byz_offerers_.end() &&
+                           attack->second == SnapshotAttack::TamperNode);
       return;
     }
     if (msg.topic == "fabric.pdc-push") {
@@ -221,8 +183,7 @@ void FabricNetwork::on_crash(const std::string& org) {
     const auto it = ch.replicas.find(org);
     if (it == ch.replicas.end()) continue;
     // Memory is gone; the WAL is the only thing that survives. An
-    // in-progress snapshot transfer dies with it — rejoin() restarts one.
-    transfer_.abort(peer_of(org), name);
+    // in-progress rejoin transfer dies with it — rejoin() restarts one.
     triesync_.abort(peer_of(org), name);
     it->second.chain = ledger::Chain();
     it->second.state = ledger::WorldState();
@@ -1221,46 +1182,18 @@ void FabricNetwork::rejoin(const std::string& channel, const std::string& org,
   std::vector<net::Principal> donors;
   std::vector<net::Principal> voters;
   rejoin_peers(channel, org, donor_orgs, donors, voters);
-  transfer_.fetch(self, channel, std::move(donors), voters,
-                  replica.chain.height() + 1);
+  // The joiner's own state is the dedup set: only nodes it lacks move.
+  triesync_.fetch(self, channel, std::move(donors), voters,
+                  replica.chain.height() + 1, replica.state);
   network_->run();
   // Still active after the network drained = stalled on loss — keep it
-  // resumable rather than replaying what the snapshot was about to save.
-  if (transfer_.active(self, channel)) return;
+  // resumable rather than replaying what the checkpoint was about to save.
+  if (triesync_.active(self, channel)) return;
   replay_tail(channel, org);
 }
 
 void FabricNetwork::resume_rejoin(const std::string& channel,
                                   const std::string& org) {
-  const std::string self = peer_of(org);
-  if (network_->crashed(self)) return;
-  transfer_.resume(self, channel);
-  network_->run();
-  if (transfer_.active(self, channel)) return;  // still stalled: resumable
-  replay_tail(channel, org);
-}
-
-void FabricNetwork::rejoin_delta(const std::string& channel,
-                                 const std::string& org,
-                                 std::vector<std::string> donor_orgs) {
-  auto& ch = channels_.at(channel);
-  const std::string self = peer_of(org);
-  if (!ch.members.contains(org) || network_->crashed(self)) return;
-  PeerReplica& replica = ch.replicas.at(org);
-
-  std::vector<net::Principal> donors;
-  std::vector<net::Principal> voters;
-  rejoin_peers(channel, org, donor_orgs, donors, voters);
-  // The joiner's own state is the dedup set: only nodes it lacks move.
-  triesync_.fetch(self, channel, std::move(donors), voters,
-                  replica.chain.height() + 1, replica.state);
-  network_->run();
-  if (triesync_.active(self, channel)) return;  // stalled on loss: resumable
-  replay_tail(channel, org);
-}
-
-void FabricNetwork::resume_rejoin_delta(const std::string& channel,
-                                        const std::string& org) {
   const std::string self = peer_of(org);
   if (network_->crashed(self)) return;
   triesync_.resume(self, channel);
@@ -1289,93 +1222,21 @@ const ledger::WriteAheadLog& FabricNetwork::peer_wal(
   return channels_.at(channel).replicas.at(org).wal;
 }
 
-const ledger::Snapshot* FabricNetwork::provide_snapshot(
-    const std::string& self, const std::string& scope,
-    std::uint64_t min_height) {
-  const std::string org = org_of(self);
-  const auto ch = channels_.find(scope);
-  if (ch == channels_.end() || !ch->second.members.contains(org)) {
-    return nullptr;
-  }
-  const auto replica = ch->second.replicas.find(org);
-  if (replica == ch->second.replicas.end()) return nullptr;
-  const ledger::Snapshot* honest = replica->second.snapshots.latest();
-
-  const auto attack = byz_offerers_.find(org);
-  if (attack == byz_offerers_.end() || honest == nullptr ||
-      honest->height() < min_height) {
-    return honest;
-  }
-  // Scripted adversary: serve a forgery instead of the checkpoint. Stored
-  // in forged_ because the transfer engine holds the returned pointer
-  // across the donated chunks.
-  const auto key = std::make_pair(self, scope);
-  switch (attack->second) {
-    case SnapshotAttack::TamperChunk: {
-      // Honest header, one flipped byte mid-body: the offer passes every
-      // header check, then the covering chunk fails hash verification.
-      common::Bytes body(honest->body().begin(), honest->body().end());
-      if (!body.empty()) body[body.size() / 2] ^= 0x01;
-      forged_.insert_or_assign(
-          key, ledger::Snapshot::forge(honest->header(), std::move(body)));
-      break;
-    }
-    case SnapshotAttack::EquivocateRoot: {
-      // Self-consistent snapshot over a tampered state: every chunk
-      // verifies against ITS root, but the root is disavowed by the
-      // member quorum (no honest replica ever committed that state).
-      ledger::WorldState tampered = honest->state();
-      tampered.put("asset/forged/owner", common::to_bytes(org));
-      forged_.insert_or_assign(
-          key, ledger::Snapshot::make(
-                   honest->height(),
-                   honest->header().tip_hash, tampered,
-                   honest->header().chunk_size));
-      break;
-    }
-  }
-  return &forged_.at(key);
-}
-
-bool FabricNetwork::check_offer(const std::string& scope,
-                                const ledger::SnapshotHeader& header) const {
+bool FabricNetwork::check_offer(const std::string& scope, std::uint64_t height,
+                                const crypto::Digest& tip_hash) const {
   // Structural pre-filter against the channel's sealed delivery log: the
   // offered head must be a block the orderer actually sealed. (The state
   // root itself is vouched for by the member vote quorum — a block hash
   // does not commit to world state.)
   const auto ch = channels_.find(scope);
   if (ch == channels_.end()) return false;
-  return header.height > 0 && header.height <= ch->second.ordered_log.size() &&
-         ch->second.ordered_log[header.height - 1].header.hash() ==
-             header.tip_hash;
-}
-
-void FabricNetwork::install_snapshot(const std::string& self,
-                                     const std::string& scope,
-                                     const ledger::SnapshotHeader& header,
-                                     ledger::WorldState state) {
-  const std::string org = org_of(self);
-  const auto ch = channels_.find(scope);
-  if (ch == channels_.end()) return;
-  const auto it = ch->second.replicas.find(org);
-  if (it == ch->second.replicas.end()) return;
-  PeerReplica& replica = it->second;
-  if (header.height <= replica.chain.height()) return;  // stale by now
-
-  replica.chain =
-      ledger::Chain::from_checkpoint(header.height, header.tip_hash);
-  replica.state = std::move(state);
-  replica.endorsements_seen.clear();
-  // Seal the installed snapshot as this replica's own durable checkpoint,
-  // compacting any stale pre-crash WAL prefix behind it.
-  replica.snapshots.checkpoint(replica.wal, header.height, header.tip_hash,
-                               replica.state);
+  return height > 0 && height <= ch->second.ordered_log.size() &&
+         ch->second.ordered_log[height - 1].header.hash() == tip_hash;
 }
 
 std::optional<ledger::TrieSync::DonorState> FabricNetwork::provide_trie(
-    const std::string& self, const std::string& scope,
-    std::uint64_t min_height) {
-  (void)min_height;  // availability vs min_height is enforced by the engine
+    const std::string& self, const std::string& scope) {
+  // Availability vs the joiner's min height is enforced by the engine.
   const std::string org = org_of(self);
   const auto ch = channels_.find(scope);
   if (ch == channels_.end() || !ch->second.members.contains(org)) {
@@ -1383,27 +1244,22 @@ std::optional<ledger::TrieSync::DonorState> FabricNetwork::provide_trie(
   }
   const auto replica = ch->second.replicas.find(org);
   if (replica == ch->second.replicas.end()) return std::nullopt;
-  const ledger::SnapshotStore& snaps = replica->second.snapshots;
-  const ledger::Snapshot* latest = snaps.latest();
+  const ledger::Checkpoint* latest = replica->second.snapshots.latest();
   if (latest == nullptr) return std::nullopt;
 
   ledger::TrieSync::DonorState ds;
-  ds.height = latest->height();
-  ds.tip_hash = latest->header().tip_hash;
-  ds.state = &snaps.latest_state();
+  ds.height = latest->height;
+  ds.tip_hash = latest->tip_hash;
+  ds.state = &latest->state;
 
   const auto attack = byz_offerers_.find(org);
   if (attack != byz_offerers_.end() &&
       attack->second == SnapshotAttack::EquivocateRoot) {
     // Scripted adversary: offer (and serve nodes for) a tampered state.
     // Every node it ships verifies against ITS root — only the member
-    // vote quorum can (and does) disavow the root itself. Stored in
-    // forged_states_ because the engine holds the pointer across the
-    // serve rounds. (TamperChunk has no delta analog: a node that does
-    // not hash to its content is rejected by construction; that path is
-    // exercised at the engine level in tests/ledger/test_triesync.cpp.)
+    // vote quorum can (and does) disavow the root itself.
     const auto key = std::make_pair(self, scope);
-    ledger::WorldState tampered = snaps.latest_state();
+    ledger::WorldState tampered = latest->state;
     tampered.put("asset/forged/owner", common::to_bytes(org));
     const auto [it, inserted] =
         forged_states_.insert_or_assign(key, std::move(tampered));
@@ -1417,8 +1273,7 @@ void FabricNetwork::install_delta(const std::string& self,
                                   const std::string& scope,
                                   std::uint64_t height,
                                   const crypto::Digest& tip_hash,
-                                  ledger::WorldState state,
-                                  const ledger::TrieSync::Report& report) {
+                                  ledger::WorldState state) {
   const std::string org = org_of(self);
   const auto ch = channels_.find(scope);
   if (ch == channels_.end()) return;
@@ -1427,7 +1282,6 @@ void FabricNetwork::install_delta(const std::string& self,
   PeerReplica& replica = it->second;
   if (height <= replica.chain.height()) return;  // stale by now
 
-  last_delta_report_ = report;
   replica.chain = ledger::Chain::from_checkpoint(height, tip_hash);
   replica.state = std::move(state);
   replica.endorsements_seen.clear();

@@ -39,7 +39,6 @@
 #include "ledger/ordering.hpp"
 #include "ledger/snapshot.hpp"
 #include "ledger/state.hpp"
-#include "ledger/transfer.hpp"
 #include "ledger/triesync.hpp"
 #include "ledger/wal.hpp"
 #include "net/network.hpp"
@@ -226,46 +225,33 @@ class FabricNetwork {
 
   // ---- Recovery tier (docs/fault_model.md "Recovery tier") -----------------
 
-  /// Snapshot rejoin for one lagging live member peer: fetch the nearest
-  /// checkpoint from a fellow member over the wire (chunks verified
-  /// against the offered root, the root confirmed by a quorum of member
-  /// checkpoints and the sealed delivery log), install it, then replay
-  /// only the post-checkpoint delta. Falls back to plain delta replay
-  /// when no member holds a newer checkpoint. `donor_orgs` overrides the
-  /// candidate order (tests put the Byzantine offerer first).
+  /// Rejoin for one lagging live member peer: fetch a fellow member's
+  /// newer checkpoint over TrieSync (ledger/triesync.hpp) — only the
+  /// content-addressed trie nodes the joiner's own state lacks move, the
+  /// offered root is confirmed by the member vote quorum and the sealed
+  /// delivery log, every node is hash-verified on arrival — install it,
+  /// then replay only the post-checkpoint tail. Falls back to plain
+  /// replay when no member holds a newer checkpoint. `donor_orgs`
+  /// overrides the candidate order (tests put the Byzantine offerer
+  /// first).
   void rejoin(const std::string& channel, const std::string& org,
               std::vector<std::string> donor_orgs = {});
 
   /// Re-drive a rejoin stalled by message loss beyond the reliable
-  /// channel's retry budget (resumes from the verified chunk cursor).
+  /// channel's retry budget (verified nodes are kept).
   void resume_rejoin(const std::string& channel, const std::string& org);
 
-  /// Delta rejoin for a lagging live member peer: instead of shipping the
-  /// whole checkpoint body, fetch only the content-addressed trie nodes
-  /// the joiner's own state lacks (ledger/triesync.hpp). Root confirmed
-  /// by the member vote quorum + sealed delivery log, every node hash-
-  /// verified on arrival, prior subtrees reused by hash. Bytes on the
-  /// wire ~ O(keys touched since the joiner's state), not O(state).
-  void rejoin_delta(const std::string& channel, const std::string& org,
-                    std::vector<std::string> donor_orgs = {});
-
-  /// Re-drive a stalled delta rejoin (verified nodes are kept).
-  void resume_rejoin_delta(const std::string& channel, const std::string& org);
-
-  /// Cost report of the last completed delta rejoin (tests/bench assert
-  /// delta-vs-full byte accounting on it).
-  const ledger::TrieSync::Report& last_delta_report() const {
-    return last_delta_report_;
-  }
-  const ledger::TrieSyncStats& triesync_stats() const {
+  /// Rejoin engine counters (offers, votes, nodes and node bytes
+  /// received, rejections, completions).
+  const ledger::TrieSyncStats& rejoin_stats() const {
     return triesync_.stats();
   }
 
-  /// Scripted snapshot adversary: when `org`'s peer is asked to donate a
-  /// checkpoint it serves a forgery instead.
+  /// Scripted rejoin adversary: when `org`'s peer is asked to donate a
+  /// checkpoint it misbehaves instead.
   enum class SnapshotAttack {
-    TamperChunk,     // honest header, one flipped byte in the body
-    EquivocateRoot,  // self-consistent header over a tampered state
+    TamperNode,      // honest offer, one flipped byte in a served node
+    EquivocateRoot,  // offers and serves a tampered state's root
   };
   void set_byzantine_snapshot_offerer(const std::string& org,
                                       SnapshotAttack attack);
@@ -276,9 +262,6 @@ class FabricNetwork {
                                               const std::string& org) const;
   const ledger::WriteAheadLog& peer_wal(const std::string& channel,
                                         const std::string& org) const;
-  const ledger::TransferStats& transfer_stats() const {
-    return transfer_.stats();
-  }
   std::uint64_t sealed_height(const std::string& channel) const {
     return channels_.at(channel).ordered_log.size();
   }
@@ -429,31 +412,20 @@ class FabricNetwork {
     return peer.rfind("peer.", 0) == 0 ? peer.substr(5) : peer;
   }
 
-  // Transfer-engine callbacks (recovery tier). Scope = channel name,
+  // TrieSync callbacks (recovery tier). Scope = channel name,
   // principals = peer names.
-  const ledger::Snapshot* provide_snapshot(const std::string& self,
-                                           const std::string& scope,
-                                           std::uint64_t min_height);
-  bool check_offer(const std::string& scope,
-                   const ledger::SnapshotHeader& header) const;
-  void install_snapshot(const std::string& self, const std::string& scope,
-                        const ledger::SnapshotHeader& header,
-                        ledger::WorldState state);
+  std::optional<ledger::TrieSync::DonorState> provide_trie(
+      const std::string& self, const std::string& scope);
+  bool check_offer(const std::string& scope, std::uint64_t height,
+                   const crypto::Digest& tip_hash) const;
+  void install_delta(const std::string& self, const std::string& scope,
+                     std::uint64_t height, const crypto::Digest& tip_hash,
+                     ledger::WorldState state);
   void on_transfer_reject(const std::string& self, const std::string& scope,
                           const std::string& donor,
                           ledger::TransferReject reason,
                           common::BytesView proof_a,
                           common::BytesView proof_b);
-
-  // Delta-sync callbacks (scope = channel, principals = peer names). The
-  // reject path is shared with the chunked engine (same taxonomy).
-  std::optional<ledger::TrieSync::DonorState> provide_trie(
-      const std::string& self, const std::string& scope,
-      std::uint64_t min_height);
-  void install_delta(const std::string& self, const std::string& scope,
-                     std::uint64_t height, const crypto::Digest& tip_hash,
-                     ledger::WorldState state,
-                     const ledger::TrieSync::Report& report);
   /// Shared rejoin scaffolding: voter/donor selection for `org` on
   /// `channel` (live, unquarantined members; breaker-filtered donors).
   void rejoin_peers(const std::string& channel, const std::string& org,
@@ -476,14 +448,11 @@ class FabricNetwork {
   /// lossy wire, exactly-once to handlers. Bounded retries keep the
   /// fail-closed behavior on a dead network.
   net::ReliableChannel channel_;
-  ledger::SnapshotTransfer transfer_;
   ledger::TrieSync triesync_;
-  ledger::TrieSync::Report last_delta_report_;
   std::map<std::string, SnapshotAttack> byz_offerers_;  // by org
-  /// Forged snapshots served by scripted adversaries, keyed by
-  /// (peer, channel) — the provider returns a stable pointer.
-  std::map<std::pair<std::string, std::string>, ledger::Snapshot> forged_;
-  /// Forged states for delta-sync adversaries (same key / same reason).
+  /// Forged states served by EquivocateRoot adversaries, keyed by
+  /// (peer, channel) — the engine holds the provider's pointer across
+  /// the serve rounds, so the forgery must outlive the callback.
   std::map<std::pair<std::string, std::string>, ledger::WorldState>
       forged_states_;
   std::unique_ptr<ledger::OrderingService> shared_orderer_;

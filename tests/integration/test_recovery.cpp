@@ -1,13 +1,14 @@
-// Recovery tier: verified checkpoints, WAL compaction, and snapshot
+// Recovery tier: verified checkpoints, WAL compaction, and TrieSync
 // state transfer for replica rejoin (docs/fault_model.md).
 //
 // The scenarios below exercise the full rejoin path on each platform: a
-// replica that fell behind (quarantine, crash, partition) fetches the
-// nearest checkpoint from a peer over the wire — chunks verified against
-// the offered root, the root confirmed by a quorum of peer checkpoints
-// and the platform's sealed delivery log — installs it, and replays only
-// the post-checkpoint delta. Byzantine offerers are convicted with
-// signed evidence, quarantined, and failed over.
+// replica that fell behind (quarantine, crash, partition) fetches a
+// peer's newer checkpoint over the wire — only the trie nodes its own
+// state lacks, each hash-verified, the offered root confirmed by a
+// quorum of peer checkpoints and the platform's sealed delivery log —
+// installs it, and replays only the post-checkpoint tail. Byzantine
+// offerers are convicted with signed evidence, quarantined, and failed
+// over.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -48,6 +49,18 @@ class QuorumRecoveryTest : public ::testing::Test {
       quorum_.submit_public(
           "NodeA", {{tag + "/" + std::to_string(counter_++),
                      to_bytes("v" + std::to_string(i)), false}});
+    }
+  }
+
+  /// Seal `n` blocks each writing one fresh key with a 64-byte value,
+  /// distinct per key (equal values would share content-addressed leaves
+  /// and shrink the full node image).
+  void advance_wide(int n) {
+    for (int i = 0; i < n; ++i) {
+      const int id = counter_++;
+      quorum_.submit_public(
+          "NodeA", {{"wide/" + std::to_string(id),
+                     common::Bytes(64, static_cast<std::uint8_t>(id)), false}});
     }
   }
 
@@ -116,8 +129,8 @@ TEST_F(QuorumRecoveryTest, RejoinInstallsCheckpointAndReplaysOnlyDelta) {
             quorum_.public_chain("NodeA").tip_hash());
   EXPECT_EQ(quorum_.public_state("NodeC").digest(),
             quorum_.public_state("NodeA").digest());
-  // ...while its own private state survived the snapshot install (the
-  // wire snapshot carries ONLY public state) and the lag leaked nothing:
+  // ...while its own private state survived the checkpoint install (the
+  // wire carries ONLY public state) and the lag leaked nothing:
   // NodeB's silver transfer stays invisible to NodeC.
   EXPECT_EQ(quorum_.private_state("NodeC").digest(), private_before);
   EXPECT_TRUE(quorum_.private_state("NodeC").get("asset/gold/owner")
@@ -128,7 +141,7 @@ TEST_F(QuorumRecoveryTest, RejoinInstallsCheckpointAndReplaysOnlyDelta) {
                    .has_value());
 
   // The whole point: only the post-checkpoint delta was replayed.
-  EXPECT_EQ(quorum_.transfer_stats().transfers_completed, 1u);
+  EXPECT_EQ(quorum_.rejoin_stats().transfers_completed, 1u);
   EXPECT_EQ(quorum_.blocks_applied("NodeC") - applied_before,
             quorum_.sealed_height() - 8u);
   // And the rejoined node sealed its own checkpoint: a crash right after
@@ -143,12 +156,33 @@ TEST_F(QuorumRecoveryTest, RejoinWithoutPeerCheckpointFallsBackToReplay) {
   net_.release("NodeC");
   quorum_.rejoin("NodeC");
   EXPECT_EQ(quorum_.public_chain("NodeC").height(), 3u);
-  EXPECT_EQ(quorum_.transfer_stats().transfers_completed, 0u);
+  EXPECT_EQ(quorum_.rejoin_stats().transfers_completed, 0u);
   EXPECT_EQ(quorum_.public_state("NodeC").digest(),
             quorum_.public_state("NodeA").digest());
 }
 
-TEST_F(QuorumRecoveryTest, RejoinUnderLossResumesFromChunkCursor) {
+TEST_F(QuorumRecoveryTest, RejoinAfterShortLagShipsLessThanTheState) {
+  // The delta property on the platform: a node that missed a few blocks
+  // over a wide state receives only the trie nodes on the touched paths,
+  // fewer bytes than the canonical encoding of the whole state.
+  advance_wide(40);
+  net_.quarantine("NodeC");
+  advance_wide(4);  // checkpoint at 44; NodeC stuck at 40
+  net_.release("NodeC");
+
+  quorum_.rejoin("NodeC");
+
+  const ledger::TrieSyncStats& stats = quorum_.rejoin_stats();
+  EXPECT_EQ(stats.transfers_completed, 1u);
+  EXPECT_GT(stats.node_bytes_received, 0u);
+  EXPECT_LT(stats.node_bytes_received,
+            quorum_.public_state("NodeA").encode().size());
+  EXPECT_EQ(quorum_.public_chain("NodeC").height(), 44u);
+  EXPECT_EQ(quorum_.public_state("NodeC").digest(),
+            quorum_.public_state("NodeA").digest());
+}
+
+TEST_F(QuorumRecoveryTest, RejoinUnderLossResumesWithVerifiedNodesKept) {
   advance(2);
   net_.quarantine("NodeC");
   advance(8);  // checkpoint at 8, sealed 10
@@ -157,7 +191,7 @@ TEST_F(QuorumRecoveryTest, RejoinUnderLossResumesFromChunkCursor) {
   net_.set_drop_probability(0.20);
   quorum_.rejoin("NodeC");
   // Message loss past the retry budget stalls the transfer; each resume
-  // re-requests only what is still missing (verified chunks are kept).
+  // re-requests only what is still missing (verified nodes are kept).
   for (int round = 0;
        round < 50 && quorum_.public_chain("NodeC").height() <
                          quorum_.sealed_height();
@@ -166,7 +200,7 @@ TEST_F(QuorumRecoveryTest, RejoinUnderLossResumesFromChunkCursor) {
   }
   net_.set_drop_probability(0.0);
 
-  EXPECT_EQ(quorum_.transfer_stats().transfers_completed, 1u);
+  EXPECT_EQ(quorum_.rejoin_stats().transfers_completed, 1u);
   EXPECT_EQ(quorum_.public_chain("NodeC").height(), 10u);
   EXPECT_EQ(quorum_.public_state("NodeC").digest(),
             quorum_.public_state("NodeA").digest());
@@ -178,11 +212,12 @@ TEST_F(QuorumRecoveryTest, TamperingOffererConvictedAndFailedOver) {
   advance(8);
   net_.release("NodeC");
 
-  // NodeB serves an honest-looking header over a tampered body: the
-  // damaged chunk fails verification against the root, which convicts
-  // NodeB with signed evidence and fails the transfer over to NodeA.
-  quorum_.set_byzantine_snapshot_offerer("NodeB",
-                                         quorum::QuorumNetwork::SnapshotAttack::TamperChunk);
+  // NodeB makes an honest offer (the vote quorum confirms its root), then
+  // serves a node with one flipped byte: bytes that hash to no requested
+  // node convict NodeB with signed evidence and fail the transfer over
+  // to NodeA.
+  quorum_.set_byzantine_snapshot_offerer(
+      "NodeB", quorum::QuorumNetwork::SnapshotAttack::TamperNode);
   quorum_.rejoin("NodeC", {"NodeB", "NodeA"});
 
   ASSERT_GE(quorum_.evidence().count(), 1u);
@@ -192,11 +227,11 @@ TEST_F(QuorumRecoveryTest, TamperingOffererConvictedAndFailedOver) {
   EXPECT_EQ(e.reporter, "NodeC");
   EXPECT_TRUE(quorum_.evidence().convicted("NodeB"));
   EXPECT_TRUE(net_.is_quarantined("NodeB"));
-  EXPECT_GE(quorum_.transfer_stats().chunks_rejected, 1u);
-  EXPECT_EQ(quorum_.transfer_stats().donors_rejected, 1u);
+  EXPECT_GE(quorum_.rejoin_stats().nodes_rejected, 1u);
+  EXPECT_EQ(quorum_.rejoin_stats().donors_rejected, 1u);
 
   // The fallback donor completed the rejoin bit-identically.
-  EXPECT_EQ(quorum_.transfer_stats().transfers_completed, 1u);
+  EXPECT_EQ(quorum_.rejoin_stats().transfers_completed, 1u);
   EXPECT_EQ(quorum_.public_state("NodeC").digest(),
             quorum_.public_state("NodeA").digest());
   // No forged key ever entered the rejoined state.
@@ -210,10 +245,9 @@ TEST_F(QuorumRecoveryTest, EquivocatingOffererConvictedByPeerQuorum) {
   advance(8);
   net_.release("NodeC");
 
-  // NodeB offers a fully self-consistent snapshot of a state no honest
-  // replica ever held. Every chunk would verify against ITS root — only
-  // the quorum of peer checkpoint roots exposes the lie, before a single
-  // chunk is fetched.
+  // NodeB offers the root of a state no honest replica ever held. Every
+  // node it serves would verify against ITS root — only the quorum of
+  // peer checkpoint roots exposes the lie, before a single node moves.
   quorum_.set_byzantine_snapshot_offerer(
       "NodeB", quorum::QuorumNetwork::SnapshotAttack::EquivocateRoot);
   quorum_.rejoin("NodeC", {"NodeB", "NodeA"});
@@ -223,10 +257,11 @@ TEST_F(QuorumRecoveryTest, EquivocatingOffererConvictedByPeerQuorum) {
   EXPECT_EQ(e.kind, audit::Misbehavior::SnapshotEquivocation);
   EXPECT_EQ(e.accused, "NodeB");
   EXPECT_TRUE(net_.is_quarantined("NodeB"));
-  // Rejected during verification: zero chunks of the forgery moved.
-  EXPECT_EQ(quorum_.transfer_stats().chunks_rejected, 0u);
+  // Rejected during root verification: no node of the forgery moved.
+  EXPECT_EQ(quorum_.rejoin_stats().nodes_rejected, 0u);
+  EXPECT_EQ(quorum_.rejoin_stats().donors_rejected, 1u);
 
-  EXPECT_EQ(quorum_.transfer_stats().transfers_completed, 1u);
+  EXPECT_EQ(quorum_.rejoin_stats().transfers_completed, 1u);
   EXPECT_EQ(quorum_.public_state("NodeC").digest(),
             quorum_.public_state("NodeA").digest());
   EXPECT_FALSE(
@@ -240,7 +275,7 @@ TEST_F(QuorumRecoveryTest, CrashMidTransferAbortsAndRejoinsCleanly) {
   net_.release("NodeC");
 
   // Stall the transfer mid-flight (total loss), then crash the joiner:
-  // received chunks are volatile and must not survive.
+  // received nodes are volatile and must not survive.
   net_.set_drop_probability(1.0);
   quorum_.rejoin("NodeC");
   net_.set_drop_probability(0.0);
@@ -285,10 +320,17 @@ class FabricRecoveryTest : public ::testing::Test {
                            contracts::EndorsementPolicy::require("OrgA"));
   }
 
-  void advance(int n) {
+  /// Commit `n` single-transaction blocks, each writing one fresh key.
+  /// `wide` values are 64 bytes and distinct per key (equal values would
+  /// share content-addressed leaves and shrink the full node image).
+  void advance(int n, bool wide = false) {
     for (int i = 0; i < n; ++i) {
-      const auto receipt = fab_.submit(
-          "ch", "OrgA", "cc", "a" + std::to_string(counter_++), to_bytes("v"));
+      const int id = counter_++;
+      const common::Bytes value =
+          wide ? common::Bytes(64, static_cast<std::uint8_t>(id))
+               : to_bytes("v");
+      const auto receipt =
+          fab_.submit("ch", "OrgA", "cc", "a" + std::to_string(id), value);
       ASSERT_TRUE(receipt.committed) << receipt.reason;
     }
   }
@@ -309,8 +351,8 @@ TEST_F(FabricRecoveryTest, IntervalCheckpointsBoundPeerWals) {
   }
   // Deterministic replicas checkpoint identical roots — the property the
   // rejoin vote quorum rests on.
-  EXPECT_EQ(fab_.snapshot_store("ch", "OrgA").latest()->root(),
-            fab_.snapshot_store("ch", "OrgB").latest()->root());
+  EXPECT_EQ(fab_.snapshot_store("ch", "OrgA").latest()->state.digest(),
+            fab_.snapshot_store("ch", "OrgB").latest()->state.digest());
 }
 
 TEST_F(FabricRecoveryTest, RejoinViaSnapshotReplaysOnlyDelta) {
@@ -328,10 +370,31 @@ TEST_F(FabricRecoveryTest, RejoinViaSnapshotReplaysOnlyDelta) {
             fab_.chain("ch", "OrgA").tip_hash());
   EXPECT_EQ(fab_.state("ch", "OrgC").digest(),
             fab_.state("ch", "OrgA").digest());
-  EXPECT_EQ(fab_.transfer_stats().transfers_completed, 1u);
+  EXPECT_EQ(fab_.rejoin_stats().transfers_completed, 1u);
   EXPECT_EQ(fab_.blocks_applied("ch", "OrgC") - applied_before,
             fab_.sealed_height("ch") - 8u);
   EXPECT_LE(fab_.peer_wal("ch", "OrgC").record_count(), 1u + 2u);
+}
+
+TEST_F(FabricRecoveryTest, RejoinAfterShortLagShipsLessThanTheState) {
+  // The delta property on the platform: a peer that missed a few blocks
+  // over a wide state receives only the trie nodes on the touched paths,
+  // fewer bytes than the canonical encoding of the whole state.
+  advance(40, /*wide=*/true);
+  net_.quarantine("peer.OrgC");
+  advance(4, /*wide=*/true);  // checkpoint at 44; OrgC stuck at 40
+  net_.release("peer.OrgC");
+
+  fab_.rejoin("ch", "OrgC");
+
+  const ledger::TrieSyncStats& stats = fab_.rejoin_stats();
+  EXPECT_EQ(stats.transfers_completed, 1u);
+  EXPECT_GT(stats.node_bytes_received, 0u);
+  EXPECT_LT(stats.node_bytes_received,
+            fab_.state("ch", "OrgA").encode().size());
+  EXPECT_EQ(fab_.chain("ch", "OrgC").height(), 44u);
+  EXPECT_EQ(fab_.state("ch", "OrgC").digest(),
+            fab_.state("ch", "OrgA").digest());
 }
 
 TEST_F(FabricRecoveryTest, RejoinUnderLossResumesToConvergence) {
@@ -349,7 +412,7 @@ TEST_F(FabricRecoveryTest, RejoinUnderLossResumesToConvergence) {
   }
   net_.set_drop_probability(0.0);
 
-  EXPECT_EQ(fab_.transfer_stats().transfers_completed, 1u);
+  EXPECT_EQ(fab_.rejoin_stats().transfers_completed, 1u);
   EXPECT_EQ(fab_.chain("ch", "OrgC").height(), 10u);
   EXPECT_EQ(fab_.state("ch", "OrgC").digest(),
             fab_.state("ch", "OrgA").digest());
@@ -371,32 +434,43 @@ TEST_F(FabricRecoveryTest, EquivocatingOffererConvictedQuarantinedFailedOver) {
   EXPECT_EQ(e.accused, "OrgB");
   EXPECT_EQ(e.reporter, "OrgC");
   EXPECT_TRUE(net_.is_quarantined("peer.OrgB"));
+  // Rejected during root verification: no node of the forgery moved.
+  EXPECT_EQ(fab_.rejoin_stats().nodes_rejected, 0u);
+  EXPECT_EQ(fab_.rejoin_stats().donors_rejected, 1u);
 
-  EXPECT_EQ(fab_.transfer_stats().transfers_completed, 1u);
+  EXPECT_EQ(fab_.rejoin_stats().transfers_completed, 1u);
   EXPECT_EQ(fab_.state("ch", "OrgC").digest(),
             fab_.state("ch", "OrgA").digest());
   EXPECT_FALSE(
       fab_.state("ch", "OrgC").get("asset/forged/owner").has_value());
 }
 
-TEST_F(FabricRecoveryTest, TamperingOffererChunkRejectedCursorResumed) {
+TEST_F(FabricRecoveryTest, TamperingOffererNodeRejectedAndFailedOver) {
   advance(2);
   net_.quarantine("peer.OrgC");
   advance(8);
   net_.release("peer.OrgC");
 
+  // OrgB's offer is honest (the member quorum confirms its root); the
+  // node it serves carries one flipped byte and hashes to nothing the
+  // joiner asked for.
   fab_.set_byzantine_snapshot_offerer(
-      "OrgB", fabric::FabricNetwork::SnapshotAttack::TamperChunk);
+      "OrgB", fabric::FabricNetwork::SnapshotAttack::TamperNode);
   fab_.rejoin("ch", "OrgC", {"OrgB", "OrgA"});
 
   ASSERT_GE(fab_.evidence().count(), 1u);
-  EXPECT_EQ(fab_.evidence().entries().front().kind,
-            audit::Misbehavior::SnapshotTampering);
+  const audit::Evidence& e = fab_.evidence().entries().front();
+  EXPECT_EQ(e.kind, audit::Misbehavior::SnapshotTampering);
+  EXPECT_EQ(e.accused, "OrgB");
+  EXPECT_EQ(e.reporter, "OrgC");
   EXPECT_TRUE(net_.is_quarantined("peer.OrgB"));
-  EXPECT_GE(fab_.transfer_stats().chunks_rejected, 1u);
-  // Same root from the honest donor: the verified chunks fetched from
-  // the Byzantine one are KEPT — only the damaged ones re-fetch.
-  EXPECT_EQ(fab_.transfer_stats().transfers_completed, 1u);
+  EXPECT_GE(fab_.rejoin_stats().nodes_rejected, 1u);
+  EXPECT_EQ(fab_.rejoin_stats().donors_rejected, 1u);
+  // Same root from the honest donor: any node verified before the
+  // tampered one is kept (content-addressed), the rest re-fetch.
+  EXPECT_EQ(fab_.rejoin_stats().transfers_completed, 1u);
+  EXPECT_EQ(fab_.chain("ch", "OrgC").tip_hash(),
+            fab_.chain("ch", "OrgA").tip_hash());
   EXPECT_EQ(fab_.state("ch", "OrgC").digest(),
             fab_.state("ch", "OrgA").digest());
 }
@@ -413,7 +487,7 @@ TEST_F(FabricRecoveryTest, CrashedPeerRecoversFromCompactedWalNotGenesis) {
   EXPECT_EQ(fab_.peer_wal("ch", "OrgB").record_count(), 1u + 1u);
   // The restored peer can immediately donate its checkpoint again.
   ASSERT_NE(fab_.snapshot_store("ch", "OrgB").latest(), nullptr);
-  EXPECT_EQ(fab_.snapshot_store("ch", "OrgB").latest()->height(), 8u);
+  EXPECT_EQ(fab_.snapshot_store("ch", "OrgB").latest()->height, 8u);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@
 #include "ledger/admission.hpp"
 #include "ledger/block.hpp"
 #include "ledger/mempool.hpp"
-#include "ledger/snapshot.hpp"
 #include "ledger/state.hpp"
-#include "ledger/transfer.hpp"
+#include "ledger/triesync.hpp"
 #include "net/fault.hpp"
 #include "net/overload.hpp"
 #include "net/reliable.hpp"
@@ -256,43 +255,46 @@ TEST_P(DecodeFuzz, BitFlippedByzantineTierEncodings) {
 }
 
 TEST_P(DecodeFuzz, BitFlippedRecoveryTierEncodings) {
-  // Wire formats the recovery tier added: snapshot transfer messages and
-  // sealed snapshots. A joiner decodes all of them from peers it does
-  // not yet trust, so every one must reject hostile bytes cleanly.
+  // Wire formats of the recovery tier: the TrieSync rejoin messages. A
+  // joiner decodes all of them from peers it does not yet trust, so
+  // every one must reject hostile bytes cleanly.
   common::Rng rng(GetParam() ^ 0x5eed);
 
   ledger::WorldState state;
   for (int i = 0; i < 12; ++i) {
     state.put("k/" + std::to_string(i), rng.next_bytes(24));
   }
-  const ledger::Snapshot snap = ledger::Snapshot::make(
-      7, crypto::sha256(rng.next_bytes(16)), state, /*chunk_size=*/64);
+  const crypto::Digest root = state.digest();
+  const crypto::Digest tip = crypto::sha256(rng.next_bytes(16));
+  ledger::NodeStore nodes;
+  state.trie().collect_nodes(nodes);
+  ledger::NodeBatch batch{
+      .scope = "ch", .state_root = root, .ok = true, .nodes = {}};
+  for (const auto& [hash, bytes] : nodes) {
+    (void)hash;
+    batch.nodes.push_back(bytes);
+  }
 
   const std::vector<Bytes> encodings = {
       ledger::SnapshotRequest{.scope = "ch", .min_height = 9}.encode(),
-      ledger::SnapshotOffer{.scope = "ch", .available = true,
-                            .header = snap.header()}
-          .encode(),
-      ledger::ChunkRequest{.scope = "ch", .root = snap.root(), .index = 2}
-          .encode(),
-      ledger::SnapshotChunk{.scope = "ch", .root = snap.root(), .index = 2,
-                            .ok = true, .data = snap.chunk(2)}
-          .encode(),
       ledger::RootVote{.scope = "ch", .height = 7, .known = true,
-                       .root = snap.root()}
+                       .root = root}
           .encode(),
-      snap.header().encode(),
-      snap.encode(),
+      ledger::TrieSyncOffer{.scope = "ch", .available = true, .height = 7,
+                            .tip_hash = tip, .state_root = root}
+          .encode(),
+      ledger::NodeRequest{.scope = "ch", .state_root = root,
+                          .wanted = {root, tip}}
+          .encode(),
+      batch.encode(),
   };
   const auto decoders = [](const Bytes& d, std::size_t which) {
     switch (which) {
       case 0: ledger::SnapshotRequest::decode(d); break;
-      case 1: ledger::SnapshotOffer::decode(d); break;
-      case 2: ledger::ChunkRequest::decode(d); break;
-      case 3: ledger::SnapshotChunk::decode(d); break;
-      case 4: ledger::RootVote::decode(d); break;
-      case 5: ledger::SnapshotHeader::decode(d); break;
-      default: ledger::Snapshot::decode(d); break;
+      case 1: ledger::RootVote::decode(d); break;
+      case 2: ledger::TrieSyncOffer::decode(d); break;
+      case 3: ledger::NodeRequest::decode(d); break;
+      default: ledger::NodeBatch::decode(d); break;
     }
   };
 
@@ -311,18 +313,20 @@ TEST_P(DecodeFuzz, BitFlippedRecoveryTierEncodings) {
       expect_no_crash(truncated,
                       [&](const Bytes& d) { decoders(d, which); return 0; });
     }
-    // Random junk too — geometry fields must not drive allocations.
+    // Random junk too — count fields must not drive allocations.
     expect_no_crash(rng.next_bytes(rng.next_below(200)),
                     [&](const Bytes& d) { decoders(d, which); return 0; });
   }
 
-  // Untampered round trips stay verifiable.
-  const ledger::SnapshotHeader header =
-      ledger::SnapshotHeader::decode(snap.header().encode());
-  EXPECT_TRUE(header.self_consistent());
-  EXPECT_EQ(header.root, snap.root());
-  const ledger::Snapshot back = ledger::Snapshot::decode(snap.encode());
-  EXPECT_EQ(back.root(), snap.root());
+  // Untampered round trips stay exact.
+  const ledger::RootVote vote = ledger::RootVote::decode(encodings[1]);
+  EXPECT_TRUE(vote.known);
+  EXPECT_EQ(vote.root, root);
+  const ledger::TrieSyncOffer offer =
+      ledger::TrieSyncOffer::decode(encodings[2]);
+  EXPECT_EQ(offer.tip_hash, tip);
+  EXPECT_EQ(offer.state_root, root);
+  EXPECT_EQ(ledger::NodeBatch::decode(encodings[4]).nodes, batch.nodes);
 }
 
 TEST_P(DecodeFuzz, BitFlippedCommitPathEncodings) {

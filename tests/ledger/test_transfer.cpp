@@ -1,54 +1,93 @@
-// Unit tests for the snapshot state-transfer engine, driven by scripted
-// providers over a raw ReliableChannel — no platform above it. The
-// platform-level behavior (evidence, quarantine, delta replay) lives in
-// tests/integration/test_recovery.cpp.
-#include "ledger/transfer.hpp"
-
+// Checkpoint transfer end to end at the ledger layer: replicas commit
+// blocks into a WorldState, SnapshotStore seals interval checkpoints into
+// their WALs, and a joiner fetches the latest checkpoint over TrieSync and
+// installs it into its own SnapshotStore/WAL. tests/ledger/test_triesync.cpp
+// drives the engine alone on hand-built states; this file checks that what
+// a SnapshotStore keeps resident is what donors serve and voters vouch for,
+// and that only a verified transfer ever reaches the joiner's WAL.
+//
+// Some names predate node batches: a "chunk" is now a tsync.nodes batch
+// and a "header" is the offered (height, tip hash).
 #include <gtest/gtest.h>
 
-#include <set>
+#include <map>
 
-#include "common/error.hpp"
+#include "ledger/snapshot.hpp"
+#include "ledger/triesync.hpp"
+#include "ledger/wal.hpp"
 #include "net/reliable.hpp"
 
 namespace veil::ledger {
 namespace {
 
-using common::Bytes;
 using common::Rng;
 using common::to_bytes;
 
-WorldState sample_state(int keys = 40) {
-  WorldState state;
-  for (int i = 0; i < keys; ++i) {
-    state.put("key/" + std::to_string(i),
-              to_bytes("value-" + std::to_string(i)));
-  }
-  return state;
+constexpr std::uint64_t kInterval = 4;
+
+crypto::Digest next_tip(const crypto::Digest& prev, std::uint64_t height) {
+  common::Bytes material(prev.begin(), prev.end());
+  const common::Bytes h = to_bytes(std::to_string(height));
+  material.insert(material.end(), h.begin(), h.end());
+  return crypto::sha256(material);
 }
 
-/// A joiner, two or three peers, and one shared engine (keyed by `self`,
-/// exactly how the platforms use it). Every peer serves whatever
-/// `snapshots[peer]` holds; the joiner records completions.
+/// One replica's durable ledger side: live state, tip chain, WAL and the
+/// checkpoint driver.
+struct Replica {
+  explicit Replica(std::uint64_t interval)
+      : store(SnapshotConfig{.interval = interval}) {
+    for (int i = 0; i < 60; ++i) {
+      live.put("acct/" + std::to_string(i),
+               to_bytes("genesis-" + std::to_string(i)));
+    }
+  }
+
+  WorldState live;
+  std::uint64_t height = 0;
+  crypto::Digest tip{};
+  WriteAheadLog wal;
+  SnapshotStore store;
+};
+
+/// A joiner and three peers sharing one engine keyed by `self` (as the
+/// platforms use it). Every peer serves `store.latest()`; the joiner
+/// installs a completed transfer as its own checkpoint.
 class TransferTest : public ::testing::Test {
  protected:
   TransferTest()
-      : net_(Rng(41), net::LatencyModel{100, 0, 0.0}), channel_(net_) {
+      : net_(Rng(43), net::LatencyModel{100, 0, 0.0}), channel_(net_) {
     engine_.emplace(
         channel_,
-        SnapshotTransfer::Callbacks{
+        TrieSync::Callbacks{
             .provider = [this](const net::Principal& self, const std::string&,
-                               std::uint64_t min_height) -> const Snapshot* {
-              auto it = snapshots_.find(self);
-              if (it == snapshots_.end()) return nullptr;
-              return it->second.height() >= min_height ? &it->second : nullptr;
+                               std::uint64_t min_height)
+                -> std::optional<TrieSync::DonorState> {
+              auto it = replicas_.find(self);
+              if (it == replicas_.end()) return std::nullopt;
+              const Checkpoint* cp = it->second.store.latest();
+              if (cp == nullptr || cp->height < min_height) return std::nullopt;
+              return TrieSync::DonorState{&cp->state, cp->height,
+                                          cp->tip_hash};
             },
-            .offer_check = nullptr,
+            .offer_check = [this](const net::Principal&, const std::string&,
+                                  std::uint64_t height,
+                                  const crypto::Digest& tip_hash) {
+              // The joiner's sealed delivery log: the honest tip chain.
+              const auto it = sealed_tips_.find(height);
+              return it != sealed_tips_.end() && it->second == tip_hash;
+            },
             .on_complete = [this](const net::Principal&, const std::string&,
-                                  const SnapshotHeader& header,
-                                  WorldState state) {
-              completed_header_ = header;
-              completed_state_ = std::move(state);
+                                  std::uint64_t height,
+                                  const crypto::Digest& tip_hash,
+                                  WorldState state,
+                                  const TrieSync::Report& report) {
+              Replica& j = joiner();
+              j.live = state;
+              j.height = height;
+              j.tip = tip_hash;
+              j.store.checkpoint(j.wal, height, tip_hash, state);
+              report_ = report;
             },
             .on_reject = [this](const net::Principal&, const std::string&,
                                 const net::Principal& donor,
@@ -61,307 +100,300 @@ class TransferTest : public ::testing::Test {
             },
         });
     for (const char* p : {"joiner", "peer1", "peer2", "peer3"}) {
+      replicas_.emplace(p, Replica(kInterval));
       channel_.attach(p, [this, p = std::string(p)](const net::Message& msg) {
-        if (SnapshotTransfer::owns_topic(msg.topic)) {
-          engine_->handle(p, msg);
-        }
+        if (!TrieSync::owns_topic(msg.topic)) return;
+        if (msg.topic == "tsync.fetch") ++fetches_served_[p];
+        if (intercept_ && intercept_(p, msg)) return;
+        engine_->handle(p, msg, p == tamperer_ && fetches_served_[p] >= 3);
       });
     }
   }
 
-  /// Start a fetch with peer1/peer2 as both donors and voters.
+  Replica& joiner() { return replicas_.at("joiner"); }
+
+  /// Every peer commits `blocks` identical blocks (five writes each) and
+  /// checkpoints on the shared schedule; the joiner stays at genesis.
+  void commit_peers(std::uint64_t blocks) {
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      for (const char* p : {"peer1", "peer2", "peer3"}) {
+        Replica& r = replicas_.at(p);
+        const std::uint64_t height = r.height + 1;
+        for (std::uint64_t i = 0; i < 5; ++i) {
+          r.live.put("acct/" + std::to_string((height * 7 + i) % 60),
+                     to_bytes("b" + std::to_string(height) + "-" +
+                              std::to_string(i)));
+        }
+        r.height = height;
+        r.tip = next_tip(r.tip, height);
+        sealed_tips_[height] = r.tip;
+        r.store.maybe_checkpoint(r.wal, height, r.tip, r.live);
+      }
+    }
+  }
+
+  /// Donors peer1 then peer2, voters peer2 and peer3.
   void fetch(std::uint64_t min_height = 1) {
-    engine_->fetch("joiner", "scope", {"peer1", "peer2"}, {"peer1", "peer2"},
-                   min_height);
+    engine_->fetch("joiner", "ch", {"peer1", "peer2"}, {"peer2", "peer3"},
+                   min_height, joiner().live);
+  }
+
+  /// Nodes in the honest checkpoint image (what a bootstrap ships).
+  std::size_t image_nodes() const {
+    NodeStore image;
+    replicas_.at("peer2").store.latest()->state.trie().collect_nodes(image);
+    return image.size();
+  }
+
+  /// The joiner's installed checkpoint matches the honest peers' and is
+  /// sealed in its WAL.
+  void expect_installed_honest_checkpoint() {
+    const Checkpoint* honest = replicas_.at("peer2").store.latest();
+    const Checkpoint* got = joiner().store.latest();
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->height, honest->height);
+    EXPECT_EQ(got->tip_hash, honest->tip_hash);
+    EXPECT_EQ(got->state.digest(), honest->state.digest());
+    const WalRecovery recovery = wal_recover_blocks(joiner().wal);
+    ASSERT_TRUE(recovery.checkpoint.has_value());
+    EXPECT_EQ(recovery.checkpoint->height, honest->height);
+    EXPECT_EQ(recovery.checkpoint->state.digest(), honest->state.digest());
+  }
+
+  void expect_joiner_untouched() {
+    EXPECT_EQ(joiner().store.latest(), nullptr);
+    EXPECT_EQ(joiner().wal.record_count(), 0u);
+    EXPECT_EQ(joiner().height, 0u);
   }
 
   net::SimNetwork net_;
   net::ReliableChannel channel_;
-  std::optional<SnapshotTransfer> engine_;
-  std::map<net::Principal, Snapshot> snapshots_;
-  std::optional<SnapshotHeader> completed_header_;
-  std::optional<WorldState> completed_state_;
+  std::optional<TrieSync> engine_;
+  std::map<net::Principal, Replica> replicas_;
+  std::map<std::uint64_t, crypto::Digest> sealed_tips_;
+  std::map<std::string, int> fetches_served_;
+  /// Peer that flips a byte in the first node of its third and later
+  /// tsync.nodes answers (Byzantine donor after honest progress).
+  std::string tamperer_;
+  /// Returns true to swallow a message before the engine sees it.
+  std::function<bool(const std::string& self, const net::Message&)> intercept_;
+  TrieSync::Report report_;
   std::vector<std::pair<net::Principal, TransferReject>> rejects_;
   int failed_ = 0;
 };
 
 TEST_F(TransferTest, OwnsExactlyTheSnapTopics) {
-  EXPECT_TRUE(SnapshotTransfer::owns_topic("snap.req"));
-  EXPECT_TRUE(SnapshotTransfer::owns_topic("snap.chunk"));
-  EXPECT_FALSE(SnapshotTransfer::owns_topic("fabric.deliver"));
-  EXPECT_FALSE(SnapshotTransfer::owns_topic("snapX"));
+  // The checkpoint-transfer topics are the six tsync.* ones; the retired
+  // snap.* topics of the chunked protocol are claimed by nothing, so a
+  // stray one is dropped by the platform demux before any engine sees it.
+  for (const char* topic : {"tsync.req", "tsync.offer", "tsync.vote-req",
+                            "tsync.vote", "tsync.fetch", "tsync.nodes"}) {
+    EXPECT_TRUE(TrieSync::owns_topic(topic)) << topic;
+  }
+  for (const char* topic : {"snap.req", "snap.offer", "snap.vote-req",
+                            "snap.vote", "snap.fetch", "snap.chunk"}) {
+    EXPECT_FALSE(TrieSync::owns_topic(topic)) << topic;
+  }
+  EXPECT_FALSE(TrieSync::owns_topic("fabric.deliver"));
 }
 
 TEST_F(TransferTest, HappyPathVerifiesVotesFetchesAndInstalls) {
-  const WorldState state = sample_state();
-  const Snapshot snap = Snapshot::make(8, crypto::sha256(to_bytes("tip")),
-                                       state, /*chunk_size=*/64);
-  snapshots_.insert_or_assign("peer1", snap);
-  snapshots_.insert_or_assign("peer2", snap);
-  ASSERT_GT(snap.chunk_count(), 3u);  // actually exercises chunking
+  commit_peers(10);  // checkpoints at 4 and 8; 8 is resident
+  fetch();
+  net_.run();
+
+  EXPECT_TRUE(rejects_.empty());
+  EXPECT_EQ(failed_, 0);
+  EXPECT_FALSE(engine_->active("joiner", "ch"));
+  EXPECT_EQ(engine_->stats().transfers_completed, 1u);
+  EXPECT_GE(engine_->stats().votes_received, 1u);
+  EXPECT_EQ(joiner().height, 8u);
+  EXPECT_EQ(joiner().tip, sealed_tips_.at(8));
+  expect_installed_honest_checkpoint();
+  // The joiner shares no prefix with the peers' state beyond genesis
+  // leaves, so almost the whole image ships, each node exactly once.
+  EXPECT_EQ(engine_->stats().nodes_received, report_.fresh_nodes);
+  EXPECT_LE(report_.fresh_nodes, image_nodes());
+  EXPECT_GT(report_.fresh_nodes, 0u);
+  EXPECT_EQ(engine_->stats().nodes_rejected, 0u);
+}
+
+TEST_F(TransferTest, EmptyHandedDonorIsBenignFailover) {
+  commit_peers(9);
+  // peer1 restarted with its WAL lost: nothing resident to donate.
+  replicas_.at("peer1").store =
+      SnapshotStore(SnapshotConfig{.interval = kInterval});
 
   fetch();
   net_.run();
 
-  ASSERT_TRUE(completed_header_.has_value());
-  EXPECT_EQ(completed_header_->height, 8u);
-  EXPECT_EQ(completed_header_->root, snap.root());
-  ASSERT_TRUE(completed_state_.has_value());
-  EXPECT_EQ(completed_state_->digest(), state.digest());
-  EXPECT_FALSE(engine_->active("joiner", "scope"));
-  EXPECT_EQ(engine_->stats().transfers_completed, 1u);
-  EXPECT_EQ(engine_->stats().chunks_received, snap.chunk_count());
-  EXPECT_EQ(engine_->stats().chunks_rejected, 0u);
-  EXPECT_TRUE(rejects_.empty());
-}
-
-TEST_F(TransferTest, EmptyHandedDonorIsBenignFailover) {
-  // peer1 has nothing to offer; peer2 completes the transfer. No
-  // misbehavior: DonorGone carries no evidence. Voters must hold the
-  // checkpoint — an abstaining voter counts against the quorum (fail
-  // closed), so the voter set here is the peers that actually have it.
-  const Snapshot snap =
-      Snapshot::make(5, crypto::sha256(to_bytes("t")), sample_state(), 64);
-  snapshots_.insert_or_assign("peer2", snap);
-  snapshots_.insert_or_assign("peer3", snap);
-
-  engine_->fetch("joiner", "scope", {"peer1", "peer2"}, {"peer2", "peer3"},
-                 1);
-  net_.run();
-
-  ASSERT_TRUE(completed_state_.has_value());
   ASSERT_EQ(rejects_.size(), 1u);
   EXPECT_EQ(rejects_[0].first, "peer1");
   EXPECT_EQ(rejects_[0].second, TransferReject::DonorGone);
   EXPECT_FALSE(is_misbehavior(rejects_[0].second));
   EXPECT_EQ(engine_->stats().donors_rejected, 0u);
-  EXPECT_EQ(engine_->stats().transfers_completed, 1u);
+  EXPECT_EQ(fetches_served_["peer1"], 0);
+  expect_installed_honest_checkpoint();
 }
 
 TEST_F(TransferTest, NoDonorHasAnythingFailsClosed) {
+  commit_peers(3);  // below the first checkpoint height
   fetch();
   net_.run();
-  EXPECT_FALSE(completed_state_.has_value());
+
   EXPECT_EQ(failed_, 1);
   EXPECT_EQ(engine_->stats().transfers_failed, 1u);
-  EXPECT_FALSE(engine_->active("joiner", "scope"));
+  EXPECT_EQ(engine_->stats().nodes_received, 0u);
+  EXPECT_FALSE(engine_->active("joiner", "ch"));
+  expect_joiner_untouched();
 }
 
 TEST_F(TransferTest, InconsistentHeaderDiesBeforeAnyChunkMoves) {
-  // peer1 forges a header whose root does not recompute from its fields.
-  const Snapshot honest =
-      Snapshot::make(5, crypto::sha256(to_bytes("t")), sample_state(), 64);
-  SnapshotHeader bad = honest.header();
-  bad.root.front() ^= 0x01;
-  snapshots_.insert_or_assign(
-      "peer1",
-      Snapshot::forge(bad, Bytes(honest.body().begin(), honest.body().end())));
-  snapshots_.insert_or_assign("peer2", honest);
+  commit_peers(8);
+  // peer1 re-seals its resident checkpoint under a tip that is not on
+  // the joiner's delivery log. The state root is honest, so the vote
+  // quorum would pass it; the offer check must stop it first.
+  Replica& p1 = replicas_.at("peer1");
+  p1.store.checkpoint(p1.wal, 8, crypto::sha256(to_bytes("forked tip")),
+                      p1.live);
 
   fetch();
   net_.run();
 
-  ASSERT_TRUE(completed_state_.has_value());
   ASSERT_GE(rejects_.size(), 1u);
   EXPECT_EQ(rejects_[0].first, "peer1");
-  EXPECT_EQ(rejects_[0].second, TransferReject::MalformedOffer);
+  EXPECT_EQ(rejects_[0].second, TransferReject::OfferCheckFailed);
   EXPECT_TRUE(is_misbehavior(rejects_[0].second));
-  EXPECT_EQ(engine_->stats().donors_rejected, 1u);
+  EXPECT_EQ(fetches_served_["peer1"], 0);
+  expect_installed_honest_checkpoint();
 }
 
 TEST_F(TransferTest, TamperedChunkConvictsDonorAndCursorSurvivesFailover) {
-  // peer1 serves the HONEST header over a body with one flipped byte:
-  // every chunk but the damaged one verifies. After the conviction the
-  // verified chunks are kept, and peer2 (same root) supplies the rest.
-  const WorldState state = sample_state();
-  const Snapshot honest =
-      Snapshot::make(9, crypto::sha256(to_bytes("t")), state, 64);
-  Bytes tampered(honest.body().begin(), honest.body().end());
-  tampered[tampered.size() / 2] ^= 0x01;
-  snapshots_.insert_or_assign(
-      "peer1", Snapshot::forge(honest.header(), std::move(tampered)));
-  snapshots_.insert_or_assign("peer2", honest);
+  commit_peers(8);
+  tamperer_ = "peer1";  // honest for two batches, then tampers
+  std::uint64_t from_peer1 = 0;
+  intercept_ = [this, &from_peer1](const std::string& self,
+                                   const net::Message& msg) {
+    if (self == "joiner" && msg.topic == "tsync.nodes" && msg.from == "peer1" &&
+        rejects_.empty()) {
+      from_peer1 = engine_->stats().nodes_received;
+    }
+    return false;
+  };
 
   fetch();
   net_.run();
 
-  ASSERT_TRUE(completed_state_.has_value());
-  EXPECT_EQ(completed_state_->digest(), state.digest());
   ASSERT_GE(rejects_.size(), 1u);
   EXPECT_EQ(rejects_[0].first, "peer1");
-  EXPECT_EQ(rejects_[0].second, TransferReject::TamperedChunk);
-  EXPECT_GE(engine_->stats().chunks_rejected, 1u);
+  EXPECT_EQ(rejects_[0].second, TransferReject::TamperedNode);
+  EXPECT_TRUE(is_misbehavior(rejects_[0].second));
   EXPECT_EQ(engine_->stats().donors_rejected, 1u);
-  // Cursor survival: total fetched < 2x chunk count (no full restart).
-  EXPECT_LT(engine_->stats().chunks_received, 2 * honest.chunk_count());
+  EXPECT_GE(engine_->stats().nodes_rejected, 1u);
+  // peer1's verified nodes were kept across the failover: peer2 shipped
+  // only the rest, so no node was received twice.
+  EXPECT_GT(from_peer1, 0u);
+  EXPECT_EQ(engine_->stats().nodes_received, report_.fresh_nodes);
+  expect_installed_honest_checkpoint();
 }
 
 TEST_F(TransferTest, EquivocatedRootRejectedByVoteQuorumBeforeFetch) {
-  // peer1 offers a SELF-CONSISTENT snapshot of a state nobody else holds.
-  // Only the vote quorum can expose it — and must, before any chunk moves.
-  const Snapshot honest =
-      Snapshot::make(7, crypto::sha256(to_bytes("t")), sample_state(), 64);
-  WorldState forged_state = sample_state();
-  forged_state.put("key/0", to_bytes("forged"));
-  snapshots_.insert_or_assign(
-      "peer1",
-      Snapshot::make(7, crypto::sha256(to_bytes("t")), forged_state, 64));
-  snapshots_.insert_or_assign("peer2", honest);
-  snapshots_.insert_or_assign("peer3", honest);
+  // peer1 executed a write nobody else did before its checkpoint: its
+  // offer is self-consistent and on the sealed tip chain, and only the
+  // vote quorum of peer2/peer3's own roots exposes it.
+  replicas_.at("peer1").live.put("acct/0", to_bytes("forged"));
+  commit_peers(8);
 
-  engine_->fetch("joiner", "scope", {"peer1", "peer2"},
-                 {"peer2", "peer3"}, 1);
+  fetch();
   net_.run();
 
   ASSERT_GE(rejects_.size(), 1u);
   EXPECT_EQ(rejects_[0].first, "peer1");
   EXPECT_EQ(rejects_[0].second, TransferReject::EquivocatedRoot);
   EXPECT_TRUE(is_misbehavior(rejects_[0].second));
-  // Rejected before fetch: none of the forgery's chunks ever moved, and
-  // the honest fallback still completed.
-  ASSERT_TRUE(completed_state_.has_value());
-  EXPECT_EQ(completed_state_->digest(), sample_state().digest());
+  EXPECT_EQ(engine_->stats().donors_rejected, 1u);
+  EXPECT_EQ(fetches_served_["peer1"], 0);
+  expect_installed_honest_checkpoint();
 }
 
 TEST_F(TransferTest, StalledTransferResumesAfterTotalLoss) {
-  const WorldState state = sample_state(120);
-  const Snapshot snap =
-      Snapshot::make(6, crypto::sha256(to_bytes("t")), state, 64);
-  snapshots_.insert_or_assign("peer1", snap);
-  snapshots_.insert_or_assign("peer2", snap);
-
-  // The network is dead past the reliable channel's whole retry budget:
-  // the transfer stalls (it must NOT fail — loss is not a donor fault).
+  commit_peers(8);
+  // Dead network past the reliable channel's retry budget: the transfer
+  // stalls without failing (loss is not a donor fault) and nothing
+  // reaches the joiner's WAL.
   net_.set_drop_probability(1.0);
   fetch();
   net_.run();
-  ASSERT_FALSE(completed_state_.has_value());
-  ASSERT_TRUE(engine_->active("joiner", "scope"));  // stalled, not failed
+  ASSERT_TRUE(engine_->active("joiner", "ch"));
   EXPECT_EQ(failed_, 0);
+  expect_joiner_untouched();
 
   net_.set_drop_probability(0.0);
-  engine_->resume("joiner", "scope");
+  engine_->resume("joiner", "ch");
   net_.run();
 
-  ASSERT_TRUE(completed_state_.has_value());
-  EXPECT_EQ(completed_state_->digest(), state.digest());
   EXPECT_GE(engine_->stats().resumes, 1u);
+  EXPECT_FALSE(engine_->active("joiner", "ch"));
+  expect_installed_honest_checkpoint();
 }
 
 TEST_F(TransferTest, AbortDropsVolatileTransferState) {
-  const Snapshot snap =
-      Snapshot::make(4, crypto::sha256(to_bytes("t")), sample_state(), 64);
-  snapshots_.insert_or_assign("peer1", snap);
-  snapshots_.insert_or_assign("peer2", snap);
-
+  commit_peers(8);
+  // Crash mid-fetch: abort after the first node batch lands.
+  std::uint64_t before_abort = 0;
+  intercept_ = [this, &before_abort](const std::string& self,
+                                     const net::Message& msg) {
+    if (self != "joiner" || msg.topic != "tsync.nodes" ||
+        !engine_->active("joiner", "ch") || before_abort != 0) {
+      return false;
+    }
+    engine_->handle(self, msg);
+    before_abort = engine_->stats().nodes_received;
+    engine_->abort("joiner", "ch");
+    return true;
+  };
   fetch();
-  ASSERT_TRUE(engine_->active("joiner", "scope"));
-  engine_->abort("joiner", "scope");
-  EXPECT_FALSE(engine_->active("joiner", "scope"));
-  // Late messages for the aborted transfer are ignored, not crashed on.
   net_.run();
-  EXPECT_FALSE(completed_state_.has_value());
+
+  EXPECT_GT(before_abort, 0u);
+  EXPECT_FALSE(engine_->active("joiner", "ch"));
   EXPECT_EQ(engine_->stats().transfers_completed, 0u);
+  expect_joiner_untouched();
+
+  // Received nodes were volatile: the next transfer ships them again.
+  intercept_ = nullptr;
+  fetch();
+  net_.run();
+  EXPECT_EQ(engine_->stats().nodes_received,
+            before_abort + report_.fresh_nodes);
+  expect_installed_honest_checkpoint();
 }
 
 TEST_F(TransferTest, MalformedWirePayloadsCountedAndDropped) {
-  // Junk straight onto snap.* topics must never throw out of handle().
-  for (const char* topic :
-       {"snap.req", "snap.offer", "snap.vote-req", "snap.vote", "snap.fetch",
-        "snap.chunk"}) {
-    channel_.send("peer1", "joiner", topic, to_bytes("junk"));
-  }
-  net_.run();
-  EXPECT_EQ(engine_->stats().malformed, 6u);
-}
-
-TEST_F(TransferTest, RejectReasonStringsAreDistinct) {
-  const TransferReject all[] = {
-      TransferReject::MalformedOffer,   TransferReject::OfferCheckFailed,
-      TransferReject::EquivocatedRoot,  TransferReject::TamperedChunk,
-      TransferReject::InconsistentBody, TransferReject::DonorGone,
+  commit_peers(8);
+  // Truncated encodings of real messages, not just junk bytes.
+  const common::Bytes req =
+      SnapshotRequest{.scope = "ch", .min_height = 1}.encode();
+  const common::Bytes vote = RootVote{.scope = "ch", .height = 8, .known = true,
+                                      .root = joiner().live.digest()}
+                                 .encode();
+  const auto cut = [](const common::Bytes& b) {
+    return common::Bytes(b.begin(), b.end() - 1);
   };
-  std::set<std::string> names;
-  for (TransferReject r : all) names.insert(to_string(r));
-  EXPECT_EQ(names.size(), std::size(all));
-  EXPECT_FALSE(is_misbehavior(TransferReject::DonorGone));
-  EXPECT_TRUE(is_misbehavior(TransferReject::TamperedChunk));
-}
+  channel_.send("joiner", "peer1", "tsync.req", cut(req));
+  channel_.send("joiner", "peer2", "tsync.vote-req", cut(req));
+  channel_.send("peer3", "joiner", "tsync.vote", cut(vote));
+  net_.run();
 
-// ---- Wire-type decode fuzz -------------------------------------------------
+  EXPECT_EQ(engine_->stats().malformed, 3u);
+  EXPECT_EQ(engine_->stats().offers_received, 0u);
+  EXPECT_EQ(engine_->stats().votes_received, 0u);
+  expect_joiner_untouched();
 
-template <typename T>
-void fuzz_decode(const common::Bytes& good, std::uint64_t seed) {
-  // Every truncation.
-  for (std::size_t len = 0; len < good.size(); ++len) {
-    common::Bytes cut(good.begin(), good.begin() + len);
-    try {
-      (void)T::decode(cut);
-    } catch (const common::Error&) {
-    }
-  }
-  // Seeded random mutations.
-  common::Rng rng(seed);
-  for (int i = 0; i < 200; ++i) {
-    common::Bytes mutated = good;
-    const std::size_t pos = rng.next_u64() % mutated.size();
-    mutated[pos] ^= static_cast<std::uint8_t>(1 + rng.next_u64() % 255);
-    try {
-      (void)T::decode(mutated);
-    } catch (const common::Error&) {
-    }
-  }
-}
-
-TEST(TransferWire, DecodeFuzzNeverCrashes) {
-  SnapshotRequest req{.scope = "ch", .min_height = 42};
-  fuzz_decode<SnapshotRequest>(req.encode(), 1);
-
-  const Snapshot snap =
-      Snapshot::make(3, crypto::sha256(to_bytes("t")), sample_state(8), 64);
-  SnapshotOffer offer{.scope = "ch", .available = true,
-                      .header = snap.header()};
-  fuzz_decode<SnapshotOffer>(offer.encode(), 2);
-
-  ChunkRequest creq{.scope = "ch", .root = snap.root(), .index = 1};
-  fuzz_decode<ChunkRequest>(creq.encode(), 3);
-
-  SnapshotChunk chunk{.scope = "ch", .root = snap.root(), .index = 1,
-                      .ok = true, .data = snap.chunk(1)};
-  fuzz_decode<SnapshotChunk>(chunk.encode(), 4);
-
-  RootVote vote{.scope = "ch", .height = 3, .known = true,
-                .root = snap.root()};
-  fuzz_decode<RootVote>(vote.encode(), 5);
-}
-
-TEST(TransferWire, RoundTripsExactly) {
-  const Snapshot snap =
-      Snapshot::make(3, crypto::sha256(to_bytes("t")), sample_state(8), 64);
-
-  SnapshotRequest req{.scope = "ch", .min_height = 42};
-  const SnapshotRequest req2 = SnapshotRequest::decode(req.encode());
-  EXPECT_EQ(req2.scope, "ch");
-  EXPECT_EQ(req2.min_height, 42u);
-
-  SnapshotOffer offer{.scope = "ch", .available = true,
-                      .header = snap.header()};
-  const SnapshotOffer offer2 = SnapshotOffer::decode(offer.encode());
-  EXPECT_TRUE(offer2.available);
-  EXPECT_EQ(offer2.header.root, snap.root());
-  EXPECT_TRUE(offer2.header.self_consistent());
-
-  SnapshotChunk chunk{.scope = "ch", .root = snap.root(), .index = 1,
-                      .ok = true, .data = snap.chunk(1)};
-  const SnapshotChunk chunk2 = SnapshotChunk::decode(chunk.encode());
-  EXPECT_EQ(chunk2.index, 1u);
-  EXPECT_EQ(chunk2.data, snap.chunk(1));
-
-  RootVote vote{.scope = "ch", .height = 3, .known = true,
-                .root = snap.root()};
-  const RootVote vote2 = RootVote::decode(vote.encode());
-  EXPECT_TRUE(vote2.known);
-  EXPECT_EQ(vote2.root, snap.root());
+  // The engine is not wedged by the garbage.
+  fetch();
+  net_.run();
+  expect_installed_honest_checkpoint();
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Unit tests for the trie-node delta state-transfer engine, driven by
 // scripted providers over a raw ReliableChannel — no platform above it.
-// Platform-level wiring (Fabric rejoin_delta, quarantine) is covered in
-// the integration suites.
+// Platform-level wiring (Fabric and Quorum rejoin, evidence, quarantine,
+// the delta byte bound) is covered in tests/integration/test_recovery.cpp.
 #include "ledger/triesync.hpp"
 
 #include <gtest/gtest.h>
@@ -364,6 +364,20 @@ TEST_F(TrieSyncTest, MalformedWirePayloadsCountedAndDropped) {
   EXPECT_EQ(engine_->stats().malformed, 6u);
 }
 
+TEST_F(TrieSyncTest, RejectReasonStringsAreDistinct) {
+  const TransferReject all[] = {
+      TransferReject::MalformedOffer,   TransferReject::OfferCheckFailed,
+      TransferReject::EquivocatedRoot,  TransferReject::TamperedNode,
+      TransferReject::InconsistentBody, TransferReject::DonorGone,
+  };
+  std::set<std::string> names;
+  for (TransferReject r : all) names.insert(to_string(r));
+  EXPECT_EQ(names.size(), std::size(all));
+  EXPECT_FALSE(is_misbehavior(TransferReject::DonorGone));
+  EXPECT_TRUE(is_misbehavior(TransferReject::TamperedNode));
+  EXPECT_TRUE(is_misbehavior(TransferReject::EquivocatedRoot));
+}
+
 // ---- Wire-type decode fuzz -------------------------------------------------
 
 template <typename T>
@@ -386,6 +400,35 @@ void fuzz_decode(const common::Bytes& good, std::uint64_t seed) {
     } catch (const common::Error&) {
     }
   }
+}
+
+// SnapshotRequest and RootVote: the request/vote vocabulary a joiner
+// and its voters exchange before any trie node moves.
+TEST(TransferWire, DecodeFuzzNeverCrashes) {
+  SnapshotRequest sreq{.scope = "ch", .min_height = 42};
+  fuzz_decode<SnapshotRequest>(sreq.encode(), 9);
+
+  RootVote vote{.scope = "ch", .height = 3, .known = true,
+                .root = sample_state(8).digest()};
+  fuzz_decode<RootVote>(vote.encode(), 10);
+}
+
+TEST(TransferWire, RoundTripsExactly) {
+  const WorldState state = sample_state(8);
+  SnapshotRequest sreq{.scope = "ch", .min_height = 42};
+  const SnapshotRequest sreq2 = SnapshotRequest::decode(sreq.encode());
+  EXPECT_EQ(sreq2.scope, "ch");
+  EXPECT_EQ(sreq2.min_height, 42u);
+
+  RootVote vote{.scope = "ch", .height = 3, .known = true,
+                .root = state.digest()};
+  const RootVote vote2 = RootVote::decode(vote.encode());
+  EXPECT_EQ(vote2.height, 3u);
+  EXPECT_TRUE(vote2.known);
+  EXPECT_EQ(vote2.root, state.digest());
+
+  RootVote unknown{.scope = "ch", .height = 5, .known = false};
+  EXPECT_FALSE(RootVote::decode(unknown.encode()).known);
 }
 
 TEST(TrieSyncWire, DecodeFuzzNeverCrashes) {
