@@ -49,8 +49,8 @@ void BM_ModPow_2048(benchmark::State& state) {
 }
 BENCHMARK(BM_ModPow_2048)->Unit(benchmark::kMillisecond);
 
-// One 2048-bit Montgomery product (REDC), the inner-loop unit of every
-// exponentiation above.
+// One 2048-bit Montgomery product through the BigInt API (the kernel's
+// inner-loop unit plus the limb conversions at the API).
 void BM_MontgomeryMul(benchmark::State& state) {
   Rng rng(43);
   const crypto::BigInt p = crypto::BigInt::from_hex(kRfc3526Group14P);
@@ -63,7 +63,8 @@ void BM_MontgomeryMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MontgomeryMul);
 
-// Plain 2048x2048-bit multiply (Karatsuba above the limb threshold).
+// Plain 2048x2048-bit BigInt multiply (schoolbook; the hot modular
+// products run in the Montgomery kernel instead).
 void BM_BigIntMul_2048(benchmark::State& state) {
   Rng rng(44);
   const crypto::BigInt a = crypto::BigInt::random_bits(rng, 2048);

@@ -1,6 +1,7 @@
 #include "crypto/batch_verify.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "crypto/multiexp.hpp"
 
@@ -9,16 +10,10 @@ namespace veil::crypto {
 BatchVerifier::BatchVerifier(const Group& group, std::uint64_t seed)
     : group_(&group), rng_(seed) {}
 
-bool BatchVerifier::is_member_cached(const BigInt& x) {
-  const auto it = member_cache_.find(x);
-  if (it != member_cache_.end()) {
-    ++stats_.key_cache_hits;
-    return it->second;
-  }
-  ++stats_.key_cache_misses;
-  const bool member = group_->is_element(x);
-  member_cache_.emplace(x, member);
-  return member;
+bool BatchVerifier::is_member_key(const BigInt& y) {
+  const Group::KeyCheck check = group_->check_key(y);
+  ++(check.cached ? stats_.key_cache_hits : stats_.key_cache_misses);
+  return check.member;
 }
 
 std::size_t BatchVerifier::add_signature(const PublicKey& pub,
@@ -38,7 +33,7 @@ std::size_t BatchVerifier::add_signature(const PublicKey& pub,
   // transmitted bytes, so the RLC below only has to cover the response.
   if (sig.challenge >= group_->q() || sig.response >= group_->q() ||
       sig.commitment.is_zero() || sig.commitment >= group_->p() ||
-      !is_member_cached(pub.y) ||
+      !is_member_key(pub.y) ||
       schnorr_challenge(*group_, sig.commitment, pub.y, message) !=
           sig.challenge) {
     item.precheck_failed = true;
@@ -60,7 +55,7 @@ std::size_t BatchVerifier::add_dlog(const BigInt& base, const BigInt& y,
   item.context.assign(context.begin(), context.end());
   item.b = dlog_challenge(*group_, base, y, proof.commitment, context);
   if (proof.response >= group_->q() || proof.commitment.is_zero() ||
-      proof.commitment >= group_->p() || !is_member_cached(y)) {
+      proof.commitment >= group_->p() || !is_member_key(y)) {
     item.precheck_failed = true;
   }
   items_.push_back(std::move(item));

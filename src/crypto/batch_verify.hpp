@@ -15,7 +15,8 @@
 // Soundness notes (docs/crypto_performance.md has the full argument):
 //  * Per-item pre-checks run exactly: scalar ranges, the Fiat-Shamir hash
 //    binding e_i == H(R_i || y_i || m_i), and subgroup membership of each
-//    public key (memoized — endorser keys repeat heavily). The hash
+//    public key (through the group's per-key memo, Group::check_key —
+//    endorser keys repeat heavily). The hash
 //    binding pins every commitment byte-for-byte, so an adversary cannot
 //    adjust R_i to engineer cancellation; only the response scalars are
 //    covered probabilistically by the z_i.
@@ -36,7 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -84,6 +84,7 @@ class BatchVerifier {
     std::uint64_t items = 0;
     std::uint64_t batches = 0;
     std::uint64_t rejected_items = 0;
+    // Key-membership lookups answered by / missing Group::check_key's memo.
     std::uint64_t key_cache_hits = 0;
     std::uint64_t key_cache_misses = 0;
   };
@@ -108,7 +109,8 @@ class BatchVerifier {
     common::Bytes context;
   };
 
-  bool is_member_cached(const BigInt& x);
+  /// Group::check_key, counted into stats_.
+  bool is_member_key(const BigInt& y);
   bool verify_single(const Item& item) const;
   /// RLC identity over items_[indices]; true = batch passes.
   bool rlc_check(const std::vector<std::size_t>& indices,
@@ -119,10 +121,6 @@ class BatchVerifier {
   const Group* group_;
   common::Rng rng_;
   std::vector<Item> items_;
-  // Memoized subgroup-membership results keyed by element value. Endorser
-  // and notary keys recur across every block, so after warm-up the
-  // membership pow is paid once per distinct key, not once per signature.
-  std::map<BigInt, bool> member_cache_;
   Stats stats_;
 };
 

@@ -14,10 +14,6 @@ namespace veil::crypto {
 namespace {
 constexpr std::uint64_t kBase = 1ULL << 32;
 
-// Below this operand size the O(n^2) schoolbook kernel wins on constant
-// factors; above it one Karatsuba split (recursively) is faster.
-constexpr std::size_t kKaratsubaLimbs = 24;
-
 // Small primes for sieving before Miller-Rabin.
 constexpr std::array<std::uint32_t, 54> kSmallPrimes = {
     2,   3,   5,   7,   11,  13,  17,  19,  23,  29,  31,  37,  41,  43,
@@ -210,34 +206,8 @@ BigInt BigInt::operator-(const BigInt& rhs) const {
   return sub_magnitudes(*this, rhs);
 }
 
-BigInt BigInt::karatsuba_mul(const BigInt& a, const BigInt& b) {
-  // Split both operands at m limbs: a = a1*B^m + a0, b = b1*B^m + b0, so
-  // a*b = z2*B^2m + z1*B^m + z0 with z1 = (a0+a1)(b0+b1) - z0 - z2 —
-  // three half-size products instead of four.
-  const std::size_t m = std::max(a.limbs_.size(), b.limbs_.size()) / 2;
-  const auto split = [m](const BigInt& v, BigInt& lo, BigInt& hi) {
-    const std::size_t cut = std::min(m, v.limbs_.size());
-    lo.limbs_.assign(v.limbs_.begin(),
-                     v.limbs_.begin() + static_cast<std::ptrdiff_t>(cut));
-    lo.trim();
-    hi.limbs_.assign(v.limbs_.begin() + static_cast<std::ptrdiff_t>(cut),
-                     v.limbs_.end());
-    hi.trim();
-  };
-  BigInt a0, a1, b0, b1;
-  split(a, a0, a1);
-  split(b, b0, b1);
-  const BigInt z0 = a0 * b0;
-  const BigInt z2 = a1 * b1;
-  const BigInt z1 = (a0 + a1) * (b0 + b1) - z0 - z2;
-  return z0 + (z1 << (32 * m)) + (z2 << (64 * m));
-}
-
 BigInt BigInt::operator*(const BigInt& rhs) const {
   if (is_zero() || rhs.is_zero()) return BigInt();
-  if (limbs_.size() >= kKaratsubaLimbs && rhs.limbs_.size() >= kKaratsubaLimbs) {
-    return karatsuba_mul(*this, rhs);
-  }
   BigInt out;
   out.limbs_.assign(limbs_.size() + rhs.limbs_.size(), 0);
   for (std::size_t i = 0; i < limbs_.size(); ++i) {

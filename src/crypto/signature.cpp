@@ -87,7 +87,7 @@ Signature KeyPair::sign(common::BytesView message) const {
 bool verify(const Group& group, const PublicKey& pub,
             common::BytesView message, const Signature& sig) {
   if (sig.challenge >= group.q() || sig.response >= group.q()) return false;
-  if (!group.is_element(pub.y)) return false;
+  if (!group.check_key(pub.y).member) return false;
   // The recomputed commitment R' = g^s * y^e must equal the transmitted
   // one AND hash to the transmitted challenge. The equation forces R into
   // the order-q subgroup (its right-hand side is a product of subgroup

@@ -61,9 +61,9 @@ EvictionRecord EvictionRecord::decode(common::BytesView data) {
   return rec;
 }
 
-bool Mempool::admit(const Transaction& tx, bool verified,
-                    common::SimTime now) {
-  const std::string id = tx.id();
+bool Mempool::admit(const Transaction& tx, const crypto::Digest& body_digest,
+                    bool verified, common::SimTime now) {
+  const std::string id = tx_id(body_digest);
   if (tokens_.contains(id)) {
     ++stats_.duplicates;
     return false;
@@ -103,7 +103,7 @@ bool Mempool::admit(const Transaction& tx, bool verified,
   }
   ValidationToken token;
   token.tx_id = id;
-  token.body_digest = tx.body_digest();
+  token.body_digest = body_digest;
   token.read_snapshot = tx.reads;
   token.admitted_at = now;
   token.verified = verified;
@@ -118,18 +118,19 @@ const ValidationToken* Mempool::token(const std::string& tx_id) const {
   return it == tokens_.end() ? nullptr : &it->second;
 }
 
-bool Mempool::validated(const Transaction& tx, const WorldState& state,
-                        common::SimTime now) {
-  const std::string id = tx.id();
+bool Mempool::validated(const crypto::Digest& body_digest,
+                        const WorldState& state, common::SimTime now) {
+  const std::string id = tx_id(body_digest);
   const auto it = tokens_.find(id);
   if (it == tokens_.end() || !it->second.verified) {
     ++stats_.token_misses;
     return false;
   }
-  // tx.id() is the hex body digest, so an id hit already pins the body; a
-  // Byzantine orderer that rewrites any field changes the id and misses.
-  // The digest comparison stays as defence in depth.
-  if (it->second.body_digest != tx.body_digest()) {
+  // The id is a prefix of the hex body digest, so an id hit already pins
+  // the body; a Byzantine orderer that rewrites any field changes the
+  // digest and misses. The full-digest comparison stays as defence in
+  // depth.
+  if (it->second.body_digest != body_digest) {
     ++stats_.token_misses;
     return false;
   }

@@ -91,18 +91,30 @@ class Mempool {
   /// Admit `tx` after it passed full verification (`verified` records the
   /// outcome; unverified transactions never mint a usable token). Returns
   /// false and counts a duplicate if the id is already resident. May evict
-  /// the oldest resident on overflow.
-  bool admit(const Transaction& tx, bool verified, common::SimTime now);
+  /// the oldest resident on overflow. `body_digest` is tx.body_digest(),
+  /// computed once by the admitting stage.
+  bool admit(const Transaction& tx, const crypto::Digest& body_digest,
+             bool verified, common::SimTime now);
+  bool admit(const Transaction& tx, bool verified, common::SimTime now) {
+    return admit(tx, tx.body_digest(), verified, now);
+  }
 
   /// Token for `tx_id`, or nullptr if not resident.
   const ValidationToken* token(const std::string& tx_id) const;
 
-  /// Validate-once check at sealing time: true iff `tx` holds a verified
-  /// token whose body digest matches and whose recorded read versions all
-  /// agree with `state`. A version mismatch invalidates (and drops) the
-  /// token, so the caller falls back to full verification exactly once.
-  bool validated(const Transaction& tx, const WorldState& state,
+  /// Validate-once check at sealing time: true iff the transaction whose
+  /// body hashes to `body_digest` holds a verified token with that digest
+  /// and whose recorded read versions all agree with `state`. The digest
+  /// must be the committer's own hash of the body it decoded, never one
+  /// carried alongside the transaction. A version mismatch invalidates
+  /// (and drops) the token, so the caller falls back to full verification
+  /// exactly once.
+  bool validated(const crypto::Digest& body_digest, const WorldState& state,
                  common::SimTime now);
+  bool validated(const Transaction& tx, const WorldState& state,
+                 common::SimTime now) {
+    return validated(tx.body_digest(), state, now);
+  }
 
   /// Drop `tx_id` from the pool, recording why.
   void remove(const std::string& tx_id, EvictionRecord::Cause cause,

@@ -39,9 +39,11 @@ crypto::Digest Transaction::body_digest() const {
   return crypto::sha256(body_encoding());
 }
 
-std::string Transaction::id() const {
-  return crypto::digest_hex(body_digest()).substr(0, 24);
+std::string tx_id(const crypto::Digest& body_digest) {
+  return common::to_hex(common::BytesView(body_digest.data(), 12));
 }
+
+std::string Transaction::id() const { return tx_id(body_digest()); }
 
 common::Bytes Transaction::encode() const {
   common::Writer w;
@@ -133,7 +135,13 @@ std::uint64_t Transaction::data_size() const {
 
 void record_visibility(net::LeakageAuditor& auditor,
                        const net::Principal& observer, const Transaction& tx) {
-  const std::string prefix = "tx/" + tx.id() + "/";
+  record_visibility(auditor, observer, tx, tx.id());
+}
+
+void record_visibility(net::LeakageAuditor& auditor,
+                       const net::Principal& observer, const Transaction& tx,
+                       const std::string& id) {
+  const std::string prefix = "tx/" + id + "/";
   auditor.record(observer, prefix + "data", tx.data_size(), !tx.data_opaque);
   std::uint64_t party_bytes = 0;
   for (const std::string& p : tx.participants) party_bytes += p.size();

@@ -82,7 +82,7 @@ struct Transaction {
   common::Bytes body_encoding() const;
   crypto::Digest body_digest() const;
 
-  /// Transaction id: hex digest of the body.
+  /// Transaction id: hex digest of the body, tx_id(body_digest()).
   std::string id() const;
 
   /// Full encoding including endorsements.
@@ -99,8 +99,19 @@ struct Transaction {
   std::uint64_t data_size() const;
 };
 
+/// The transaction id for a body digest (its first 24 hex digits). A
+/// pipeline stage hashes the body it holds once and derives the id here,
+/// rather than re-encoding and re-hashing the body for every lookup.
+/// Transaction deliberately caches neither: an orderer (or a test) may
+/// rewrite its public fields after construction.
+std::string tx_id(const crypto::Digest& body_digest);
+
 /// Record into `auditor` what `observer` learns when it sees this
 /// transaction in full (as the ordering service or a ledger peer does).
+/// `id` is tx.id(), passed by stages that already hold it.
+void record_visibility(net::LeakageAuditor& auditor,
+                       const net::Principal& observer, const Transaction& tx,
+                       const std::string& id);
 void record_visibility(net::LeakageAuditor& auditor,
                        const net::Principal& observer, const Transaction& tx);
 

@@ -408,6 +408,15 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
   // take the orderer's word, which is exactly the deployment the paper's
   // orderer caveat warns about.
   const std::size_t tx_count = block.transactions.size();
+  // This replica hashes each body it decoded, once: the token check, the
+  // batched signature check, the auditor record and the receipt all use
+  // that digest and the id derived from it.
+  std::vector<crypto::Digest> digests(tx_count);
+  std::vector<std::string> ids(tx_count);
+  for (std::size_t i = 0; i < tx_count; ++i) {
+    digests[i] = block.transactions[i].body_digest();
+    ids[i] = ledger::tx_id(digests[i]);
+  }
   std::vector<char> sig_valid(tx_count, 1);
   // Per-transaction "at least one endorsement verifies" — the Detect-mode
   // orderer-tampering signal. Token hits count as fully verified.
@@ -423,16 +432,14 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
     const common::SimTime now = network_->clock().now();
     std::vector<std::size_t> misses;
     for (std::size_t i = 0; i < tx_count; ++i) {
-      const ledger::Transaction& tx = block.transactions[i];
-      if (replay || !mempool_.validated(tx, replica.state, now)) {
+      if (replay || !mempool_.validated(digests[i], replica.state, now)) {
         misses.push_back(i);
       }
     }
     std::vector<std::pair<std::size_t, std::size_t>> queued;  // (tx, sig)
     for (const std::size_t i : misses) {
       const ledger::Transaction& tx = block.transactions[i];
-      const crypto::Digest digest = tx.body_digest();
-      const common::BytesView msg(digest.data(), digest.size());
+      const common::BytesView msg(digests[i].data(), digests[i].size());
       for (std::size_t e = 0; e < tx.endorsements.size(); ++e) {
         batch_verifier_.add_signature(tx.endorsements[e].key, msg,
                                       tx.endorsements[e].signature);
@@ -461,8 +468,7 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
       for (std::size_t i = 0; i < tx_count; ++i) {
         const ledger::Transaction& tx = block.transactions[i];
         if (tx.endorsements.empty()) continue;
-        const crypto::Digest digest = tx.body_digest();
-        const common::BytesView msg(digest.data(), digest.size());
+        const common::BytesView msg(digests[i].data(), digests[i].size());
         bool any = false;
         for (const ledger::Endorsement& e : tx.endorsements) {
           if (crypto::verify(*group_, e.key, msg, e.signature)) {
@@ -501,13 +507,16 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
   // WAL invariant: the block is durable before any in-memory mutation.
   if (!replay) ledger::wal_log_block(replica.wal, block);
   replica.chain.append(block);
-  std::size_t tx_index = 0;
-  for (const ledger::Transaction& tx : block.transactions) {
+  for (std::size_t i = 0; i < tx_count; ++i) {
+    const ledger::Transaction& tx = block.transactions[i];
+    const std::string& tx_id = ids[i];
     // Every member peer sees the full transaction (recorded once, at the
     // original commit — WAL replay is a local re-read, not a new leak).
-    if (!replay) record_visibility(network_->auditor(), peer_of(org), tx);
+    if (!replay) {
+      record_visibility(network_->auditor(), peer_of(org), tx, tx_id);
+    }
 
-    bool valid = sig_valid[tx_index++] != 0;
+    bool valid = sig_valid[i] != 0;
     // Validate-stage TTL check, deterministic across replicas: the block
     // timestamp (sealed by the orderer) is compared, never the local
     // clock, so every peer drops exactly the same expired transactions
@@ -558,7 +567,7 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
     if (valid) commit = replica.state.apply(tx);
 
     TxReceipt receipt;
-    receipt.tx_id = tx.id();
+    receipt.tx_id = tx_id;
     receipt.committed = valid && commit == ledger::CommitResult::Applied;
     receipt.reason = expired             ? "expired at validation"
                      : !valid            ? "endorsement policy unsatisfied"
@@ -566,8 +575,8 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
                                          : "mvcc conflict";
     // Count each transaction once, on its first recorded commit
     // (validation is deterministic, so replicas agree).
-    const bool first_record = !receipts_.contains(tx.id());
-    receipts_[tx.id()] = receipt;
+    const bool first_record = !receipts_.contains(tx_id);
+    receipts_[tx_id] = receipt;
     if (receipt.committed && first_record) ++committed_count_;
     if (expired && first_record) {
       network_->count_expired(net::Stage::Validate);
@@ -622,9 +631,10 @@ void FabricNetwork::deliver_block(const std::string& channel_name,
   // tokens were already dropped by the commit-path version check.
   const common::SimTime now = network_->clock().now();
   for (const ledger::Transaction& tx : block.transactions) {
-    const auto receipt = receipts_.find(tx.id());
+    const std::string id = tx.id();
+    const auto receipt = receipts_.find(id);
     if (receipt != receipts_.end() && receipt->second.committed) {
-      mempool_.remove(tx.id(), ledger::EvictionRecord::Cause::Committed, now);
+      mempool_.remove(id, ledger::EvictionRecord::Cause::Committed, now);
     }
   }
 }
@@ -820,18 +830,21 @@ FabricNetwork::PreparedSubmission FabricNetwork::prepare_submission(
   for (const std::string& org : endorsers) tx.participants.push_back(org);
 
   prepared.ok = true;
+  prepared.body_digest = tx.body_digest();
+  prepared.tx_id = ledger::tx_id(prepared.body_digest);
   prepared.tx = std::move(tx);
   prepared.endorsers = std::move(endorsers);
   return prepared;
 }
 
-void FabricNetwork::admit_to_mempool(const ledger::Transaction& tx) {
+void FabricNetwork::admit_to_mempool(const PreparedSubmission& prepared) {
   // Trusting peers never verify, so a token would claim work that was
   // never done — skip the pool entirely in that mode.
   if (validation_mode_ == ValidationMode::Trusting) return;
+  const ledger::Transaction& tx = prepared.tx;
+  const crypto::Digest& digest = prepared.body_digest;
   bool verified;
   if (config_.batch_verify) {
-    const crypto::Digest digest = tx.body_digest();
     const common::BytesView msg(digest.data(), digest.size());
     for (const ledger::Endorsement& e : tx.endorsements) {
       batch_verifier_.add_signature(e.key, msg, e.signature);
@@ -841,7 +854,7 @@ void FabricNetwork::admit_to_mempool(const ledger::Transaction& tx) {
   } else {
     verified = tx.endorsements_valid(*group_);
   }
-  mempool_.admit(tx, verified, network_->clock().now());
+  mempool_.admit(tx, digest, verified, network_->clock().now());
 }
 
 void FabricNetwork::admit_wave_to_mempool(
@@ -850,7 +863,8 @@ void FabricNetwork::admit_wave_to_mempool(
   const common::SimTime now = network_->clock().now();
   if (!config_.batch_verify) {
     for (PreparedSubmission& p : prepared) {
-      mempool_.admit(p.tx, p.tx.endorsements_valid(*group_), now);
+      mempool_.admit(p.tx, p.body_digest, p.tx.endorsements_valid(*group_),
+                     now);
     }
     return;
   }
@@ -858,7 +872,7 @@ void FabricNetwork::admit_wave_to_mempool(
   // down to its add-order index, which maps back to its transaction.
   std::vector<std::size_t> queued;  // batch index -> prepared index
   for (std::size_t p = 0; p < prepared.size(); ++p) {
-    const crypto::Digest digest = prepared[p].tx.body_digest();
+    const crypto::Digest& digest = prepared[p].body_digest;
     const common::BytesView msg(digest.data(), digest.size());
     for (const ledger::Endorsement& e : prepared[p].tx.endorsements) {
       batch_verifier_.add_signature(e.key, msg, e.signature);
@@ -871,16 +885,16 @@ void FabricNetwork::admit_wave_to_mempool(
     for (const std::size_t bad : outcome.invalid) ok[queued[bad]] = 0;
   }
   for (std::size_t p = 0; p < prepared.size(); ++p) {
-    mempool_.admit(prepared[p].tx, ok[p] != 0, now);
+    mempool_.admit(prepared[p].tx, prepared[p].body_digest, ok[p] != 0, now);
   }
 }
 
 void FabricNetwork::order_transaction(const std::string& channel_name,
-                                      ledger::Transaction tx) {
+                                      ledger::Transaction tx,
+                                      const std::string& tx_id) {
   Channel& ch = channels_.at(channel_name);
   ledger::OrderingService& orderer = orderer_for(ch);
   const common::SimTime now = network_->clock().now();
-  const std::string tx_id = tx.id();
   // Order-stage TTL check: endorsement (and possibly queueing behind the
   // admission gate) may have eaten the whole budget.
   if (tx.deadline_us != 0 && now > tx.deadline_us) {
@@ -926,8 +940,8 @@ TxReceipt FabricNetwork::submit(const std::string& channel,
   // deterministic (HMAC-derived nonce), so parallel signing produces the
   // same bytes as the serial loop; order is preserved by parallel_map.
   {
-    const crypto::Digest digest = tx.body_digest();
-    const common::BytesView msg(digest.data(), digest.size());
+    const common::BytesView msg(prepared.body_digest.data(),
+                                prepared.body_digest.size());
     auto endorsements = common::ThreadPool::global().parallel_map(
         prepared.endorsers.size(), [&](std::size_t i) {
           const crypto::KeyPair& keypair =
@@ -939,10 +953,10 @@ TxReceipt FabricNetwork::submit(const std::string& channel,
   }
 
   // --- Admission + ordering + delivery -------------------------------------
-  const std::string tx_id = tx.id();
-  admit_to_mempool(tx);
+  const std::string tx_id = prepared.tx_id;
+  admit_to_mempool(prepared);
   mempool_.pin(tx_id);  // in flight until delivery: not a capacity victim
-  order_transaction(channel, std::move(tx));
+  order_transaction(channel, std::move(tx), tx_id);
   Channel& ch = channels_.at(channel);
   for (const ledger::Block& block :
        orderer_for(ch).flush(network_->clock().now())) {
@@ -997,7 +1011,7 @@ std::vector<TxReceipt> FabricNetwork::submit_many(
         prepared.size());
     std::vector<std::future<void>> signing;
     for (std::size_t p = 0; p < prepared.size(); ++p) {
-      const crypto::Digest digest = prepared[p].tx.body_digest();
+      const crypto::Digest& digest = prepared[p].body_digest;
       endorsements[p].resize(prepared[p].endorsers.size());
       for (std::size_t e = 0; e < prepared[p].endorsers.size(); ++e) {
         const std::string& endorser = prepared[p].endorsers[e];
@@ -1027,9 +1041,8 @@ std::vector<TxReceipt> FabricNetwork::submit_many(
     }
     admit_wave_to_mempool(prepared);
     for (const PreparedSubmission& p : prepared) {
-      const std::string id = p.tx.id();
-      mempool_.pin(id);
-      wave_pins.push_back(id);
+      mempool_.pin(p.tx_id);
+      wave_pins.push_back(p.tx_id);
     }
     // Stage D (serial, in submission order): hand to the orderer. The
     // tokens minted above make block validation a lookup, not a verify.
@@ -1037,7 +1050,7 @@ std::vector<TxReceipt> FabricNetwork::submit_many(
     // it carries sunk endorsement cost, so it outranks fresh arrivals
     // (wider CoDel target) but is still shed when the queue stays bad.
     for (std::size_t p = 0; p < prepared.size(); ++p) {
-      const std::string tx_id = prepared[p].tx.id();
+      const std::string& tx_id = prepared[p].tx_id;
       if (config_.admission_control) {
         const common::SimTime now = network_->clock().now();
         if (!admission_.offer(tx_id, ledger::AdmitPriority::Commit,
@@ -1049,7 +1062,7 @@ std::vector<TxReceipt> FabricNetwork::submit_many(
           continue;
         }
       }
-      order_transaction(prepared[p].channel, std::move(prepared[p].tx));
+      order_transaction(prepared[p].channel, std::move(prepared[p].tx), tx_id);
       touched.insert(prepared[p].channel);
       ordered.push_back({origin[p], tx_id});
     }

@@ -365,17 +365,21 @@ class FabricNetwork {
   /// Everything submit() does before endorsement signing: membership and
   /// version checks, contract execution fan-out, PDC dissemination,
   /// client identity. Serial — it reads and writes shared replica state.
+  /// The submitting stage hashes the finished body once: `body_digest`
+  /// is what endorsers sign and what admission and ordering key on.
   struct PreparedSubmission {
     bool ok = false;
     TxReceipt error;
     std::string channel;
     ledger::Transaction tx;
+    crypto::Digest body_digest{};
+    std::string tx_id;
     std::vector<std::string> endorsers;
   };
   PreparedSubmission prepare_submission(const SubmitRequest& request);
   /// Admission: verify the attached endorsements (batched) and mint the
   /// transaction's ValidationToken. No-op in Trusting mode.
-  void admit_to_mempool(const ledger::Transaction& tx);
+  void admit_to_mempool(const PreparedSubmission& prepared);
   /// Wave admission for submit_many: every endorsement across the wave
   /// joins ONE batched check, so the RLC squaring chain is paid once per
   /// wave instead of once per transaction. No-op in Trusting mode.
@@ -383,7 +387,7 @@ class FabricNetwork {
   /// Hand the endorsed transaction to the ordering service and deliver
   /// any blocks it cut. Does NOT flush partial blocks.
   void order_transaction(const std::string& channel_name,
-                         ledger::Transaction tx);
+                         ledger::Transaction tx, const std::string& tx_id);
   ledger::OrderingService& orderer_for(Channel& channel);
   void deliver_block(const std::string& channel_name,
                      const ledger::Block& block);

@@ -13,6 +13,7 @@
 #include "crypto/multiexp.hpp"
 #include "crypto/signature.hpp"
 #include "crypto/zkp.hpp"
+#include "non_member_key.hpp"
 
 namespace veil::crypto {
 namespace {
@@ -279,6 +280,82 @@ TEST_F(BatchVerifyTest, BatchMatchesPerItemReference) {
   std::vector<bool> batched(40, true);
   for (const std::size_t i : outcome.invalid) batched[i] = false;
   EXPECT_EQ(batched, reference);
+}
+
+// ---- key-membership memo shared with verify() ------------------------------
+
+class BatchVerifyKeyCache : public ::testing::Test {
+ protected:
+  // A fresh copy of the test parameters: its own, empty key memo.
+  const Group& base_ = Group::test_group();
+  const Group group_{base_.p(), base_.q(), base_.g(), base_.h()};
+};
+
+TEST_F(BatchVerifyKeyCache, NonMemberKeyRejectedInEveryBatch) {
+  BatchVerifier verifier(group_, 21);
+  const KeyPair key = KeyPair::from_secret(group_, BigInt(4242));
+  const auto forged = testing::sign_as_non_member(
+      group_, key, common::to_bytes("forged"));
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 6; ++i) {
+      const common::Bytes msg = common::to_bytes("m" + std::to_string(i));
+      verifier.add_signature(key.public_key(), msg, key.sign(msg));
+      if (i == 1) {
+        verifier.add_signature(forged.key, common::to_bytes("forged"),
+                               forged.sig);
+      }
+    }
+    const BatchOutcome outcome = verifier.verify();
+    EXPECT_EQ(outcome.invalid, std::vector<std::size_t>{2}) << round;
+  }
+  // The honest key missed once and then hit; the non-member missed on
+  // both uses (members only are remembered).
+  EXPECT_EQ(verifier.stats().key_cache_misses, 3u);
+  EXPECT_EQ(verifier.stats().key_cache_hits, 11u);
+  EXPECT_EQ(group_.key_cache_size(), 1u);
+}
+
+TEST_F(BatchVerifyKeyCache, MixedBatchConvictsSameIndices) {
+  // Four kinds of forgery among 24 items from 3 keys: a bumped response
+  // (only the RLC equation catches it), a non-member key, a wrong message
+  // (hash binding) and an out-of-range response. The convicted indices
+  // equal the per-item verify() verdicts, with a cold memo and a warm one.
+  std::vector<KeyPair> keys;
+  for (int i = 0; i < 3; ++i) {
+    keys.push_back(KeyPair::from_secret(group_, BigInt(900 + i)));
+  }
+  struct Entry {
+    PublicKey pub;
+    common::Bytes msg;
+    Signature sig;
+  };
+  std::vector<Entry> entries;
+  for (std::size_t i = 0; i < 24; ++i) {
+    const KeyPair& kp = keys[i % keys.size()];
+    Entry e{kp.public_key(), common::to_bytes("item" + std::to_string(i)), {}};
+    e.sig = kp.sign(e.msg);
+    if (i == 4) e.sig.response = (e.sig.response + BigInt(1)) % group_.q();
+    if (i == 9) {
+      const auto forged = testing::sign_as_non_member(group_, kp, e.msg);
+      e.pub = forged.key;
+      e.sig = forged.sig;
+    }
+    if (i == 15) e.msg = common::to_bytes("altered");
+    if (i == 20) e.sig.response = e.sig.response + group_.q();
+    entries.push_back(std::move(e));
+  }
+  std::vector<std::size_t> reference;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (!verify(group_, entries[i].pub, entries[i].msg, entries[i].sig)) {
+      reference.push_back(i);
+    }
+  }
+  EXPECT_EQ(reference, (std::vector<std::size_t>{4, 9, 15, 20}));
+  BatchVerifier verifier(group_, 22);
+  for (int round = 0; round < 2; ++round) {
+    for (const Entry& e : entries) verifier.add_signature(e.pub, e.msg, e.sig);
+    EXPECT_EQ(verifier.verify().invalid, reference) << round;
+  }
 }
 
 // ---- wire format of the commitment-bearing signature -----------------------

@@ -262,29 +262,6 @@ TEST(BigInt, ModPowEdgeCases) {
   EXPECT_THROW(a.mod_pow(a, BigInt(0)), common::CryptoError);
 }
 
-TEST(BigInt, KaratsubaMatchesSchoolbook) {
-  // Products large enough to take the Karatsuba split (>= 24 limbs each
-  // side), validated against the schoolbook kernel by chunking one
-  // operand below the threshold.
-  common::Rng rng(105);
-  for (std::size_t bits : {768u, 1024u, 2048u, 4096u}) {
-    const BigInt a = BigInt::random_bits(rng, bits);
-    const BigInt b = BigInt::random_bits(rng, bits + 96);
-    const BigInt product = a * b;
-    // Recompute via 256-bit chunks of b (each chunk multiply is
-    // schoolbook since the chunk stays under the threshold).
-    BigInt expected;
-    for (std::size_t off = 0; off < b.bit_length(); off += 256) {
-      BigInt chunk = (b >> off) % (BigInt(1) << 256);
-      expected += (a * chunk) << off;
-    }
-    EXPECT_EQ(product, expected) << bits;
-    // And the divmod property must hold.
-    EXPECT_EQ(product / a, b);
-    EXPECT_TRUE((product % a).is_zero());
-  }
-}
-
 TEST(BigInt, ModInverseProperty) {
   common::Rng rng(5);
   const BigInt p = BigInt::generate_prime(rng, 128);

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "crypto/group.hpp"
+#include "crypto/multiexp.hpp"
 
 namespace veil::crypto {
 namespace {
@@ -123,6 +127,110 @@ TEST(FixedBaseTable, GroupGeneratorsRouteThroughTables) {
     EXPECT_EQ(group.pow_g(e), group.pow(group.g(), e));
     EXPECT_EQ(group.pow_h(e), group.pow(group.h(), e));
   }
+}
+
+// ---- Fixed-width kernel edge cases -----------------------------------------
+// The kernel is instantiated once per width K = 1..32 (64-bit limbs), so
+// every width gets its own check: a random full-width odd modulus plus
+// the carry edges n = 2^(64K) - 1 (every limb all-ones, the reduction
+// spills into the top word) and n = 2^(64K-1) + 1 (just above half the
+// radix, the widest gap between n and R), with operands 0, 1 and n - 1
+// and random ones. Each result is compared with schoolbook (a*b) % n or
+// the naive exponentiator and must be fully reduced.
+
+std::vector<BigInt> kernel_moduli(common::Rng& rng, std::size_t k) {
+  const std::size_t bits = 64 * k;
+  BigInt random = BigInt::random_bits(rng, bits);
+  if (!random.is_odd()) random += BigInt(1);
+  return {random, (BigInt(1) << bits) - BigInt(1),
+          (BigInt(1) << (bits - 1)) + BigInt(1)};
+}
+
+void check_modulus(common::Rng& rng, const BigInt& n) {
+  const auto ctx = MontgomeryCtx::create(n);
+  ASSERT_NE(ctx, nullptr) << n.to_hex();
+  std::vector<BigInt> operands = {BigInt(0), BigInt(1), n - BigInt(1)};
+  for (int i = 0; i < 3; ++i) operands.push_back(BigInt::random_below(rng, n));
+
+  for (const BigInt& a : operands) {
+    for (const BigInt& b : operands) {
+      const BigInt raw = ctx->mul(ctx->to_mont(a), ctx->to_mont(b));
+      EXPECT_LT(raw, n);
+      EXPECT_EQ(ctx->from_mont(raw), (a * b) % n) << n.to_hex();
+      EXPECT_EQ(ctx->mod_mul(a, b), (a * b) % n) << n.to_hex();
+    }
+  }
+
+  const BigInt exp = BigInt::random_bits(rng, 96);
+  std::vector<ExpTerm> terms;
+  BigInt expected(1);
+  for (const BigInt& a : operands) {
+    const BigInt want = naive_mod_pow(a, exp, n);
+    const BigInt got = ctx->pow(a, exp);
+    EXPECT_LT(got, n);
+    EXPECT_EQ(got, want) << n.to_hex();
+    if (a.is_zero()) continue;  // a zero base zeroes the whole product
+    const FixedBaseTable table(ctx, a, exp.bit_length());
+    EXPECT_EQ(table.pow(exp), want) << n.to_hex();
+    terms.push_back({a, exp});
+    expected = (expected * want) % n;
+  }
+  const BigInt product = multi_exp(*ctx, terms);
+  EXPECT_LT(product, n);
+  EXPECT_EQ(product, expected) << n.to_hex();
+}
+
+TEST(MontgomeryKernel, EveryWidthMatchesSchoolbook) {
+  common::Rng rng(6);
+  for (std::size_t k = 1; k <= MontgomeryCtx::kMaxLimbs; ++k) {
+    SCOPED_TRACE(k);
+    for (const BigInt& n : kernel_moduli(rng, k)) {
+      ASSERT_EQ(MontgomeryCtx::create(n)->limb_count(), k);
+      check_modulus(rng, n);
+    }
+  }
+}
+
+TEST(MontgomeryKernel, PartialTopLimbModuli) {
+  // Widths that fill neither a 64-bit nor (for 33 and 160) a 32-bit limb
+  // count: the BigInt-to-kernel conversion pads the top limb.
+  common::Rng rng(7);
+  for (std::size_t bits : {33u, 96u, 160u, 768u, 2047u}) {
+    SCOPED_TRACE(bits);
+    BigInt n = BigInt::random_bits(rng, bits);
+    if (!n.is_odd()) n += BigInt(1);
+    check_modulus(rng, n);
+  }
+}
+
+TEST(MontgomeryKernel, WiderThanKernelFallsBack) {
+  // 2048 bits is the widest kernel; one bit more has no context and
+  // mod_pow takes the classic path with the same answer.
+  const BigInt widest = (BigInt(1) << 2048) - BigInt(1);
+  const BigInt wider = (BigInt(1) << 2048) + BigInt(1);
+  EXPECT_NE(MontgomeryCtx::create(widest), nullptr);
+  EXPECT_EQ(MontgomeryCtx::create(wider), nullptr);
+  EXPECT_EQ(MontgomeryCtx::shared(wider), nullptr);
+  const BigInt base = BigInt::from_hex("123456789abcdef0123456789abcdef");
+  const BigInt exp = BigInt::from_hex("fedcba9876543210f");
+  EXPECT_EQ(base.mod_pow(exp, wider), naive_mod_pow(base, exp, wider));
+}
+
+TEST(MontgomeryKernel, ParallelMultiExpMatchesSerial) {
+  // With workers, multi_exp_parallel splits the terms into chunks and
+  // multiplies the chunks' Montgomery-form partial products together.
+  common::Rng rng(8);
+  const Group& group = Group::default_group();
+  std::vector<ExpTerm> terms;
+  for (int i = 0; i < 40; ++i) {
+    terms.push_back({group.pow_g(group.random_scalar(rng)),
+                     group.random_scalar(rng)});
+  }
+  const BigInt serial = multi_exp(*group.mont(), terms);
+  common::ThreadPool::set_global_threads(4);
+  const BigInt parallel = multi_exp_parallel(*group.mont(), terms);
+  common::ThreadPool::set_global_threads(1);
+  EXPECT_EQ(parallel, serial);
 }
 
 }  // namespace
