@@ -31,9 +31,10 @@
 //    identical outcomes) but not known to the party assembling the batch.
 //  * A failing batch BISECTS: each half re-checks under fresh
 //    randomizers, and singleton leaves fall back to the exact per-item
-//    verify()/verify_dlog(). Accept/reject per item is therefore always
-//    exact — a convicted index is proof-grade (it feeds the Evidence
-//    path) and Detect mode loses nothing.
+//    verify()/verify_dlog(). A batch with one live item goes straight to
+//    that exact check (no randomizers drawn). Accept/reject per item is
+//    therefore always exact — a convicted index is proof-grade (it feeds
+//    the Evidence path) and Detect mode loses nothing.
 #pragma once
 
 #include <cstdint>

@@ -29,10 +29,17 @@ struct Block {
   static Block make(std::uint64_t height, const crypto::Digest& previous_hash,
                     std::vector<Transaction> txs, common::SimTime timestamp);
 
-  /// Recompute the Merkle root and compare with the header (tamper check).
+  /// Re-encode the transactions, recompute the Merkle root and compare
+  /// with the header (tamper check on an in-memory block).
   bool body_matches_header() const;
 
   common::Bytes encode() const;
+  /// Parse a received block. The Merkle leaves are the transaction bytes
+  /// as received, so decode rejects a body that does not reproduce
+  /// `header.tx_root`. It also rejects trailing bytes and non-minimal
+  /// length prefixes, so the framing is canonical; once Chain::append has
+  /// checked the root over the re-encoded transactions too, the received
+  /// bytes equal encode() and a replica logs them as they are.
   static Block decode(common::BytesView data);
 };
 

@@ -135,8 +135,7 @@ bool Mempool::validated(const crypto::Digest& body_digest,
     return false;
   }
   for (const ReadAccess& r : it->second.read_snapshot) {
-    // version_of never copies the value — with the hot cache in front of
-    // the trie, re-validating a recently written key is O(1).
+    // version_of walks the trie (O(depth)) and never copies the value.
     if (state.version_of(r.key) != r.version) {
       ++stats_.invalidated;
       tokens_.erase(it);

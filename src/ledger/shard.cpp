@@ -224,14 +224,17 @@ void ShardMap::seal_block(Shard& shard, std::vector<Transaction> txs) {
   // WAL before the in-memory mutation it describes.
   wal_log_block(primary.wal, block);
   primary.chain.append(block);
-  for (const Transaction& tx : block.transactions) {
-    shard.mempool.validated(tx, primary.state, now);
-    if (primary.state.apply(tx) == CommitResult::Applied) {
-      ++stats_.committed;
-    } else {
-      ++stats_.invalidated;
+  {
+    WorldState::Batch writes(primary.state);
+    for (const Transaction& tx : block.transactions) {
+      shard.mempool.validated(tx, primary.state, now);
+      if (writes.apply(tx) == CommitResult::Applied) {
+        ++stats_.committed;
+      } else {
+        ++stats_.invalidated;
+      }
+      shard.mempool.remove(tx.id(), EvictionRecord::Cause::Committed, now);
     }
-    shard.mempool.remove(tx.id(), EvictionRecord::Cause::Committed, now);
   }
   ++stats_.blocks_sealed;
   shard.ordered_log.push_back(block);
@@ -256,7 +259,8 @@ void ShardMap::on_replica_message(std::uint64_t shard_index,
     }
     wal_log_block(node.wal, block);
     node.chain.append(block);
-    for (const Transaction& tx : block.transactions) node.state.apply(tx);
+    WorldState::Batch writes(node.state);
+    for (const Transaction& tx : block.transactions) writes.apply(tx);
   } catch (const common::Error&) {
     ++stats_.malformed;
   }
@@ -686,7 +690,8 @@ void ShardMap::on_node_restart(std::uint64_t shard_index,
   node.state = WorldState();
   for (const Block& b : recovered.blocks) {
     node.chain.append(b);
-    for (const Transaction& tx : b.transactions) node.state.apply(tx);
+    WorldState::Batch writes(node.state);
+    for (const Transaction& tx : b.transactions) writes.apply(tx);
   }
   if (node_index != 0) {
     catch_up(shard, node);
@@ -749,7 +754,8 @@ void ShardMap::catch_up(Shard& shard, Node& node) {
     if (b.header.height < node.chain.height()) continue;
     wal_log_block(node.wal, b);
     node.chain.append(b);
-    for (const Transaction& tx : b.transactions) node.state.apply(tx);
+    WorldState::Batch writes(node.state);
+    for (const Transaction& tx : b.transactions) writes.apply(tx);
   }
 }
 

@@ -6,9 +6,7 @@ bool SnapshotStore::maybe_checkpoint(WriteAheadLog& wal, std::uint64_t height,
                                      const crypto::Digest& tip_hash,
                                      const WorldState& state,
                                      common::BytesView aux) {
-  if (!enabled() || height == 0 || height % config_.interval != 0) {
-    return false;
-  }
+  if (!due(height)) return false;
   checkpoint(wal, height, tip_hash, state, aux);
   return true;
 }

@@ -49,6 +49,12 @@ class SnapshotStore {
   const SnapshotConfig& config() const { return config_; }
   bool enabled() const { return config_.interval != 0; }
 
+  /// True when a checkpoint is due at `height` (it lands on the
+  /// interval). Lets a caller build an expensive `aux` only then.
+  bool due(std::uint64_t height) const {
+    return enabled() && height != 0 && height % config_.interval == 0;
+  }
+
   /// Call after every committed block. Takes a checkpoint when `height`
   /// lands on the interval; returns true if one was taken. `aux` rides
   /// the WAL checkpoint record only (platform-private sidecar, e.g.

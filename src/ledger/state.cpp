@@ -4,100 +4,34 @@
 
 namespace veil::ledger {
 
-namespace {
-
-std::uint64_t fnv1a(const std::string& key) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : key) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
-
-// ---- Hot cache --------------------------------------------------------------
-
-const WorldState::HotSlot* WorldState::hot_find(const std::string& key) const {
-  if (hot_.empty()) return nullptr;
-  const std::uint64_t h = fnv1a(key);
-  std::size_t slot = static_cast<std::size_t>(h) & (kHotSlots - 1);
-  for (std::size_t probe = 0; probe < kProbeLimit; ++probe) {
-    const HotSlot& s = hot_[slot];
-    if (!s.used) return nullptr;
-    if (s.hash == h && s.key == key) return &s;
-    slot = (slot + 1) & (kHotSlots - 1);
-  }
-  return nullptr;
-}
-
-void WorldState::hot_store(const std::string& key, const common::Bytes& value,
-                           std::uint64_t version) {
-  if (hot_.empty()) hot_.resize(kHotSlots);
-  const std::uint64_t h = fnv1a(key);
-  std::size_t slot = static_cast<std::size_t>(h) & (kHotSlots - 1);
-  // Prefer an empty slot or this key's own slot within the probe window;
-  // otherwise overwrite the window's head (newest-wins eviction — a miss
-  // just falls through to the trie).
-  for (std::size_t probe = 0; probe < kProbeLimit; ++probe) {
-    HotSlot& s = hot_[slot];
-    if (!s.used || (s.hash == h && s.key == key)) {
-      s.used = true;
-      s.hash = h;
-      s.key = key;
-      s.value = value;
-      s.version = version;
-      return;
-    }
-    slot = (slot + 1) & (kHotSlots - 1);
-  }
-  HotSlot& s = hot_[static_cast<std::size_t>(h) & (kHotSlots - 1)];
-  s.used = true;
-  s.hash = h;
-  s.key = key;
-  s.value = value;
-  s.version = version;
-}
-
-void WorldState::hot_store_tombstone(const std::string& key) {
-  hot_store(key, common::Bytes{}, 0);
-}
-
 // ---- Reads ------------------------------------------------------------------
 
 std::optional<VersionedValue> WorldState::get(const std::string& key) const {
-  if (const HotSlot* s = hot_find(key)) {
-    if (s->version == 0) return std::nullopt;  // cached tombstone
-    return VersionedValue{s->value, s->version};
-  }
   auto hit = trie_.get(key);
   if (!hit) return std::nullopt;
   return VersionedValue{std::move(hit->first), hit->second};
 }
 
 std::uint64_t WorldState::version_of(const std::string& key) const {
-  if (const HotSlot* s = hot_find(key)) return s->version;
   return trie_.version_of(key).value_or(0);
 }
 
 // ---- Writes -----------------------------------------------------------------
 
-void WorldState::put(const std::string& key, common::Bytes value) {
-  const std::uint64_t next = version_of(key) + 1;
-  hot_store(key, value, next);
-  trie_.set(key, std::move(value), next);
+void WorldState::Batch::put(const std::string& key, common::Bytes value) {
+  state_.trie_.stage(key, std::move(value), state_.version_of(key) + 1);
 }
 
-void WorldState::erase(const std::string& key) {
-  hot_store_tombstone(key);
-  trie_.erase(key);
+void WorldState::Batch::erase(const std::string& key) {
+  state_.trie_.stage_erase(key);
 }
 
-CommitResult WorldState::apply(const Transaction& tx) {
+CommitResult WorldState::Batch::apply(const Transaction& tx) {
   // Phase 1: validate reads. Version 0 means "key did not exist".
   for (const ReadAccess& read : tx.reads) {
-    if (version_of(read.key) != read.version) return CommitResult::MvccConflict;
+    if (state_.version_of(read.key) != read.version) {
+      return CommitResult::MvccConflict;
+    }
   }
   // Phase 2: apply writes.
   for (const KvWrite& write : tx.writes) {
@@ -108,6 +42,16 @@ CommitResult WorldState::apply(const Transaction& tx) {
     }
   }
   return CommitResult::Applied;
+}
+
+void WorldState::put(const std::string& key, common::Bytes value) {
+  Batch(*this).put(key, std::move(value));
+}
+
+void WorldState::erase(const std::string& key) { Batch(*this).erase(key); }
+
+CommitResult WorldState::apply(const Transaction& tx) {
+  return Batch(*this).apply(tx);
 }
 
 // ---- Iteration / queries ----------------------------------------------------
@@ -182,8 +126,9 @@ WorldState WorldState::decode(common::BytesView data) {
     std::string key = r.str();
     common::Bytes value = r.bytes();
     const std::uint64_t version = r.u64();
-    state.trie_.set(key, std::move(value), version);
+    state.trie_.stage(key, std::move(value), version);
   }
+  state.trie_.seal();
   return state;
 }
 

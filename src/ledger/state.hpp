@@ -7,22 +7,19 @@
 //
 // Storage backend: an authenticated copy-on-write Merkle trie
 // (ledger/state_trie.hpp) instead of a flat std::map. Consequences:
-//  * digest() is the trie root — O(1), maintained incrementally by every
-//    mutation instead of re-hashing all n entries per call.
-//  * Copying a WorldState is O(1) (shared immutable subtrees), so
-//    checkpoint/snapshot state stays resident for free.
+//  * digest() is the trie root — O(1). Writes go to unsealed trie nodes
+//    and each node a batch dirtied is hashed once when the batch ends: a
+//    replica applies a block as one Batch, and a lone put/erase/apply is
+//    a batch of one. digest() is read between batches, never inside one.
+//  * Copying a WorldState between batches is O(1) (one root pointer,
+//    shared immutable subtrees), so checkpoint/snapshot state stays
+//    resident for free.
 //  * get_range/get_by_prefix and the for_each walks descend only the
 //    covering subtrie — a prefix scan matching k keys touches
 //    O(depth + k) nodes regardless of total state size.
 //  * The canonical entry serialization (encode/decode) is byte-identical
 //    to the legacy map-backed format; only digest() changed (root hash
 //    instead of sha256(encode()), a one-shot re-digest across the fleet).
-//
-// A small open-addressing hot cache fronts the trie for the commit path:
-// every put/erase/apply refreshes it, so MVCC read-set validation and
-// repeated gets against recently touched accounts skip the trie walk
-// entirely. The cache is only ever written by mutating calls — const
-// reads never populate it — keeping concurrent readers race-free.
 #pragma once
 
 #include <cstdint>
@@ -57,13 +54,35 @@ class WorldState {
   /// validation hot path.
   std::uint64_t version_of(const std::string& key) const;
 
+  /// Writes that are sealed together. Every put/erase/apply made through
+  /// a Batch lands in unsealed trie nodes; the destructor hashes each
+  /// node the batch dirtied once. Reads (get, version_of) and copies
+  /// see the batch's writes (a copy is sealed on its own); digest(),
+  /// proofs and node images wait until the batch has ended. One Batch
+  /// per block on the commit path.
+  class Batch {
+   public:
+    explicit Batch(WorldState& state) : state_(state) {}
+    ~Batch() { state_.trie_.seal(); }
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+
+    void put(const std::string& key, common::Bytes value);
+    void erase(const std::string& key);
+    /// Validate the read set against current versions, then apply the
+    /// write set. Returns MvccConflict (without side effects) on stale
+    /// reads.
+    CommitResult apply(const Transaction& tx);
+
+   private:
+    WorldState& state_;
+  };
+
   /// Direct write (used by contract execution to build write sets; commit
-  /// of ordered transactions should go through apply()).
+  /// of ordered transactions should go through apply()). Each of these
+  /// three is a batch of one.
   void put(const std::string& key, common::Bytes value);
   void erase(const std::string& key);
-
-  /// Validate the read set against current versions, then apply the write
-  /// set. Returns MvccConflict (without side effects) on stale reads.
   CommitResult apply(const Transaction& tx);
 
   std::size_t size() const { return trie_.size(); }
@@ -96,8 +115,9 @@ class WorldState {
                           const Visitor& visit) const;
 
   /// Authenticated state root over all (key, value, version) entries.
-  /// Incrementally maintained — O(1) per call. Two replicas that applied
-  /// the same transactions in the same order have equal digests — the
+  /// Incrementally maintained — O(1) per call; throws common::LedgerError
+  /// while a Batch is open. Two replicas that applied the same
+  /// transactions in the same order have equal digests — the
   /// bit-identical-state check chaos tests assert.
   crypto::Digest digest() const { return trie_.root_hash(); }
 
@@ -123,27 +143,7 @@ class WorldState {
   static WorldState from_trie(StateTrie trie);
 
  private:
-  // Open-addressing hot cache over recently *written* accounts. Slots
-  // hold owned copies keyed by a 64-bit FNV-1a of the key (plus the full
-  // key for exactness); collisions overwrite (newest wins). Reads probe
-  // but never insert, so const methods stay bitwise-const and thread-safe.
-  struct HotSlot {
-    std::uint64_t hash = 0;
-    bool used = false;
-    std::string key;
-    common::Bytes value;
-    std::uint64_t version = 0;  // 0 = tombstone (key erased)
-  };
-  static constexpr std::size_t kHotSlots = 4096;  // power of two
-  static constexpr std::size_t kProbeLimit = 8;
-
-  const HotSlot* hot_find(const std::string& key) const;
-  void hot_store(const std::string& key, const common::Bytes& value,
-                 std::uint64_t version);
-  void hot_store_tombstone(const std::string& key);
-
   StateTrie trie_;
-  std::vector<HotSlot> hot_;  // empty until first write; kHotSlots after
 };
 
 }  // namespace veil::ledger

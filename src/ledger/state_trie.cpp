@@ -44,11 +44,38 @@ std::size_t match_len(const common::Bytes& path, const common::Bytes& nibbles,
   return i;
 }
 
-/// Finalize a node under construction: fill in its canonical hash.
-NodeRef seal(TrieNode&& n) {
-  const common::Bytes enc = StateTrie::encode_node(n);
-  n.hash = StateTrie::hash_node(enc);
-  return std::make_shared<TrieNode>(std::move(n));
+/// A node `slot` may edit in place: the node itself when it is already
+/// dirty (a dirty node has one owner, the trie being written), else a
+/// dirty copy swapped into `slot`. Sealed nodes are never written.
+TrieNode& own(NodeRef& slot) {
+  if (!slot->dirty) {
+    auto copy = std::make_shared<TrieNode>(*slot);
+    copy->dirty = true;
+    slot = std::move(copy);
+  }
+  // Every node is created non-const (make_shared<TrieNode>); NodeRef is
+  // const only so shared, sealed nodes cannot be written by accident.
+  return const_cast<TrieNode&>(*slot);
+}
+
+/// Hash a dirty subtree once, children first. Cold children (no decoded
+/// node) and sealed children keep their hashes.
+void seal_node(TrieNode& node) {
+  for (TrieChild& c : node.children) {
+    if (!c.node) continue;
+    if (c.node->dirty) seal_node(const_cast<TrieNode&>(*c.node));
+    c.hash = c.node->hash;
+  }
+  node.hash = StateTrie::hash_node(StateTrie::encode_node(node));
+  node.dirty = false;
+}
+
+NodeRef clone_dirty(const NodeRef& node) {
+  auto copy = std::make_shared<TrieNode>(*node);
+  for (TrieChild& c : copy->children) {
+    if (c.node && c.node->dirty) c.node = clone_dirty(c.node);
+  }
+  return copy;
 }
 
 TrieChild edge(std::uint8_t nibble, NodeRef node) {
@@ -72,6 +99,35 @@ std::vector<TrieChild>::const_iterator find_child(
 const crypto::Digest& StateTrie::empty_root() {
   static const crypto::Digest root = crypto::sha256(kEmptyDomain);
   return root;
+}
+
+StateTrie::StateTrie(const StateTrie& other)
+    : root_(other.root_), cold_(other.cold_), size_(other.size_) {
+  if (root_ && root_->dirty) {
+    root_ = clone_dirty(root_);
+    seal();
+  }
+}
+
+StateTrie& StateTrie::operator=(const StateTrie& other) {
+  if (this != &other) *this = StateTrie(other);
+  return *this;
+}
+
+void StateTrie::require_sealed() const {
+  if (!sealed()) {
+    throw common::LedgerError("state trie: node hashes read before seal()");
+  }
+}
+
+const crypto::Digest& StateTrie::root_hash() const {
+  if (!root_) return empty_root();
+  require_sealed();
+  return root_->hash;
+}
+
+void StateTrie::seal() {
+  if (root_ && root_->dirty) seal_node(const_cast<TrieNode&>(*root_));
 }
 
 common::Bytes StateTrie::encode_node(const TrieNode& node) {
@@ -208,163 +264,157 @@ std::optional<std::uint64_t> StateTrie::version_of(std::string_view key) const {
   return std::nullopt;
 }
 
-NodeRef StateTrie::set_rec(const TrieNode* node, const common::Bytes& nibbles,
-                           std::size_t pos, common::Bytes& value,
-                           std::uint64_t version, bool& inserted) {
-  if (node == nullptr) {
-    TrieNode leaf;
-    leaf.path.assign(nibbles.begin() + static_cast<std::ptrdiff_t>(pos),
-                     nibbles.end());
-    leaf.has_value = true;
-    leaf.value = std::move(value);
-    leaf.version = version;
+void StateTrie::stage_rec(NodeRef& slot, const common::Bytes& nibbles,
+                          std::size_t pos, common::Bytes& value,
+                          std::uint64_t version, bool& inserted) {
+  if (!slot) {
+    auto leaf = std::make_shared<TrieNode>();
+    leaf->path.assign(nibbles.begin() + static_cast<std::ptrdiff_t>(pos),
+                      nibbles.end());
+    leaf->has_value = true;
+    leaf->value = std::move(value);
+    leaf->version = version;
+    leaf->dirty = true;
     inserted = true;
-    return seal(std::move(leaf));
+    slot = std::move(leaf);
+    return;
   }
-  const std::size_t m = match_len(node->path, nibbles, pos);
-  if (m == node->path.size()) {
+  const std::size_t m = match_len(slot->path, nibbles, pos);
+  if (m == slot->path.size()) {
+    TrieNode& node = own(slot);
     if (pos + m == nibbles.size()) {
       // Key terminates exactly here: overwrite (or add) the payload.
-      TrieNode next = *node;
-      inserted = !node->has_value;
-      next.has_value = true;
-      next.value = std::move(value);
-      next.version = version;
-      return seal(std::move(next));
+      inserted = !node.has_value;
+      node.has_value = true;
+      node.value = std::move(value);
+      node.version = version;
+      return;
     }
     // Descend into (or create) the child for the next nibble.
     const std::uint8_t c = nibbles[pos + m];
-    TrieNode next = *node;
-    const auto it = find_child(node->children, c);
-    const TrieNode* child = it == node->children.end() ? nullptr : resolve(*it);
-    NodeRef new_child =
-        set_rec(child, nibbles, pos + m + 1, value, version, inserted);
-    if (it == node->children.end()) {
-      const auto at = std::lower_bound(
-          next.children.begin(), next.children.end(), c,
-          [](const TrieChild& e, std::uint8_t n) { return e.nibble < n; });
-      next.children.insert(at, edge(c, std::move(new_child)));
+    auto it = std::lower_bound(
+        node.children.begin(), node.children.end(), c,
+        [](const TrieChild& e, std::uint8_t n) { return e.nibble < n; });
+    if (it == node.children.end() || it->nibble != c) {
+      TrieChild fresh;
+      fresh.nibble = c;
+      it = node.children.insert(it, std::move(fresh));
     } else {
-      next.children[static_cast<std::size_t>(it - node->children.begin())] =
-          edge(c, std::move(new_child));
+      resolve(*it);
     }
-    return seal(std::move(next));
+    stage_rec(it->node, nibbles, pos + m + 1, value, version, inserted);
+    return;
   }
   // Paths diverge inside this node's compressed run: split. The existing
   // node keeps everything after the divergent nibble; a new interior
   // node takes the common prefix.
-  TrieNode moved = *node;
-  moved.path.assign(node->path.begin() + static_cast<std::ptrdiff_t>(m) + 1,
-                    node->path.end());
-  NodeRef moved_ref = seal(std::move(moved));
-
-  TrieNode branch;
-  branch.path.assign(node->path.begin(),
-                     node->path.begin() + static_cast<std::ptrdiff_t>(m));
-  inserted = true;
+  TrieNode& moved = own(slot);
+  const std::uint8_t moved_nibble = moved.path[m];
+  auto branch = std::make_shared<TrieNode>();
+  branch->dirty = true;
+  branch->path.assign(moved.path.begin(),
+                      moved.path.begin() + static_cast<std::ptrdiff_t>(m));
+  moved.path.erase(moved.path.begin(),
+                   moved.path.begin() + static_cast<std::ptrdiff_t>(m) + 1);
+  TrieChild a = edge(moved_nibble, std::move(slot));
   if (pos + m == nibbles.size()) {
     // The new key IS the common prefix: payload lives on the branch.
-    branch.has_value = true;
-    branch.value = std::move(value);
-    branch.version = version;
-    branch.children.push_back(edge(node->path[m], std::move(moved_ref)));
+    inserted = true;
+    branch->has_value = true;
+    branch->value = std::move(value);
+    branch->version = version;
+    branch->children.push_back(std::move(a));
   } else {
-    TrieNode leaf;
-    leaf.path.assign(nibbles.begin() + static_cast<std::ptrdiff_t>(pos + m + 1),
-                     nibbles.end());
-    leaf.has_value = true;
-    leaf.value = std::move(value);
-    leaf.version = version;
-    TrieChild a = edge(node->path[m], std::move(moved_ref));
-    TrieChild b = edge(nibbles[pos + m], seal(std::move(leaf)));
+    NodeRef leaf;
+    stage_rec(leaf, nibbles, pos + m + 1, value, version, inserted);
+    TrieChild b = edge(nibbles[pos + m], std::move(leaf));
     if (a.nibble < b.nibble) {
-      branch.children = {std::move(a), std::move(b)};
+      branch->children = {std::move(a), std::move(b)};
     } else {
-      branch.children = {std::move(b), std::move(a)};
+      branch->children = {std::move(b), std::move(a)};
     }
   }
-  return seal(std::move(branch));
+  slot = std::move(branch);
+}
+
+void StateTrie::stage(std::string_view key, common::Bytes value,
+                      std::uint64_t version) {
+  const common::Bytes nibbles = to_nibbles(key);
+  bool inserted = false;
+  stage_rec(root_, nibbles, 0, value, version, inserted);
+  if (size_ && inserted) ++*size_;
 }
 
 void StateTrie::set(std::string_view key, common::Bytes value,
                     std::uint64_t version) {
-  const common::Bytes nibbles = to_nibbles(key);
-  bool inserted = false;
-  root_ = set_rec(root_.get(), nibbles, 0, value, version, inserted);
-  if (size_ && inserted) ++*size_;
+  stage(key, std::move(value), version);
+  seal();
 }
 
-NodeRef StateTrie::erase_rec(const TrieNode* node, const common::Bytes& nibbles,
-                             std::size_t pos, bool& erased, bool& unchanged) {
-  if (node == nullptr) {
-    unchanged = true;
-    return nullptr;
-  }
-  const std::size_t m = match_len(node->path, nibbles, pos);
-  if (m < node->path.size()) {
-    unchanged = true;  // key diverges inside the run: absent
-    return nullptr;
-  }
-  const auto merge_single_child = [this](TrieNode&& n) {
-    // A valueless node with one child is not canonical: collapse it into
-    // the child by concatenating the compressed runs.
-    const TrieChild& only = n.children.front();
-    const TrieNode* child = resolve(only);
-    TrieNode merged = *child;
-    common::Bytes path = n.path;
-    path.push_back(only.nibble);
-    path.insert(path.end(), child->path.begin(), child->path.end());
-    merged.path = std::move(path);
-    return seal(std::move(merged));
-  };
+void StateTrie::merge_single_child(NodeRef& slot) {
+  // A valueless node with one child is not canonical: collapse it into
+  // the child by concatenating the compressed runs.
+  TrieNode& node = own(slot);
+  TrieChild& only = node.children.front();
+  resolve(only);
+  NodeRef child = only.node;
+  TrieNode& merged = own(child);
+  common::Bytes path = node.path;
+  path.push_back(only.nibble);
+  path.insert(path.end(), merged.path.begin(), merged.path.end());
+  merged.path = std::move(path);
+  slot = std::move(child);
+}
+
+bool StateTrie::erase_rec(NodeRef& slot, const common::Bytes& nibbles,
+                          std::size_t pos) {
+  if (!slot) return false;
+  const std::size_t m = match_len(slot->path, nibbles, pos);
+  if (m < slot->path.size()) return false;  // key diverges inside the run
   if (pos + m == nibbles.size()) {
-    if (!node->has_value) {
-      unchanged = true;
-      return nullptr;
+    if (!slot->has_value) return false;
+    if (slot->children.empty()) {  // leaf: drop the node
+      slot.reset();
+      return true;
     }
-    erased = true;
-    if (node->children.empty()) return nullptr;  // leaf: drop the node
-    if (node->children.size() == 1) {
-      TrieNode next = *node;
-      return merge_single_child(std::move(next));
-    }
-    TrieNode next = *node;
-    next.has_value = false;
-    next.value.clear();
-    next.version = 0;
-    return seal(std::move(next));
+    TrieNode& node = own(slot);
+    node.has_value = false;
+    node.value.clear();
+    node.version = 0;
+    if (node.children.size() == 1) merge_single_child(slot);
+    return true;
   }
-  const auto it = find_child(node->children, nibbles[pos + m]);
-  if (it == node->children.end()) {
-    unchanged = true;
-    return nullptr;
+  const auto it = find_child(slot->children, nibbles[pos + m]);
+  if (it == slot->children.end()) return false;
+  const std::size_t idx =
+      static_cast<std::size_t>(it - slot->children.begin());
+  resolve(*it);
+  // Recurse on a handle so nothing above is copied unless the key exists.
+  NodeRef child = it->node;
+  if (!erase_rec(child, nibbles, pos + m + 1)) return false;
+  TrieNode& node = own(slot);
+  if (child) {
+    node.children[idx].node = std::move(child);
+    return true;
   }
-  NodeRef new_child =
-      erase_rec(resolve(*it), nibbles, pos + m + 1, erased, unchanged);
-  if (unchanged) return nullptr;
-  TrieNode next = *node;
-  const std::size_t idx = static_cast<std::size_t>(it - node->children.begin());
-  if (new_child == nullptr) {
-    next.children.erase(next.children.begin() +
-                        static_cast<std::ptrdiff_t>(idx));
-    if (!next.has_value && next.children.size() == 1) {
-      return merge_single_child(std::move(next));
-    }
-    if (!next.has_value && next.children.empty()) return nullptr;
-  } else {
-    next.children[idx] = edge(it->nibble, std::move(new_child));
+  node.children.erase(node.children.begin() +
+                      static_cast<std::ptrdiff_t>(idx));
+  if (!node.has_value && node.children.size() == 1) {
+    merge_single_child(slot);
+  } else if (!node.has_value && node.children.empty()) {
+    slot.reset();
   }
-  return seal(std::move(next));
+  return true;
+}
+
+void StateTrie::stage_erase(std::string_view key) {
+  const common::Bytes nibbles = to_nibbles(key);
+  if (erase_rec(root_, nibbles, 0) && size_) --*size_;
 }
 
 void StateTrie::erase(std::string_view key) {
-  const common::Bytes nibbles = to_nibbles(key);
-  bool erased = false;
-  bool unchanged = false;
-  NodeRef new_root = erase_rec(root_.get(), nibbles, 0, erased, unchanged);
-  if (unchanged) return;
-  root_ = std::move(new_root);
-  if (size_ && erased) --*size_;
+  stage_erase(key);
+  seal();
 }
 
 std::size_t StateTrie::size() const {
@@ -502,6 +552,7 @@ std::size_t StateTrie::scan_range(std::string_view start_key,
 }
 
 void StateTrie::collect_nodes(NodeStore& out) const {
+  require_sealed();
   if (!root_) return;
   const std::function<void(const TrieNode*)> dfs = [&](const TrieNode* node) {
     if (out.contains(node->hash)) return;
@@ -513,6 +564,7 @@ void StateTrie::collect_nodes(NodeStore& out) const {
 
 void StateTrie::node_hashes(
     std::unordered_set<crypto::Digest, DigestHash>& out) const {
+  require_sealed();
   if (!root_) return;
   const std::function<void(const TrieNode*)> dfs = [&](const TrieNode* node) {
     if (!out.insert(node->hash).second) return;
@@ -522,6 +574,7 @@ void StateTrie::node_hashes(
 }
 
 StateTrie::NodeIndex StateTrie::build_node_index() const {
+  require_sealed();
   NodeIndex index;
   if (!root_) return index;
   const std::function<void(const NodeRef&)> dfs = [&](const NodeRef& node) {
@@ -649,6 +702,7 @@ StateProof StateProof::decode(common::BytesView data) {
 }
 
 StateProof StateTrie::prove(std::string_view key) const {
+  require_sealed();
   StateProof proof;
   proof.key = std::string(key);
   const common::Bytes nibbles = to_nibbles(key);

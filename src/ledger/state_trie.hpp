@@ -9,15 +9,21 @@
 // THEIR hashes — so the root hash authenticates the entire key/value/
 // version mapping, exactly like a block hash authenticates a chain.
 //
-// The properties everything else in this PR leans on:
-//  * Incremental roots. put/erase rebuild only the nodes on the touched
-//    path (O(depth), depth ~ log16 n for random keys); every node off
-//    the path is shared with the previous version by shared_ptr. A
-//    million-account state re-hashes a handful of small nodes per
-//    write, not the whole map.
-//  * Free historical versions. Copying a StateTrie copies one pointer;
-//    the old root keeps authenticating the old state. SnapshotStore
-//    exploits this to keep the checkpoint state resident at zero cost.
+// The properties everything else leans on:
+//  * Incremental roots, sealed once per batch. stage()/stage_erase()
+//    copy only the nodes on the touched path (O(depth), depth ~ log16 n
+//    for random keys) into unsealed ("dirty") nodes; every node off the
+//    path is shared with the previous version by shared_ptr. A dirty
+//    node belongs to this trie alone, so later writes in the same batch
+//    edit it in place. seal() then hashes each dirty node once, bottom
+//    up. A block's writes are one batch; set()/erase() are a batch of
+//    one. root_hash() is O(1) and may only be read on a sealed trie.
+//  * Free historical versions. Copying a sealed StateTrie copies one
+//    pointer; the old root keeps authenticating the old state, because a
+//    sealed node is never mutated. SnapshotStore exploits this to keep
+//    the checkpoint state resident at zero cost. (A copy taken mid-batch
+//    clones just the dirty nodes and seals them, so no two tries share a
+//    dirty node.)
 //  * Content-addressed nodes. encode_node() is the wire format: a node
 //    store keyed by node hash IS a snapshot, two snapshots dedup by
 //    construction, and a lagging replica can fetch exactly the nodes it
@@ -29,9 +35,10 @@
 // Cold tier: a trie reconstructed from a node store can defer child
 // decoding (`Lazy`) — children stay in canonical encoded form and are
 // decoded on first touch. Lazy tries are NOT safe for concurrent reads
-// (resolution mutates the child slot); fully-resolved tries (every trie
-// built by puts, decode(), or eager reconstruction) are immutable and
-// safe to read from many threads.
+// (resolution mutates the child slot); fully-resolved sealed tries (every
+// trie built by puts, decode(), or eager reconstruction) are immutable
+// and safe to read from many threads. seal() writes only dirty nodes,
+// which no other trie can reach.
 #pragma once
 
 #include <array>
@@ -84,6 +91,9 @@ struct TrieNode {
   std::uint64_t version = 0;
   std::vector<TrieChild> children;  // strictly increasing nibble
   crypto::Digest hash{};            // sha256 of canonical encoding
+  /// Written since the last seal(): `hash` (and the child hashes of
+  /// dirty children) are stale, and only the owning trie references it.
+  bool dirty = false;
 };
 
 /// Decoded wire form of one node (decode-fuzzed; see canonical checks in
@@ -124,6 +134,13 @@ class StateTrie {
   static const crypto::Digest& empty_root();
 
   StateTrie() = default;
+  /// Copies share every sealed node and are always sealed: a copy taken
+  /// mid-batch clones the source's dirty nodes and seals the clones, so
+  /// the source's dirty nodes keep exactly one owner.
+  StateTrie(const StateTrie& other);
+  StateTrie& operator=(const StateTrie& other);
+  StateTrie(StateTrie&&) noexcept = default;
+  StateTrie& operator=(StateTrie&&) noexcept = default;
 
   /// Value + version, or nullopt. O(depth).
   std::optional<std::pair<common::Bytes, std::uint64_t>> get(
@@ -131,18 +148,26 @@ class StateTrie {
   /// Version only — the MVCC hot path; never copies the value. O(depth).
   std::optional<std::uint64_t> version_of(std::string_view key) const;
 
-  /// Insert or overwrite, rebuilding only the touched path. O(depth).
+  /// Insert or overwrite into dirty path nodes; nothing is hashed until
+  /// seal(). O(depth).
+  void stage(std::string_view key, common::Bytes value, std::uint64_t version);
+  /// Remove; no-op (nothing dirtied) when absent. O(depth).
+  void stage_erase(std::string_view key);
+  /// Hash every dirty node once, children before parents. Sealed subtrees
+  /// are skipped, so the cost is the number of nodes written since the
+  /// last seal, however many writes touched each of them.
+  void seal();
+
+  /// A batch of one: stage + seal.
   void set(std::string_view key, common::Bytes value, std::uint64_t version);
-  /// Remove; no-op (and no root churn) when absent. O(depth).
   void erase(std::string_view key);
 
   std::size_t size() const;
   bool empty() const { return !root_; }
 
-  /// Incremental root: O(1), always current.
-  const crypto::Digest& root_hash() const {
-    return root_ ? root_->hash : empty_root();
-  }
+  /// Incremental root: O(1). Throws common::LedgerError on an unsealed
+  /// trie (a root read in the middle of a batch is a bug).
+  const crypto::Digest& root_hash() const;
 
   /// Ordered walks. Keys are visited in byte-lexicographic order; the
   /// prefix/range forms descend only the covering subtrie, so a scan
@@ -164,6 +189,9 @@ class StateTrie {
   static TrieNodeWire decode_node(common::BytesView data);
   /// Hash an encoded node exactly as parents reference it.
   static crypto::Digest hash_node(common::BytesView encoded);
+
+  // The node-image and proof calls below read node hashes, so like
+  // root_hash() they require a sealed trie.
 
   /// Dump every reachable node into `out` (dedup by hash). Resolves any
   /// cold children.
@@ -203,11 +231,12 @@ class StateTrie {
 
  private:
   const TrieNode* resolve(const TrieChild& child) const;
-  NodeRef set_rec(const TrieNode* node, const common::Bytes& nibbles,
-                  std::size_t pos, common::Bytes& value,
-                  std::uint64_t version, bool& inserted);
-  NodeRef erase_rec(const TrieNode* node, const common::Bytes& nibbles,
-                    std::size_t pos, bool& erased, bool& unchanged);
+  bool sealed() const { return !root_ || !root_->dirty; }
+  void require_sealed() const;
+  void stage_rec(NodeRef& slot, const common::Bytes& nibbles, std::size_t pos,
+                 common::Bytes& value, std::uint64_t version, bool& inserted);
+  bool erase_rec(NodeRef& slot, const common::Bytes& nibbles, std::size_t pos);
+  void merge_single_child(NodeRef& slot);
   std::size_t walk(const TrieNode* node, std::string& key_nibbles,
                    const Visitor& visit, bool& keep_going) const;
 

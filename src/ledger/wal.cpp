@@ -113,7 +113,11 @@ void wal_checkpoint_compact(WriteAheadLog& wal, std::uint64_t height,
 }
 
 void wal_log_block(WriteAheadLog& wal, const Block& block) {
-  wal.append(kWalBlock, block.encode());
+  wal_log_block(wal, block.encode());
+}
+
+void wal_log_block(WriteAheadLog& wal, common::BytesView encoded) {
+  wal.append(kWalBlock, encoded);
 }
 
 WalRecovery wal_recover_blocks(const WriteAheadLog& wal) {

@@ -138,6 +138,9 @@ void wal_checkpoint_compact(WriteAheadLog& wal, std::uint64_t height,
                             const crypto::Digest& tip_hash,
                             const WorldState& state, common::BytesView aux = {});
 void wal_log_block(WriteAheadLog& wal, const Block& block);
+/// Log a block from the bytes it was received in (a Block::decode of
+/// `encoded` succeeded), without re-encoding it.
+void wal_log_block(WriteAheadLog& wal, common::BytesView encoded);
 
 struct WalRecovery {
   std::optional<WalCheckpoint> checkpoint;

@@ -138,6 +138,8 @@ void FabricNetwork::add_org(const std::string& org) {
     if (msg.topic != "fabric.block") return;
     ledger::Block block;
     try {
+      // Decode also checks the body against the header's Merkle root,
+      // computed from the received transaction bytes.
       block = ledger::Block::decode(msg.payload);
     } catch (const common::Error&) {
       return;  // corrupted in flight: drop; resync() catches the peer up
@@ -150,15 +152,14 @@ void FabricNetwork::add_org(const std::string& org) {
 
     if (block.header.height < replica.chain.height()) return;  // duplicate
     // Fail closed on a block damaged in flight: the delivered copy must
-    // hash to the orderer's logged block at its height and its body must
-    // match that header. Anything else is dropped, never committed — the
-    // peer catches up from the delivery log via resync().
+    // hash to the orderer's logged block at its height (its body already
+    // matched that header at decode). Anything else is dropped, never
+    // committed — the peer catches up from the delivery log via resync().
     if (block.header.height >= ch->second.ordered_log.size()) return;
     if (block.header.hash() !=
         ch->second.ordered_log[block.header.height].header.hash()) {
       return;
     }
-    if (!block.body_matches_header()) return;
     while (replica.chain.height() < block.header.height) {
       if (!commit_block(org, ch->second,
                         ch->second.ordered_log[replica.chain.height()])) {
@@ -166,7 +167,7 @@ void FabricNetwork::add_org(const std::string& org) {
       }
     }
     if (block.header.previous_hash != replica.chain.tip_hash()) return;
-    commit_block(org, ch->second, block);
+    commit_block(org, ch->second, block, /*replay=*/false, msg.payload);
   });
   network_->set_crash_hook(peer, [this, org] { on_crash(org); });
   network_->set_restart_hook(peer, [this, org] { on_restart(org); });
@@ -399,7 +400,8 @@ void FabricNetwork::convict(audit::Misbehavior kind, const std::string& accused,
 }
 
 bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
-                                 const ledger::Block& block, bool replay) {
+                                 const ledger::Block& block, bool replay,
+                                 common::BytesView encoded) {
   PeerReplica& replica = channel.replicas.at(org);
   // Endorsement-signature verification dominates commit cost and is a
   // pure function of each transaction — verify all of them across the
@@ -505,83 +507,95 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
   }
 
   // WAL invariant: the block is durable before any in-memory mutation.
-  if (!replay) ledger::wal_log_block(replica.wal, block);
-  replica.chain.append(block);
-  for (std::size_t i = 0; i < tx_count; ++i) {
-    const ledger::Transaction& tx = block.transactions[i];
-    const std::string& tx_id = ids[i];
-    // Every member peer sees the full transaction (recorded once, at the
-    // original commit — WAL replay is a local re-read, not a new leak).
-    if (!replay) {
-      record_visibility(network_->auditor(), peer_of(org), tx, tx_id);
-    }
-
-    bool valid = sig_valid[i] != 0;
-    // Validate-stage TTL check, deterministic across replicas: the block
-    // timestamp (sealed by the orderer) is compared, never the local
-    // clock, so every peer drops exactly the same expired transactions
-    // and state stays bit-identical.
-    const bool expired =
-        tx.deadline_us != 0 && block.header.timestamp > tx.deadline_us;
-    if (expired) valid = false;
-    if (valid && validation_mode_ == ValidationMode::Detect) {
-      // Endorsement-consistency cross-check: a deterministic chaincode
-      // produces identical writes for an identical proposal context, so
-      // one endorser validly signing two different write-sets for the
-      // same context equivocated. The two conflicting signed
-      // transactions are self-contained proof.
-      for (const ledger::Endorsement& e : tx.endorsements) {
-        const std::string ctx = endorsement_context(tx, e.endorser);
-        const crypto::Digest wd = writes_digest(tx);
-        const auto seen = replica.endorsements_seen.find(ctx);
-        if (seen == replica.endorsements_seen.end()) {
-          replica.endorsements_seen.emplace(ctx,
-                                            std::make_pair(wd, tx.encode()));
-        } else if (seen->second.first != wd) {
-          convict(audit::Misbehavior::EndorserEquivocation, e.endorser, org,
-                  "endorser signed conflicting write-sets for one proposal",
-                  seen->second.second, tx.encode(), peer_of(e.endorser));
-          valid = false;
-        }
-      }
-    }
-    if (valid) {
-      const auto policy = channel.policies.find(tx.contract);
-      if (policy != channel.policies.end()) {
-        std::set<std::string> endorsers;
-        for (const ledger::Endorsement& e : tx.endorsements) {
-          // Endorsement counts only if the key really belongs to the org
-          // — and, under Detect, only while the org stands unconvicted.
-          const auto known = orgs_.find(e.endorser);
-          if (known != orgs_.end() &&
-              known->second.keypair.public_key() == e.key &&
-              !(validation_mode_ == ValidationMode::Detect &&
-                evidence_.convicted(e.endorser))) {
-            endorsers.insert(e.endorser);
-          }
-        }
-        valid = policy->second.satisfied_by(endorsers);
-      }
-    }
-    ledger::CommitResult commit = ledger::CommitResult::MvccConflict;
-    if (valid) commit = replica.state.apply(tx);
-
-    TxReceipt receipt;
-    receipt.tx_id = tx_id;
-    receipt.committed = valid && commit == ledger::CommitResult::Applied;
-    receipt.reason = expired             ? "expired at validation"
-                     : !valid            ? "endorsement policy unsatisfied"
-                     : receipt.committed ? ""
-                                         : "mvcc conflict";
-    // Count each transaction once, on its first recorded commit
-    // (validation is deterministic, so replicas agree).
-    const bool first_record = !receipts_.contains(tx_id);
-    receipts_[tx_id] = receipt;
-    if (receipt.committed && first_record) ++committed_count_;
-    if (expired && first_record) {
-      network_->count_expired(net::Stage::Validate);
+  // A delivered block is logged in the bytes it arrived in.
+  if (!replay) {
+    if (encoded.empty()) {
+      ledger::wal_log_block(replica.wal, block);
+    } else {
+      ledger::wal_log_block(replica.wal, encoded);
     }
   }
+  replica.chain.append(block);
+  {
+    // The block's writes land in unsealed trie nodes; each node they dirty
+    // is hashed once, when the batch ends with the last transaction.
+    ledger::WorldState::Batch writes(replica.state);
+    for (std::size_t i = 0; i < tx_count; ++i) {
+      const ledger::Transaction& tx = block.transactions[i];
+      const std::string& tx_id = ids[i];
+      // Every member peer sees the full transaction (recorded once, at the
+      // original commit — WAL replay is a local re-read, not a new leak).
+      if (!replay) {
+        record_visibility(network_->auditor(), peer_of(org), tx, tx_id);
+      }
+
+      bool valid = sig_valid[i] != 0;
+      // Validate-stage TTL check, deterministic across replicas: the block
+      // timestamp (sealed by the orderer) is compared, never the local
+      // clock, so every peer drops exactly the same expired transactions
+      // and state stays bit-identical.
+      const bool expired =
+          tx.deadline_us != 0 && block.header.timestamp > tx.deadline_us;
+      if (expired) valid = false;
+      if (valid && validation_mode_ == ValidationMode::Detect) {
+        // Endorsement-consistency cross-check: a deterministic chaincode
+        // produces identical writes for an identical proposal context, so
+        // one endorser validly signing two different write-sets for the
+        // same context equivocated. The two conflicting signed
+        // transactions are self-contained proof.
+        for (const ledger::Endorsement& e : tx.endorsements) {
+          const std::string ctx = endorsement_context(tx, e.endorser);
+          const crypto::Digest wd = writes_digest(tx);
+          const auto seen = replica.endorsements_seen.find(ctx);
+          if (seen == replica.endorsements_seen.end()) {
+            replica.endorsements_seen.emplace(ctx,
+                                              std::make_pair(wd, tx.encode()));
+          } else if (seen->second.first != wd) {
+            convict(audit::Misbehavior::EndorserEquivocation, e.endorser, org,
+                    "endorser signed conflicting write-sets for one proposal",
+                    seen->second.second, tx.encode(), peer_of(e.endorser));
+            valid = false;
+          }
+        }
+      }
+      if (valid) {
+        const auto policy = channel.policies.find(tx.contract);
+        if (policy != channel.policies.end()) {
+          std::set<std::string> endorsers;
+          for (const ledger::Endorsement& e : tx.endorsements) {
+            // Endorsement counts only if the key really belongs to the org
+            // — and, under Detect, only while the org stands unconvicted.
+            const auto known = orgs_.find(e.endorser);
+            if (known != orgs_.end() &&
+                known->second.keypair.public_key() == e.key &&
+                !(validation_mode_ == ValidationMode::Detect &&
+                  evidence_.convicted(e.endorser))) {
+              endorsers.insert(e.endorser);
+            }
+          }
+          valid = policy->second.satisfied_by(endorsers);
+        }
+      }
+      ledger::CommitResult commit = ledger::CommitResult::MvccConflict;
+      if (valid) commit = writes.apply(tx);
+
+      TxReceipt receipt;
+      receipt.tx_id = tx_id;
+      receipt.committed = valid && commit == ledger::CommitResult::Applied;
+      receipt.reason = expired             ? "expired at validation"
+                       : !valid            ? "endorsement policy unsatisfied"
+                       : receipt.committed ? ""
+                                           : "mvcc conflict";
+      // Count each transaction once, on its first recorded commit
+      // (validation is deterministic, so replicas agree).
+      const bool first_record = !receipts_.contains(tx_id);
+      receipts_[tx_id] = receipt;
+      if (receipt.committed && first_record) ++committed_count_;
+      if (expired && first_record) {
+        network_->count_expired(net::Stage::Validate);
+      }
+    }
+  }  // `writes` ends: the block's dirty trie nodes are hashed here
   ++replica.blocks_applied;
   // Interval checkpoint: seal the committed state into the WAL and
   // compact the clean prefix behind it. Replay skips this — the recovered
@@ -601,7 +615,7 @@ void FabricNetwork::deliver_block(const std::string& channel_name,
   if (byzantine_orderer_) {
     // A tampering orderer rewrites endorsed write-sets AFTER sequencing,
     // then rebuilds the block so the Merkle root and header hash are
-    // self-consistent again. Chain::append and body_matches_header()
+    // self-consistent again. Block::decode and Chain::append
     // cannot see it; only re-verifying the endorsement signatures can.
     std::vector<ledger::Transaction> txs = block.transactions;
     for (ledger::Transaction& tx : txs) {

@@ -395,9 +395,12 @@ class FabricNetwork {
   /// WAL recovery: the block is already durable and was already observed
   /// pre-crash, so it is neither re-logged nor re-recorded in the auditor.
   /// Returns false when Detect-mode validation rejects the whole block
-  /// (orderer conviction) — callers must stop seeking past it.
+  /// (orderer conviction) — callers must stop seeking past it. `encoded`
+  /// is the delivered payload the block was decoded from, logged to the
+  /// WAL as it is; empty for blocks taken from the delivery log.
   bool commit_block(const std::string& org, Channel& channel,
-                    const ledger::Block& block, bool replay = false);
+                    const ledger::Block& block, bool replay = false,
+                    common::BytesView encoded = {});
   /// Record evidence (signed by `reporter_org`) and quarantine
   /// `quarantine_principal` (skipped when empty).
   void convict(audit::Misbehavior kind, const std::string& accused,

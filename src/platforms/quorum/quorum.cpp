@@ -595,19 +595,18 @@ void QuorumNetwork::on_node_message(const std::string& self,
     Node& node = nodes_.at(self);
     if (block.header.height < node.chain.height()) return;  // duplicate
     // Fail closed on a block damaged in flight: the delivered copy must
-    // hash to the sealed block at its height (header integrity) and its
-    // body must match that header (payload integrity). Anything else is
-    // dropped — the node catches up via sync() instead.
+    // hash to the sealed block at its height (header integrity); decode
+    // already checked its body against that header (payload integrity).
+    // Anything else is dropped — the node catches up via sync() instead.
     if (block.header.height >= ordered_log_.size()) return;
     if (block.header.hash() !=
         ordered_log_[block.header.height].header.hash()) {
       return;
     }
-    if (!block.body_matches_header()) return;
     while (node.chain.height() < block.header.height) {
       apply_block(self, ordered_log_[node.chain.height()]);
     }
-    apply_block(self, block);
+    apply_block(self, block, /*replay=*/false, msg.payload);
   }
 }
 
@@ -633,86 +632,102 @@ void QuorumNetwork::seal_block() {
 }
 
 void QuorumNetwork::apply_block(const std::string& org,
-                                const ledger::Block& block, bool replay) {
+                                const ledger::Block& block, bool replay,
+                                common::BytesView encoded) {
   Node& node = nodes_.at(org);
   const std::vector<char> sig_ok =
       block_signatures_valid(block, node.public_state, replay);
   // WAL invariant: the block is durable before any in-memory mutation.
-  if (!replay) ledger::wal_log_block(node.wal, block);
-  node.chain.append(block);
-  std::size_t tx_index = 0;
-  for (const ledger::Transaction& tx : block.transactions) {
-    // Every node sees the full on-chain form: public payload in clear,
-    // private payload as hash — but always the participant list.
-    // (Recorded once, at the original commit; WAL replay is a local
-    // re-read, not a new leak.)
-    if (!replay) record_visibility(auditor(), org, tx);
-    // Fail closed on a forged endorsement (verify-commits deployments
-    // only): the transaction stays on chain but mutates no state.
-    if (sig_ok[tx_index++] == 0) continue;
-    if (tx.action == "public") {
-      for (const ledger::KvWrite& kv : tx.writes) {
-        if (kv.is_delete) {
-          node.public_state.erase(kv.key);
-        } else {
-          node.public_state.put(kv.key, kv.value);
-        }
-      }
+  // A delivered block is logged in the bytes it arrived in.
+  if (!replay) {
+    if (encoded.empty()) {
+      ledger::wal_log_block(node.wal, block);
     } else {
-      // Nullifier cross-check: the payload hash of every private
-      // transaction is public, so any node can notice the same hash
-      // arriving under a second transaction id — a replay of a private
-      // transfer past the transaction manager. The map is derived from
-      // the shared block stream, so every node's view agrees.
-      bool replayed = false;
-      const std::string nullifier(tx.payload.begin(), tx.payload.end());
-      const auto seen = nullifiers_.find(nullifier);
-      if (seen == nullifiers_.end()) {
-        nullifiers_.emplace(nullifier, std::make_pair(tx.id(), tx.encode()));
-      } else if (seen->second.first != tx.id()) {
-        replayed = true;
-        // The attacker does not convict itself; any honest node does.
-        if (detection_ && org != tx.participants.front()) {
-          // Two validly signed transactions carrying one nullifier are
-          // self-contained proof; the replay's submitter is the culprit.
-          const std::string accused = tx.participants.front();
-          audit::Evidence e;
-          e.kind = audit::Misbehavior::PrivateReplay;
-          e.accused = accused;
-          e.reporter = org;
-          e.detail = "private payload hash re-submitted under a new tx id";
-          e.detected_at = network_->clock().now();
-          e.proof_a = seen->second.second;
-          e.proof_b = tx.encode();
-          e.sign(node.keypair);
-          evidence_.add(std::move(e));
-          network_->quarantine(accused);
-        }
-      }
-      const auto detail = private_details_.find(tx.id());
-      if (detail != private_details_.end() &&
-          detail->second.recipients.contains(org) &&
-          !(detection_ && replayed)) {
-        // Recipients decrypt via their TM store and update private state.
-        // A detected replay is skipped: fail closed, no double credit.
-        for (const ledger::KvWrite& kv : detail->second.writes) {
+      ledger::wal_log_block(node.wal, encoded);
+    }
+  }
+  node.chain.append(block);
+  {
+    // One batch per state: each trie node the block dirties is hashed once,
+    // when the batches end with the last transaction.
+    ledger::WorldState::Batch public_writes(node.public_state);
+    ledger::WorldState::Batch private_writes(node.private_state);
+    std::size_t tx_index = 0;
+    for (const ledger::Transaction& tx : block.transactions) {
+      // Every node sees the full on-chain form: public payload in clear,
+      // private payload as hash — but always the participant list.
+      // (Recorded once, at the original commit; WAL replay is a local
+      // re-read, not a new leak.)
+      if (!replay) record_visibility(auditor(), org, tx);
+      // Fail closed on a forged endorsement (verify-commits deployments
+      // only): the transaction stays on chain but mutates no state.
+      if (sig_ok[tx_index++] == 0) continue;
+      if (tx.action == "public") {
+        for (const ledger::KvWrite& kv : tx.writes) {
           if (kv.is_delete) {
-            node.private_state.erase(kv.key);
+            public_writes.erase(kv.key);
           } else {
-            node.private_state.put(kv.key, kv.value);
+            public_writes.put(kv.key, kv.value);
+          }
+        }
+      } else {
+        // Nullifier cross-check: the payload hash of every private
+        // transaction is public, so any node can notice the same hash
+        // arriving under a second transaction id — a replay of a private
+        // transfer past the transaction manager. The map is derived from
+        // the shared block stream, so every node's view agrees.
+        bool replayed = false;
+        const std::string nullifier(tx.payload.begin(), tx.payload.end());
+        const auto seen = nullifiers_.find(nullifier);
+        if (seen == nullifiers_.end()) {
+          nullifiers_.emplace(nullifier,
+                              std::make_pair(tx.id(), tx.encode()));
+        } else if (seen->second.first != tx.id()) {
+          replayed = true;
+          // The attacker does not convict itself; any honest node does.
+          if (detection_ && org != tx.participants.front()) {
+            // Two validly signed transactions carrying one nullifier are
+            // self-contained proof; the replay's submitter is the culprit.
+            const std::string accused = tx.participants.front();
+            audit::Evidence e;
+            e.kind = audit::Misbehavior::PrivateReplay;
+            e.accused = accused;
+            e.reporter = org;
+            e.detail = "private payload hash re-submitted under a new tx id";
+            e.detected_at = network_->clock().now();
+            e.proof_a = seen->second.second;
+            e.proof_b = tx.encode();
+            e.sign(node.keypair);
+            evidence_.add(std::move(e));
+            network_->quarantine(accused);
+          }
+        }
+        const auto detail = private_details_.find(tx.id());
+        if (detail != private_details_.end() &&
+            detail->second.recipients.contains(org) &&
+            !(detection_ && replayed)) {
+          // Recipients decrypt via their TM store and update private state.
+          // A detected replay is skipped: fail closed, no double credit.
+          for (const ledger::KvWrite& kv : detail->second.writes) {
+            if (kv.is_delete) {
+              private_writes.erase(kv.key);
+            } else {
+              private_writes.put(kv.key, kv.value);
+            }
           }
         }
       }
     }
-  }
+  }  // the batches end: the block's dirty trie nodes are hashed here
   ++node.blocks_applied;
   // Interval checkpoint: seal the post-block state into the WAL and
   // compact the prefix. Private state rides the checkpoint record as aux
-  // (it never leaves the node); WAL replay must not re-checkpoint.
-  if (!replay) {
-    node.snapshots.maybe_checkpoint(node.wal, node.chain.height(),
-                                    node.chain.tip_hash(), node.public_state,
-                                    node.private_state.encode());
+  // (it never leaves the node), encoded only when a checkpoint is due;
+  // WAL replay must not re-checkpoint.
+  if (!replay && node.snapshots.due(node.chain.height())) {
+    node.snapshots.checkpoint(node.wal, node.chain.height(),
+                              node.chain.tip_hash(), node.public_state,
+                              node.private_state.encode());
   }
 }
 

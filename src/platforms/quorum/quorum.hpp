@@ -265,8 +265,10 @@ class QuorumNetwork {
   void on_node_message(const std::string& self, const net::Message& msg);
   /// Append one block to one node's replica. `replay` marks WAL recovery
   /// (already durable, already observed — no re-log, no auditor record).
+  /// `encoded` is the delivered payload the block was decoded from,
+  /// logged to the WAL as it is; empty for blocks from the ordered log.
   void apply_block(const std::string& org, const ledger::Block& block,
-                   bool replay = false);
+                   bool replay = false, common::BytesView encoded = {});
   void on_node_crash(const std::string& org);
   void on_node_restart(const std::string& org);
 

@@ -90,6 +90,39 @@ TEST_F(BatchVerifyTest, EmptyBatchPasses) {
   EXPECT_TRUE(outcome.invalid.empty());
 }
 
+TEST_F(BatchVerifyTest, LoneItemTakesTheExactCheck) {
+  // One live item: no random linear combination, one exact verification,
+  // and the same verdict either way.
+  BatchVerifier verifier(group_, 9);
+  const KeyPair key = KeyPair::generate(group_, rng_);
+  const common::Bytes msg = rng_.next_bytes(16);
+  verifier.add_signature(key.public_key(), msg, key.sign(msg));
+  BatchOutcome outcome = verifier.verify();
+  EXPECT_TRUE(outcome.all_valid);
+  EXPECT_EQ(outcome.batch_checks, 0u);
+  EXPECT_EQ(outcome.bisect_steps, 0u);
+  EXPECT_EQ(outcome.single_fallbacks, 1u);
+
+  // A forged response passes every pre-check (the hash binding holds), so
+  // only the group equation can reject it.
+  Signature forged = key.sign(msg);
+  forged.response = (forged.response + 1) % group_.q();
+  verifier.add_signature(key.public_key(), msg, forged);
+  // A pre-check failure next to it is not live and changes nothing.
+  Signature out_of_range = key.sign(msg);
+  out_of_range.response = group_.q();
+  verifier.add_signature(key.public_key(), msg, out_of_range);
+  outcome = verifier.verify();
+  EXPECT_FALSE(outcome.all_valid);
+  EXPECT_EQ(outcome.invalid, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(outcome.batch_checks, 0u);
+  EXPECT_EQ(outcome.bisect_steps, 0u);
+  EXPECT_EQ(outcome.single_fallbacks, 1u);
+  EXPECT_EQ(verifier.stats().items, 3u);
+  EXPECT_EQ(verifier.stats().batches, 2u);
+  EXPECT_EQ(verifier.stats().rejected_items, 2u);
+}
+
 // ---- forgery conviction ----------------------------------------------------
 
 TEST_F(BatchVerifyTest, SingleForgeryIn128Bisected) {

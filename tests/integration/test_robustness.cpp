@@ -453,6 +453,43 @@ TEST_P(DecodeFuzz, BitFlippedOverloadTierEncodings) {
   EXPECT_EQ(env_back.payload, envelope.payload);
 }
 
+TEST_P(DecodeFuzz, BlockDecodeIsCanonicalAndChecksTheBody) {
+  // Block::decode hashes the received transaction bytes into the Merkle
+  // root, so any bit flipped after the header either breaks the framing
+  // or changes a leaf: both must be refused at decode. Trailing bytes are
+  // refused too, so a block that decodes re-encodes to the same bytes.
+  common::Rng rng(GetParam() * 7919 + 3);
+  std::vector<ledger::Transaction> txs;
+  const std::size_t n = 1 + rng.next_below(80);  // crosses the pool cut-off
+  for (std::size_t i = 0; i < n; ++i) {
+    ledger::Transaction tx;
+    tx.channel = "ch";
+    tx.action = "a" + std::to_string(i);
+    tx.payload = rng.next_bytes(1 + rng.next_below(48));
+    txs.push_back(std::move(tx));
+  }
+  const ledger::Block block = ledger::Block::make(
+      3, crypto::sha256(std::string_view("veil.chain.genesis")),
+      std::move(txs), 9);
+  const Bytes enc = block.encode();
+  ASSERT_EQ(ledger::Block::decode(enc).encode(), enc);
+  const std::size_t body_start = 1 + block.header.encode().size();
+
+  Bytes trailing = enc;
+  const Bytes extra = rng.next_bytes(1 + rng.next_below(4));
+  trailing.insert(trailing.end(), extra.begin(), extra.end());
+  EXPECT_THROW(ledger::Block::decode(trailing), common::Error);
+
+  for (int i = 0; i < 50; ++i) {
+    Bytes flipped = enc;
+    const std::size_t at =
+        body_start + rng.next_below(flipped.size() - body_start);
+    flipped[at] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+    EXPECT_THROW(ledger::Block::decode(flipped), common::Error)
+        << "flip at byte " << at;
+  }
+}
+
 TEST_P(DecodeFuzz, TruncatedValidEncodings) {
   common::Rng rng(GetParam() + 17);
   ledger::Transaction tx;

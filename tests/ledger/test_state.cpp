@@ -139,20 +139,20 @@ TEST(WorldState, VersionOfTracksPutsErasesAndAbsence) {
 }
 
 TEST(WorldState, HotCacheStaysCoherentThroughEraseAndRewrite) {
-  // Every mutation path must refresh the hot tier: a stale cached value
-  // or a missed tombstone would make get() disagree with the trie.
+  // Erase and rewrite of one key through every mutation path: get() and
+  // version_of() must follow each step (versions restart after erase).
   WorldState state;
   state.put("acct", to_bytes("v1"));
-  ASSERT_EQ(state.get("acct")->value, to_bytes("v1"));  // hot hit
-  state.erase("acct");                                  // hot tombstone
+  ASSERT_EQ(state.get("acct")->value, to_bytes("v1"));
+  state.erase("acct");
   EXPECT_FALSE(state.get("acct").has_value());
   EXPECT_EQ(state.version_of("acct"), 0u);
-  state.put("acct", to_bytes("v2"));                    // tombstone overwritten
+  state.put("acct", to_bytes("v2"));
   ASSERT_TRUE(state.get("acct").has_value());
   EXPECT_EQ(state.get("acct")->value, to_bytes("v2"));
   EXPECT_EQ(state.get("acct")->version, 1u);  // version restarts after erase
 
-  // apply() writes go through the same refresh.
+  // apply() writes take the same path.
   Transaction tx;
   tx.reads = {{"acct", 1}};
   tx.writes = {{"acct", to_bytes("v3"), false}, {"other", to_bytes("o"), false}};

@@ -1,15 +1,17 @@
 // Unit + differential tests for the authenticated COW Merkle trie that
-// backs WorldState. The WorldState-level behavior (MVCC, hot cache,
-// encode compatibility) lives in test_state.cpp; this file exercises the
-// trie itself: structure, incremental roots, node image reconstruction,
-// grafting, and proofs.
+// backs WorldState. The WorldState-level behavior (MVCC, encode
+// compatibility) lives in test_state.cpp; this file exercises the trie
+// itself: structure, incremental roots and per-block sealing, node image
+// reconstruction, grafting, and proofs.
 #include "ledger/state_trie.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
+#include <unordered_set>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -578,6 +580,128 @@ void run_differential(std::uint64_t seed) {
       ASSERT_EQ(got->version, e.version);
     }
   }
+}
+
+// ---- Sealing once per block vs one write at a time ------------------------
+
+/// Replicas that seal once per block must reach the roots of replicas that
+/// seal after every write: over overwrites, erases (of present and absent
+/// keys) and MVCC applies; on a lazy trie rebuilt from a node image and on
+/// a trie grafted the way TrieSync installs one; with a snapshot copied
+/// between blocks and a copy taken in the middle of a block.
+void run_block_sealing(std::uint64_t seed) {
+  Rng rng(seed);
+  WorldState batched;
+  WorldState one_by_one;
+  std::optional<WorldState> lazy;
+  std::optional<WorldState> grafted;
+  std::optional<WorldState> prior;  // the state a joiner already holds
+  std::optional<WorldState> snapshot;
+  crypto::Digest snapshot_root{};
+  Bytes snapshot_bytes;
+
+  for (int block = 0; block < 48; ++block) {
+    {
+      WorldState::Batch writes(batched);
+      std::optional<WorldState::Batch> lazy_writes;
+      std::optional<WorldState::Batch> grafted_writes;
+      if (lazy) lazy_writes.emplace(*lazy);
+      if (grafted) grafted_writes.emplace(*grafted);
+      const std::uint64_t ops = rng.next_below(40);
+      for (std::uint64_t op = 0; op < ops; ++op) {
+        Transaction tx;
+        const std::string key = "acct/" + std::to_string(rng.next_below(96));
+        const std::uint64_t dice = rng.next_below(10);
+        if (dice < 2) {
+          tx.writes = {{key, {}, true}};
+        } else {
+          tx.writes = {{key, rng.next_bytes(1 + rng.next_below(20)), false}};
+        }
+        if (dice == 9) {
+          // A read that is stale half the time: MVCC must agree too.
+          const std::string read = "acct/" + std::to_string(rng.next_below(96));
+          tx.reads = {{read, one_by_one.version_of(read) + rng.next_below(2)}};
+        }
+        const CommitResult expected = one_by_one.apply(tx);
+        ASSERT_EQ(writes.apply(tx), expected) << "seed " << seed;
+        if (lazy_writes) {
+          ASSERT_EQ(lazy_writes->apply(tx), expected);
+        }
+        if (grafted_writes) {
+          ASSERT_EQ(grafted_writes->apply(tx), expected);
+        }
+        if (block % 7 == 3 && op == ops / 2) {
+          // A copy taken mid-block is sealed on its own and authenticates
+          // exactly the writes made so far.
+          const WorldState mid = batched;
+          ASSERT_EQ(mid.digest(), one_by_one.digest()) << "seed " << seed;
+        }
+      }
+    }
+    ASSERT_EQ(batched.digest(), one_by_one.digest())
+        << "seed " << seed << " block " << block;
+    if (lazy) {
+      ASSERT_EQ(lazy->digest(), batched.digest()) << "block " << block;
+    }
+    if (grafted) {
+      ASSERT_EQ(grafted->digest(), batched.digest()) << "block " << block;
+    }
+
+    if (block == 5) prior = batched;
+    if (block == 12) {
+      NodeStore image;
+      batched.trie().collect_nodes(image);
+      std::unordered_set<crypto::Digest, DigestHash> held;
+      prior->trie().node_hashes(held);
+      NodeStore fresh;
+      for (const auto& [hash, node] : image) {
+        if (!held.contains(hash)) fresh.emplace(hash, node);
+      }
+      grafted = WorldState::from_trie(StateTrie::graft(
+          batched.digest(), fresh, prior->trie().build_node_index()));
+      lazy = WorldState::from_trie(StateTrie::from_nodes(
+          batched.digest(), std::make_shared<const NodeStore>(std::move(image)),
+          StateTrie::Materialize::Lazy));
+    }
+    if (block == 20) {
+      snapshot = batched;  // between blocks: O(1), shares every node
+      snapshot_root = snapshot->digest();
+      snapshot_bytes = snapshot->encode();
+    }
+  }
+  EXPECT_EQ(batched.encode(), one_by_one.encode());
+  // Later blocks never touched the snapshot's nodes.
+  EXPECT_EQ(snapshot->digest(), snapshot_root);
+  EXPECT_EQ(snapshot->encode(), snapshot_bytes);
+  EXPECT_EQ(WorldState::decode(snapshot_bytes).digest(), snapshot_root);
+}
+
+TEST(StateTrieSealing, BlockSealedRootsMatchOneWriteAtATime) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 0xB10Cu}) {
+    run_block_sealing(seed);
+  }
+}
+
+TEST(StateTrieSealing, RootsAreReadOnlyOnASealedTrie) {
+  WorldState state;
+  state.put("a", to_bytes("1"));
+  const crypto::Digest before = state.digest();
+  {
+    WorldState::Batch writes(state);
+    writes.put("b", to_bytes("2"));
+    writes.erase("a");
+    // Reads see the batch; the root and node images wait for the seal.
+    EXPECT_EQ(state.version_of("b"), 1u);
+    EXPECT_FALSE(state.get("a").has_value());
+    EXPECT_THROW(state.digest(), common::LedgerError);
+    EXPECT_THROW(state.prove("b"), common::LedgerError);
+    NodeStore image;
+    EXPECT_THROW(state.trie().collect_nodes(image), common::LedgerError);
+  }
+  EXPECT_NE(state.digest(), before);
+  WorldState expected;
+  expected.put("b", to_bytes("2"));
+  EXPECT_EQ(state.digest(), expected.digest());
 }
 
 TEST(StateTrieDifferential, MatchesReferenceMapOnFixedSeeds) {
