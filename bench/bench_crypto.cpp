@@ -205,8 +205,9 @@ void BM_MerkleBuild(benchmark::State& state) {
   Rng rng(6);
   std::vector<Bytes> leaves;
   for (int i = 0; i < state.range(0); ++i) leaves.push_back(rng.next_bytes(128));
+  const std::vector<common::BytesView> views = common::views_of(leaves);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::MerkleTree::build(leaves));
+    benchmark::DoNotOptimize(crypto::MerkleTree::build(views));
   }
 }
 BENCHMARK(BM_MerkleBuild)->Arg(8)->Arg(64)->Arg(512);
@@ -219,7 +220,8 @@ void BM_TearOffCreateVerify(benchmark::State& state) {
     leaves.push_back(rng.next_bytes(128));
     salts.push_back(rng.next_bytes(16));
   }
-  const auto tree = crypto::MerkleTree::build(leaves, salts);
+  const auto tree = crypto::MerkleTree::build(common::views_of(leaves),
+                                              common::views_of(salts));
   for (auto _ : state) {
     const auto torn = crypto::TearOff::create(leaves, salts, {0});
     benchmark::DoNotOptimize(torn.verify_against(tree.root()));

@@ -134,8 +134,9 @@ void BM_MerkleBuildThreads(benchmark::State& state) {
   std::vector<Bytes> leaves;
   for (int i = 0; i < 4096; ++i) leaves.push_back(rng.next_bytes(256));
   ThreadPool::set_global_threads(static_cast<std::size_t>(state.range(0)));
+  const std::vector<common::BytesView> views = common::views_of(leaves);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::MerkleTree::build(leaves));
+    benchmark::DoNotOptimize(crypto::MerkleTree::build(views));
   }
   ThreadPool::set_global_threads(1);
 }

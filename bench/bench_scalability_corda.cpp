@@ -82,7 +82,8 @@ void BM_CordaTearOffSize(benchmark::State& state) {
     salts.push_back(rng.next_bytes(16));
   }
   std::size_t encoded_size = 0;
-  const auto tree = crypto::MerkleTree::build(leaves, salts);
+  const auto tree = crypto::MerkleTree::build(common::views_of(leaves),
+                                              common::views_of(salts));
   for (auto _ : state) {
     const auto torn = crypto::TearOff::create(leaves, salts, {0});
     encoded_size = torn.encoded_size();

@@ -55,10 +55,10 @@ int main() {
   for (const auto& [name, vote] : votes) tx.participants.push_back(name);
   tx.payload = common::to_bytes("yes=" + std::to_string(tally.yes) +
                                 ";no=" + std::to_string(tally.no));
-  const auto blocks = orderer.submit(tx, network.clock().now());
+  const auto blocks = orderer.submit(tx, tx.id(), network.clock().now());
   std::printf("Tally committed to the governance ledger in block %llu "
               "(tx %s)\n",
-              static_cast<unsigned long long>(blocks.front().header.height),
+              static_cast<unsigned long long>(blocks.front().block.header.height),
               tx.id().c_str());
   std::printf("\nResult: proposal %s\n",
               tally.yes > tally.no ? "ACCEPTED" : "REJECTED");

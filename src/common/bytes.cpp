@@ -51,6 +51,10 @@ bool ct_equal(BytesView a, BytesView b) {
   return acc == 0;
 }
 
+std::vector<BytesView> views_of(const std::vector<Bytes>& buffers) {
+  return std::vector<BytesView>(buffers.begin(), buffers.end());
+}
+
 Bytes concat(BytesView a, BytesView b) {
   Bytes out;
   out.reserve(a.size() + b.size());

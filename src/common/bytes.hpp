@@ -32,6 +32,9 @@ std::string to_string(BytesView data);
 /// Length mismatch returns false immediately (lengths are not secret here).
 bool ct_equal(BytesView a, BytesView b);
 
+/// A view of each buffer, valid while `buffers` and its elements are.
+std::vector<BytesView> views_of(const std::vector<Bytes>& buffers);
+
 /// Concatenate buffers.
 Bytes concat(BytesView a, BytesView b);
 Bytes concat(BytesView a, BytesView b, BytesView c);

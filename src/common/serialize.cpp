@@ -4,30 +4,29 @@
 
 namespace veil::common {
 
-void Writer::u8(std::uint8_t v) { buf_.push_back(v); }
-
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
+std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
 }
 
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+void Writer::fixed(std::uint64_t v, std::size_t width) {
+  std::uint8_t* out = extend(width).data();
+  for (std::size_t i = 0; i < width; ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
 }
 
 void Writer::varint(std::uint64_t v) {
+  std::uint8_t tmp[10];
+  std::size_t n = 0;
   while (v >= 0x80) {
-    buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    tmp[n++] = static_cast<std::uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  buf_.push_back(static_cast<std::uint8_t>(v));
+  tmp[n++] = static_cast<std::uint8_t>(v);
+  buf_.insert(buf_.end(), tmp, tmp + n);
 }
-
-void Writer::boolean(bool v) { buf_.push_back(v ? 1 : 0); }
 
 void Writer::bytes(BytesView v) {
   varint(v.size());
@@ -39,7 +38,11 @@ void Writer::str(std::string_view v) {
   buf_.insert(buf_.end(), v.begin(), v.end());
 }
 
-void Writer::raw(BytesView v) { buf_.insert(buf_.end(), v.begin(), v.end()); }
+std::span<std::uint8_t> Writer::extend(std::size_t n) {
+  const std::size_t at = buf_.size();
+  buf_.resize(at + n);
+  return std::span<std::uint8_t>(buf_.data() + at, n);
+}
 
 void Reader::need(std::size_t n) const {
   if (data_.size() - pos_ < n) {
@@ -47,34 +50,26 @@ void Reader::need(std::size_t n) const {
   }
 }
 
+std::uint64_t Reader::fixed(std::size_t width) {
+  need(width);
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
+  }
+  pos_ += width;
+  return v;
+}
+
 std::uint8_t Reader::u8() {
   need(1);
   return data_[pos_++];
 }
 
-std::uint16_t Reader::u16() {
-  need(2);
-  std::uint16_t v = static_cast<std::uint16_t>(data_[pos_]) |
-                    static_cast<std::uint16_t>(data_[pos_ + 1]) << 8;
-  pos_ += 2;
-  return v;
-}
+std::uint16_t Reader::u16() { return static_cast<std::uint16_t>(fixed(2)); }
 
-std::uint32_t Reader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 4;
-  return v;
-}
+std::uint32_t Reader::u32() { return static_cast<std::uint32_t>(fixed(4)); }
 
-std::uint64_t Reader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 8;
-  return v;
-}
+std::uint64_t Reader::u64() { return fixed(8); }
 
 std::uint64_t Reader::varint() {
   std::uint64_t v = 0;
@@ -98,22 +93,28 @@ bool Reader::boolean() {
   return v == 1;
 }
 
+BytesView Reader::bytes_view() { return raw_view(varint()); }
+
+BytesView Reader::raw_view(std::size_t n) {
+  need(n);
+  const BytesView out = data_.subspan(pos_, n);
+  pos_ += n;
+  return out;
+}
+
 Bytes Reader::bytes() {
-  std::uint64_t n = varint();
-  return raw(n);
+  const BytesView v = bytes_view();
+  return Bytes(v.begin(), v.end());
 }
 
 std::string Reader::str() {
-  Bytes b = bytes();
-  return std::string(b.begin(), b.end());
+  const BytesView v = bytes_view();
+  return std::string(reinterpret_cast<const char*>(v.data()), v.size());
 }
 
 Bytes Reader::raw(std::size_t n) {
-  need(n);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
+  const BytesView v = raw_view(n);
+  return Bytes(v.begin(), v.end());
 }
 
 }  // namespace veil::common

@@ -297,7 +297,8 @@ DemoResult demo_tearoffs(Platform platform, std::uint64_t seed) {
   std::vector<Bytes> leaves = {common::to_bytes("public-part"),
                                common::to_bytes("secret-part")};
   std::vector<Bytes> salts = {rng.next_bytes(16), rng.next_bytes(16)};
-  const crypto::MerkleTree tree = crypto::MerkleTree::build(leaves, salts);
+  const crypto::MerkleTree tree = crypto::MerkleTree::build(
+      common::views_of(leaves), common::views_of(salts));
   const crypto::TearOff torn = crypto::TearOff::create(leaves, salts, {0});
   return {torn.verify_against(tree.root()) && !torn.leaf(1).has_value(),
           "implementable at the application layer over tx payloads"};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <vector>
 
 #include "common/error.hpp"
@@ -89,18 +90,25 @@ BigInt BigInt::from_decimal(std::string_view dec) {
 }
 
 common::Bytes BigInt::to_bytes_be(std::size_t min_len) const {
-  common::Bytes out;
-  for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    const std::uint32_t limb = limbs_[i];
-    out.push_back(static_cast<std::uint8_t>(limb));
-    out.push_back(static_cast<std::uint8_t>(limb >> 8));
-    out.push_back(static_cast<std::uint8_t>(limb >> 16));
-    out.push_back(static_cast<std::uint8_t>(limb >> 24));
-  }
-  while (!out.empty() && out.back() == 0) out.pop_back();
-  while (out.size() < min_len) out.push_back(0);
-  std::reverse(out.begin(), out.end());
+  common::Bytes out(std::max(min_len, byte_length()));
+  write_be(out);
   return out;
+}
+
+std::size_t BigInt::byte_length() const { return (bit_length() + 7) / 8; }
+
+void BigInt::write_be(std::span<std::uint8_t> out) const {
+  const std::size_t len = byte_length();
+  if (out.size() < len) {
+    throw common::CryptoError("BigInt::write_be: buffer too short");
+  }
+  const std::size_t pad = out.size() - len;
+  std::fill_n(out.begin(), pad, std::uint8_t{0});
+  // Byte i counts from the least significant end.
+  for (std::size_t i = 0; i < len; ++i) {
+    out[out.size() - 1 - i] =
+        static_cast<std::uint8_t>(limbs_[i / 4] >> (8 * (i % 4)));
+  }
 }
 
 std::string BigInt::to_hex() const {
@@ -137,13 +145,8 @@ std::uint64_t BigInt::to_u64() const {
 
 std::size_t BigInt::bit_length() const {
   if (limbs_.empty()) return 0;
-  std::size_t bits = (limbs_.size() - 1) * 32;
-  std::uint32_t top = limbs_.back();
-  while (top) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
+  return (limbs_.size() - 1) * 32 +
+         static_cast<std::size_t>(std::bit_width(limbs_.back()));
 }
 
 bool BigInt::bit(std::size_t i) const {
@@ -264,6 +267,24 @@ BigInt BigInt::operator>>(std::size_t bits) const {
   return out;
 }
 
+namespace {
+
+// out = in << shift (shift < 32), limb by limb; the carry out of the top
+// limb lands in out[in.size()] when `out` has room for it.
+void shift_left_into(const std::vector<std::uint32_t>& in, int shift,
+                     std::vector<std::uint32_t>& out) {
+  std::uint32_t carry = 0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const std::uint64_t wide =
+        (static_cast<std::uint64_t>(in[i]) << shift) | carry;
+    out[i] = static_cast<std::uint32_t>(wide);
+    carry = static_cast<std::uint32_t>(wide >> 32);
+  }
+  if (in.size() < out.size()) out[in.size()] = carry;
+}
+
+}  // namespace
+
 BigInt::DivMod BigInt::divmod(const BigInt& divisor) const {
   if (divisor.is_zero()) throw common::CryptoError("BigInt: division by zero");
   if (*this < divisor) return {BigInt(), *this};
@@ -280,25 +301,19 @@ BigInt::DivMod BigInt::divmod(const BigInt& divisor) const {
       rem = cur % d;
     }
     q.trim();
-    return {q, BigInt(rem)};
+    return {std::move(q), BigInt(rem)};
   }
 
   // Knuth algorithm D. Normalize so the divisor's top limb has its high bit
-  // set, making the quotient-digit estimate off by at most 2.
-  int shift = 0;
-  std::uint32_t top = divisor.limbs_.back();
-  while (!(top & 0x80000000u)) {
-    top <<= 1;
-    ++shift;
-  }
-  const BigInt u = *this << static_cast<std::size_t>(shift);
-  const BigInt v = divisor << static_cast<std::size_t>(shift);
-  const std::size_t n = v.limbs_.size();
-  const std::size_t m = u.limbs_.size() - n;
-
-  std::vector<std::uint32_t> un(u.limbs_);
-  un.push_back(0);  // extra high limb for the algorithm
-  const std::vector<std::uint32_t>& vn = v.limbs_;
+  // set, making the quotient-digit estimate off by at most 2. The shifted
+  // dividend gets one extra high limb for the bits shifted out of it.
+  const int shift = std::countl_zero(divisor.limbs_.back());
+  const std::size_t n = divisor.limbs_.size();
+  const std::size_t m = limbs_.size() - n;
+  std::vector<std::uint32_t> vn(n);
+  std::vector<std::uint32_t> un(limbs_.size() + 1);
+  shift_left_into(divisor.limbs_, shift, vn);
+  shift_left_into(limbs_, shift, un);
 
   BigInt q;
   q.limbs_.assign(m + 1, 0);
@@ -352,11 +367,16 @@ BigInt::DivMod BigInt::divmod(const BigInt& divisor) const {
   }
 
   q.trim();
+  // The remainder is un[0..n) shifted back down.
   BigInt r;
-  r.limbs_.assign(un.begin(), un.begin() + static_cast<std::ptrdiff_t>(n));
+  r.limbs_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t above =
+        i + 1 < n ? static_cast<std::uint64_t>(un[i + 1]) << (32 - shift) : 0;
+    r.limbs_[i] = static_cast<std::uint32_t>((un[i] >> shift) | above);
+  }
   r.trim();
-  r = r >> static_cast<std::size_t>(shift);
-  return {q, r};
+  return {std::move(q), std::move(r)};
 }
 
 BigInt BigInt::operator/(const BigInt& rhs) const { return divmod(rhs).quotient; }

@@ -19,6 +19,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,6 +40,11 @@ class BigInt {
 
   /// Big-endian, minimal length (empty for zero) unless `min_len` pads.
   common::Bytes to_bytes_be(std::size_t min_len = 0) const;
+  /// Length of the minimal big-endian encoding (0 for zero).
+  std::size_t byte_length() const;
+  /// Write the value big-endian into `out`, left-padded with zero bytes
+  /// to out.size(). Throws if `out` is shorter than byte_length().
+  void write_be(std::span<std::uint8_t> out) const;
   std::string to_hex() const;
   std::string to_decimal() const;
   /// Throws if the value does not fit.

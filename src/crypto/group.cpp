@@ -178,9 +178,9 @@ BigInt Group::hash_to_scalar(common::BytesView data) const {
   // mod a 256-bit q is statistically uniform.
   const Digest d0 = Sha256().update("veil.h2s.0").update(data).finalize();
   const Digest d1 = Sha256().update("veil.h2s.1").update(data).finalize();
-  common::Bytes wide = digest_bytes(d0);
-  const common::Bytes more = digest_bytes(d1);
-  wide.insert(wide.end(), more.begin(), more.end());
+  std::array<std::uint8_t, 2 * kSha256DigestSize> wide;
+  std::copy(d1.begin(), d1.end(),
+            std::copy(d0.begin(), d0.end(), wide.begin()));
   return BigInt::from_bytes_be(wide) % q_;
 }
 

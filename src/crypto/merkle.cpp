@@ -56,17 +56,17 @@ std::vector<std::vector<Digest>> build_levels(std::vector<Digest> level0) {
 
 }  // namespace
 
-MerkleTree MerkleTree::build(const std::vector<common::Bytes>& leaves,
-                             const std::vector<common::Bytes>& salts) {
+MerkleTree MerkleTree::build(std::span<const common::BytesView> leaves,
+                             std::span<const common::BytesView> salts) {
   if (leaves.empty()) {
     throw common::CryptoError("MerkleTree: no leaves");
   }
   if (!salts.empty() && salts.size() != leaves.size()) {
     throw common::CryptoError("MerkleTree: salt count mismatch");
   }
-  static const common::Bytes kNoSalt;
   const auto leaf_at = [&](std::size_t i) {
-    return hash_leaf(leaves[i], salts.empty() ? kNoSalt : salts[i]);
+    return hash_leaf(leaves[i],
+                     salts.empty() ? common::BytesView() : salts[i]);
   };
   std::vector<Digest> hashes;
   if (leaves.size() >= kParallelHashThreshold) {

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -29,9 +30,11 @@ class MerkleTree {
  public:
   /// Build from raw leaf payloads. Each leaf is hashed with a domain-
   /// separated prefix plus its per-leaf salt (empty salt is allowed).
-  /// Leaf salts enable hiding low-entropy data behind tear-offs.
-  static MerkleTree build(const std::vector<common::Bytes>& leaves,
-                          const std::vector<common::Bytes>& salts = {});
+  /// Leaf salts enable hiding low-entropy data behind tear-offs. The
+  /// leaves are only read during the call (common::views_of turns owned
+  /// buffers into views).
+  static MerkleTree build(std::span<const common::BytesView> leaves,
+                          std::span<const common::BytesView> salts = {});
 
   const Digest& root() const;
   std::size_t leaf_count() const { return leaf_count_; }

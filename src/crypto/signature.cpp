@@ -1,49 +1,102 @@
 #include "crypto/signature.hpp"
 
 #include "common/error.hpp"
-#include "common/serialize.hpp"
 #include "crypto/hmac.hpp"
 
 namespace veil::crypto {
 
+namespace {
+
+// An integer field: its minimal big-endian bytes, length-prefixed.
+std::size_t int_field_size(const BigInt& v) {
+  return common::prefixed_size(v.byte_length());
+}
+
+void put_int(common::Writer& w, const BigInt& v) {
+  const std::size_t len = v.byte_length();
+  w.varint(len);
+  v.write_be(w.extend(len));
+}
+
+// Reads what put_int wrote; a leading zero byte is never written, so it
+// is refused.
+BigInt get_int(common::Reader& r) {
+  const common::BytesView v = r.bytes_view();
+  if (!v.empty() && v[0] == 0) {
+    throw common::CryptoError("integer field has a leading zero byte");
+  }
+  return BigInt::from_bytes_be(v);
+}
+
+// Refuses trailing bytes and, by comparing the canonical size, any
+// non-minimal length prefix.
+void require_canonical(const common::Reader& r, std::size_t canonical_size,
+                       std::size_t size) {
+  if (!r.done()) {
+    throw common::CryptoError("trailing bytes after key or signature");
+  }
+  if (canonical_size != size) {
+    throw common::CryptoError("non-minimal length prefix in key or signature");
+  }
+}
+
+}  // namespace
+
 BigInt schnorr_challenge(const Group& group, const BigInt& commitment,
                          const BigInt& y, common::BytesView message) {
-  common::Writer w;
-  w.bytes(commitment.to_bytes_be());
-  w.bytes(y.to_bytes_be());
+  common::Writer w(int_field_size(commitment) + int_field_size(y) +
+                   common::prefixed_size(message.size()));
+  put_int(w, commitment);
+  put_int(w, y);
   w.bytes(message);
   return group.hash_to_scalar(w.data());
 }
 
+std::size_t PublicKey::encoded_size() const { return int_field_size(y); }
+
+void PublicKey::encode_to(common::Writer& w) const { put_int(w, y); }
+
 common::Bytes PublicKey::encode() const {
-  common::Writer w;
-  w.bytes(y.to_bytes_be());
+  common::Writer w(encoded_size());
+  encode_to(w);
   return w.take();
 }
 
 PublicKey PublicKey::decode(common::BytesView data) {
   common::Reader r(data);
-  return PublicKey{BigInt::from_bytes_be(r.bytes())};
+  PublicKey key{get_int(r)};
+  require_canonical(r, key.encoded_size(), data.size());
+  return key;
 }
 
 std::string PublicKey::fingerprint() const {
   return digest_hex(sha256(encode())).substr(0, 16);
 }
 
+std::size_t Signature::encoded_size() const {
+  return int_field_size(challenge) + int_field_size(response) +
+         int_field_size(commitment);
+}
+
+void Signature::encode_to(common::Writer& w) const {
+  put_int(w, challenge);
+  put_int(w, response);
+  put_int(w, commitment);
+}
+
 common::Bytes Signature::encode() const {
-  common::Writer w;
-  w.bytes(challenge.to_bytes_be());
-  w.bytes(response.to_bytes_be());
-  w.bytes(commitment.to_bytes_be());
+  common::Writer w(encoded_size());
+  encode_to(w);
   return w.take();
 }
 
 Signature Signature::decode(common::BytesView data) {
   common::Reader r(data);
   Signature sig;
-  sig.challenge = BigInt::from_bytes_be(r.bytes());
-  sig.response = BigInt::from_bytes_be(r.bytes());
-  sig.commitment = BigInt::from_bytes_be(r.bytes());
+  sig.challenge = get_int(r);
+  sig.response = get_int(r);
+  sig.commitment = get_int(r);
+  require_canonical(r, sig.encoded_size(), data.size());
   return sig;
 }
 

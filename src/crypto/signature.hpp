@@ -12,6 +12,7 @@
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
 #include "crypto/group.hpp"
 
 namespace veil::crypto {
@@ -19,7 +20,12 @@ namespace veil::crypto {
 struct PublicKey {
   BigInt y;  // y = g^x mod p
 
+  /// Size of encode()'s output; encode_to appends exactly that many bytes.
+  std::size_t encoded_size() const;
+  void encode_to(common::Writer& w) const;
   common::Bytes encode() const;
+  /// Accepts only the canonical encoding: no trailing bytes, no leading
+  /// zero byte in the integer, minimal length prefix. Throws otherwise.
   static PublicKey decode(common::BytesView data);
 
   /// Stable fingerprint (hex SHA-256 of the encoding) used as a key id.
@@ -40,7 +46,10 @@ struct Signature {
   // before.
   BigInt commitment;
 
+  std::size_t encoded_size() const;
+  void encode_to(common::Writer& w) const;
   common::Bytes encode() const;
+  /// Canonical encodings only, as for PublicKey::decode.
   static Signature decode(common::BytesView data);
 
   bool operator==(const Signature&) const = default;

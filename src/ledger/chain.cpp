@@ -20,7 +20,7 @@ Chain Chain::from_checkpoint(std::uint64_t height,
   return chain;
 }
 
-void Chain::append(Block block) {
+const Block& Chain::append(Block block) {
   if (block.header.height != next_height_) {
     throw common::LedgerError("append: wrong height");
   }
@@ -32,7 +32,7 @@ void Chain::append(Block block) {
   }
   tip_hash_ = block.header.hash();
   ++next_height_;
-  live_.push_back(std::move(block));
+  return live_.emplace_back(std::move(block));
 }
 
 std::uint64_t Chain::height() const { return next_height_; }

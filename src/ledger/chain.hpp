@@ -29,8 +29,10 @@ class Chain {
                                const crypto::Digest& tip_hash);
 
   /// Validate linkage + body integrity and append. Throws
-  /// common::LedgerError on invalid blocks.
-  void append(Block block);
+  /// common::LedgerError on invalid blocks. Returns the stored block,
+  /// valid until the next append or prune: a caller that moves its block
+  /// in reads it back from here.
+  const Block& append(Block block);
 
   std::uint64_t height() const;  // number of blocks ever appended
   const crypto::Digest& tip_hash() const { return tip_hash_; }

@@ -1,5 +1,7 @@
 #include "ledger/ordering.hpp"
 
+#include <utility>
+
 namespace veil::ledger {
 
 OrderingService::ChannelTip::ChannelTip() {
@@ -15,39 +17,39 @@ OrderingService::OrderingService(std::string operator_name,
       auditor_(&auditor),
       batch_size_(batch_size) {}
 
-std::vector<Block> OrderingService::submit(const Transaction& tx,
-                                           common::SimTime now) {
+std::vector<OrderingService::OrderedBlock> OrderingService::submit(
+    Transaction tx, std::string tx_id, common::SimTime now) {
   // The operator of the ordering service sees the entire transaction —
   // the §3.4 leak this module exists to model.
-  record_visibility(*auditor_, operator_name_, tx);
+  record_visibility(*auditor_, operator_name_, tx, tx_id);
 
   ChannelTip& tip = channels_[tx.channel];
-  tip.pending.push_back(tx);
+  tip.pending.push_back(std::move(tx));
+  tip.pending_ids.push_back(std::move(tx_id));
   ++ordered_count_;
 
-  std::vector<Block> blocks;
-  if (tip.pending.size() >= batch_size_) {
-    blocks.push_back(cut(tx.channel, now));
-  }
+  std::vector<OrderedBlock> blocks;
+  if (tip.pending.size() >= batch_size_) blocks.push_back(cut(tip, now));
   return blocks;
 }
 
-std::vector<Block> OrderingService::flush(common::SimTime now) {
-  std::vector<Block> blocks;
+std::vector<OrderingService::OrderedBlock> OrderingService::flush(
+    common::SimTime now) {
+  std::vector<OrderedBlock> blocks;
   for (auto& [channel, tip] : channels_) {
-    if (!tip.pending.empty()) blocks.push_back(cut(channel, now));
+    if (!tip.pending.empty()) blocks.push_back(cut(tip, now));
   }
   return blocks;
 }
 
-Block OrderingService::cut(const std::string& channel, common::SimTime now) {
-  ChannelTip& tip = channels_[channel];
-  std::vector<Transaction> txs(tip.pending.begin(), tip.pending.end());
-  tip.pending.clear();
-  Block block = Block::make(tip.next_height, tip.prev_hash, std::move(txs), now);
-  tip.prev_hash = block.header.hash();
+OrderingService::OrderedBlock OrderingService::cut(ChannelTip& tip,
+                                                   common::SimTime now) {
+  OrderedBlock out{Block::make(tip.next_height, tip.prev_hash,
+                               std::exchange(tip.pending, {}), now),
+                   std::exchange(tip.pending_ids, {})};
+  tip.prev_hash = out.block.header.hash();
   ++tip.next_height;
-  return block;
+  return out;
 }
 
 }  // namespace veil::ledger

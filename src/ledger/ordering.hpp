@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -36,19 +35,29 @@ class OrderingService {
   OrderingService(std::string operator_name, OrdererDeployment deployment,
                   net::LeakageAuditor& auditor, std::size_t batch_size = 16);
 
-  /// Submit for ordering. Visibility of the transaction by the operator
-  /// is recorded. Returns blocks cut as a result (0 or 1).
-  std::vector<Block> submit(const Transaction& tx, common::SimTime now);
+  /// A cut block and its transactions' ids, in block order, as their
+  /// submitters passed them to submit().
+  struct OrderedBlock {
+    Block block;
+    std::vector<std::string> tx_ids;
+  };
+
+  /// Submit for ordering; `tx_id` is tx.id(), which the submitter already
+  /// holds. Visibility of the transaction by the operator is recorded
+  /// under that id. The transaction is moved into the pending queue and
+  /// from there into its block. Returns blocks cut as a result (0 or 1).
+  std::vector<OrderedBlock> submit(Transaction tx, std::string tx_id,
+                                   common::SimTime now);
 
   /// Cut a block per channel from any pending transactions.
-  std::vector<Block> flush(common::SimTime now);
+  std::vector<OrderedBlock> flush(common::SimTime now);
 
   const std::string& operator_name() const { return operator_name_; }
   OrdererDeployment deployment() const { return deployment_; }
 
   std::uint64_t transactions_ordered() const { return ordered_count_; }
 
-  /// Bound the per-channel pending deque (0 = unbounded). Callers must
+  /// Bound the per-channel pending queue (0 = unbounded). Callers must
   /// check at_capacity() before submit() and surface a Busy result — the
   /// orderer's pending set is one of the queues that must not grow
   /// silently under overload.
@@ -65,14 +74,15 @@ class OrderingService {
   }
 
  private:
-  Block cut(const std::string& channel, common::SimTime now);
-
   struct ChannelTip {
     std::uint64_t next_height = 0;
     crypto::Digest prev_hash;
-    std::deque<Transaction> pending;
+    std::vector<Transaction> pending;
+    std::vector<std::string> pending_ids;
     ChannelTip();
   };
+
+  static OrderedBlock cut(ChannelTip& tip, common::SimTime now);
 
   std::string operator_name_;
   OrdererDeployment deployment_;

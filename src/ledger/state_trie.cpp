@@ -131,7 +131,11 @@ void StateTrie::seal() {
 }
 
 common::Bytes StateTrie::encode_node(const TrieNode& node) {
-  common::Writer w;
+  std::size_t size = 1 + common::prefixed_size(node.path.size()) +
+                     common::varint_size(node.children.size()) +
+                     node.children.size() * (1 + crypto::kSha256DigestSize);
+  if (node.has_value) size += common::prefixed_size(node.value.size()) + 8;
+  common::Writer w(size);
   w.u8(node.has_value ? 1 : 0);
   w.varint(node.path.size());
   w.raw(node.path);

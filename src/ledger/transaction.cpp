@@ -1,37 +1,76 @@
 #include "ledger/transaction.hpp"
 
-#include "common/serialize.hpp"
+#include <algorithm>
+
+#include "common/error.hpp"
 
 namespace veil::ledger {
 
-common::Bytes Transaction::body_encoding() const {
-  common::Writer w;
-  w.str(channel);
-  w.str(contract);
-  w.str(action);
-  w.varint(participants.size());
-  for (const std::string& p : participants) w.str(p);
-  w.varint(reads.size());
-  for (const ReadAccess& r : reads) {
+namespace {
+
+std::size_t body_size(const Transaction& tx) {
+  using common::prefixed_size;
+  using common::varint_size;
+  std::size_t n = prefixed_size(tx.channel.size()) +
+                  prefixed_size(tx.contract.size()) +
+                  prefixed_size(tx.action.size());
+  n += varint_size(tx.participants.size());
+  for (const std::string& p : tx.participants) n += prefixed_size(p.size());
+  n += varint_size(tx.reads.size());
+  for (const ReadAccess& r : tx.reads) n += prefixed_size(r.key.size()) + 8;
+  n += varint_size(tx.writes.size());
+  for (const KvWrite& kv : tx.writes) {
+    n += prefixed_size(kv.key.size()) + prefixed_size(kv.value.size()) + 1;
+  }
+  n += prefixed_size(tx.payload.size());
+  n += varint_size(tx.hash_refs.size());
+  for (const HashRef& ref : tx.hash_refs) {
+    n += prefixed_size(ref.label.size()) + ref.digest.size();
+  }
+  return n + 8 + 8 + 1 + 1;  // timestamp, deadline, two flags
+}
+
+void write_body(const Transaction& tx, common::Writer& w) {
+  w.str(tx.channel);
+  w.str(tx.contract);
+  w.str(tx.action);
+  w.varint(tx.participants.size());
+  for (const std::string& p : tx.participants) w.str(p);
+  w.varint(tx.reads.size());
+  for (const ReadAccess& r : tx.reads) {
     w.str(r.key);
     w.u64(r.version);
   }
-  w.varint(writes.size());
-  for (const KvWrite& kv : writes) {
+  w.varint(tx.writes.size());
+  for (const KvWrite& kv : tx.writes) {
     w.str(kv.key);
     w.bytes(kv.value);
     w.boolean(kv.is_delete);
   }
-  w.bytes(payload);
-  w.varint(hash_refs.size());
-  for (const HashRef& ref : hash_refs) {
+  w.bytes(tx.payload);
+  w.varint(tx.hash_refs.size());
+  for (const HashRef& ref : tx.hash_refs) {
     w.str(ref.label);
     w.raw(common::BytesView(ref.digest.data(), ref.digest.size()));
   }
-  w.u64(timestamp);
-  w.u64(deadline_us);
-  w.boolean(data_opaque);
-  w.boolean(parties_pseudonymous);
+  w.u64(tx.timestamp);
+  w.u64(tx.deadline_us);
+  w.boolean(tx.data_opaque);
+  w.boolean(tx.parties_pseudonymous);
+}
+
+// Room to reserve for `count` elements read from `r`: every element takes
+// at least one byte, so a forged count cannot reserve past the input.
+std::size_t bounded(std::uint64_t count, const common::Reader& r) {
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(count, r.remaining()));
+}
+
+}  // namespace
+
+common::Bytes Transaction::body_encoding() const {
+  common::Writer w(body_size(*this));
+  write_body(*this, w);
   return w.take();
 }
 
@@ -45,67 +84,98 @@ std::string tx_id(const crypto::Digest& body_digest) {
 
 std::string Transaction::id() const { return tx_id(body_digest()); }
 
-common::Bytes Transaction::encode() const {
-  common::Writer w;
-  w.bytes(body_encoding());
+std::size_t Transaction::encoded_size() const {
+  std::size_t n = common::prefixed_size(body_size(*this)) +
+                  common::varint_size(endorsements.size());
+  for (const Endorsement& e : endorsements) {
+    n += common::prefixed_size(e.endorser.size()) +
+         common::prefixed_size(e.key.encoded_size()) +
+         common::prefixed_size(e.signature.encoded_size());
+  }
+  return n;
+}
+
+void Transaction::encode_to(common::Writer& w) const {
+  // The body goes straight into `w` behind its length prefix.
+  w.varint(body_size(*this));
+  write_body(*this, w);
   w.varint(endorsements.size());
   for (const Endorsement& e : endorsements) {
     w.str(e.endorser);
-    w.bytes(e.key.encode());
-    w.bytes(e.signature.encode());
+    w.varint(e.key.encoded_size());
+    e.key.encode_to(w);
+    w.varint(e.signature.encoded_size());
+    e.signature.encode_to(w);
   }
+}
+
+common::Bytes Transaction::encode() const {
+  common::Writer w(encoded_size());
+  encode_to(w);
   return w.take();
 }
 
 Transaction Transaction::decode(common::BytesView data) {
   common::Reader outer(data);
-  const common::Bytes body = outer.bytes();
-  common::Reader r(body);
+  common::Reader r(outer.bytes_view());
 
   Transaction tx;
   tx.channel = r.str();
   tx.contract = r.str();
   tx.action = r.str();
   const std::uint64_t n_parties = r.varint();
-  for (std::uint64_t i = 0; i < n_parties; ++i) tx.participants.push_back(r.str());
+  tx.participants.reserve(bounded(n_parties, r));
+  for (std::uint64_t i = 0; i < n_parties; ++i) {
+    tx.participants.push_back(r.str());
+  }
   const std::uint64_t n_reads = r.varint();
+  tx.reads.reserve(bounded(n_reads, r));
   for (std::uint64_t i = 0; i < n_reads; ++i) {
-    ReadAccess ra;
+    ReadAccess& ra = tx.reads.emplace_back();
     ra.key = r.str();
     ra.version = r.u64();
-    tx.reads.push_back(std::move(ra));
   }
   const std::uint64_t n_writes = r.varint();
+  tx.writes.reserve(bounded(n_writes, r));
   for (std::uint64_t i = 0; i < n_writes; ++i) {
-    KvWrite kv;
+    KvWrite& kv = tx.writes.emplace_back();
     kv.key = r.str();
     kv.value = r.bytes();
     kv.is_delete = r.boolean();
-    tx.writes.push_back(std::move(kv));
   }
   tx.payload = r.bytes();
   const std::uint64_t n_refs = r.varint();
+  tx.hash_refs.reserve(bounded(n_refs, r));
   for (std::uint64_t i = 0; i < n_refs; ++i) {
-    HashRef ref;
+    HashRef& ref = tx.hash_refs.emplace_back();
     ref.label = r.str();
-    const common::Bytes d = r.raw(crypto::kSha256DigestSize);
+    const common::BytesView d = r.raw_view(crypto::kSha256DigestSize);
     std::copy(d.begin(), d.end(), ref.digest.begin());
-    tx.hash_refs.push_back(std::move(ref));
   }
   tx.timestamp = r.u64();
   tx.deadline_us = r.u64();
   tx.data_opaque = r.boolean();
   tx.parties_pseudonymous = r.boolean();
+  if (!r.done()) {
+    throw common::LedgerError("transaction: trailing bytes after the body");
+  }
 
   const std::uint64_t n_endorse = outer.varint();
+  tx.endorsements.reserve(bounded(n_endorse, outer));
   for (std::uint64_t i = 0; i < n_endorse; ++i) {
-    Endorsement e;
+    Endorsement& e = tx.endorsements.emplace_back();
     e.endorser = outer.str();
-    const common::Bytes key = outer.bytes();
-    e.key = crypto::PublicKey::decode(key);
-    const common::Bytes sig = outer.bytes();
-    e.signature = crypto::Signature::decode(sig);
-    tx.endorsements.push_back(std::move(e));
+    e.key = crypto::PublicKey::decode(outer.bytes_view());
+    e.signature = crypto::Signature::decode(outer.bytes_view());
+  }
+  if (!outer.done()) {
+    throw common::LedgerError(
+        "transaction: trailing bytes after the endorsements");
+  }
+  // Every field was read exactly, so the input is longer than the
+  // canonical encoding only if some length prefix was not minimal.
+  if (tx.encoded_size() != data.size()) {
+    throw common::LedgerError("transaction: non-minimal length prefix");
   }
   return tx;
 }
@@ -141,13 +211,19 @@ void record_visibility(net::LeakageAuditor& auditor,
 void record_visibility(net::LeakageAuditor& auditor,
                        const net::Principal& observer, const Transaction& tx,
                        const std::string& id) {
-  const std::string prefix = "tx/" + id + "/";
-  auditor.record(observer, prefix + "data", tx.data_size(), !tx.data_opaque);
+  // "tx/<id>/<what>", built at its final size.
+  const auto label = [&id](std::string_view what) {
+    std::string out;
+    out.reserve(4 + id.size() + what.size());
+    out.append("tx/").append(id).append("/").append(what);
+    return out;
+  };
+  auditor.record(observer, label("data"), tx.data_size(), !tx.data_opaque);
   std::uint64_t party_bytes = 0;
   for (const std::string& p : tx.participants) party_bytes += p.size();
-  auditor.record(observer, prefix + "parties", party_bytes,
+  auditor.record(observer, label("parties"), party_bytes,
                  !tx.parties_pseudonymous);
-  auditor.record(observer, prefix + "metadata",
+  auditor.record(observer, label("metadata"),
                  tx.channel.size() + tx.contract.size() + tx.action.size());
 }
 

@@ -20,6 +20,7 @@
 
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
+#include "common/serialize.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/signature.hpp"
 #include "net/leakage.hpp"
@@ -85,8 +86,16 @@ struct Transaction {
   /// Transaction id: hex digest of the body, tx_id(body_digest()).
   std::string id() const;
 
-  /// Full encoding including endorsements.
+  /// Full encoding including endorsements: the body, length-prefixed,
+  /// then the endorsement list. encode_to appends exactly encoded_size()
+  /// bytes, so encode() allocates once.
+  std::size_t encoded_size() const;
+  void encode_to(common::Writer& w) const;
   common::Bytes encode() const;
+  /// Accepts only the canonical encoding (no trailing bytes after the
+  /// body fields or the endorsement list, minimal length prefixes,
+  /// canonical keys and signatures), so a decoded transaction re-encodes
+  /// to exactly `data`. The result owns its fields: `data` may be freed.
   static Transaction decode(common::BytesView data);
 
   /// Add an endorsement by signing the body with `keypair`.

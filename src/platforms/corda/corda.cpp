@@ -844,7 +844,9 @@ std::vector<FlowResult> CordaNetwork::transact_many(
       if (!flow->ok) continue;
       const crypto::KeyPair* keypair = &parties_.at(flow->initiator).keypair;
       sealing[i] = common::ThreadPool::global().submit([flow, keypair] {
-        flow->root = crypto::MerkleTree::build(flow->leaves, flow->salts).root();
+        flow->root = crypto::MerkleTree::build(common::views_of(flow->leaves),
+                                               common::views_of(flow->salts))
+                         .root();
         flow->initiator_signature = keypair->sign(root_view(flow->root));
       });
     }

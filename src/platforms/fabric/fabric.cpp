@@ -167,7 +167,8 @@ void FabricNetwork::add_org(const std::string& org) {
       }
     }
     if (block.header.previous_hash != replica.chain.tip_hash()) return;
-    commit_block(org, ch->second, block, /*replay=*/false, msg.payload);
+    commit_block(org, ch->second, std::move(block), /*replay=*/false,
+                 msg.payload);
   });
   network_->set_crash_hook(peer, [this, org] { on_crash(org); });
   network_->set_restart_hook(peer, [this, org] { on_restart(org); });
@@ -197,8 +198,7 @@ void FabricNetwork::on_restart(const std::string& org) {
     const auto it = ch.replicas.find(org);
     if (it == ch.replicas.end()) continue;
     PeerReplica& replica = it->second;
-    const ledger::WalRecovery recovered =
-        ledger::wal_recover_blocks(replica.wal);
+    ledger::WalRecovery recovered = ledger::wal_recover_blocks(replica.wal);
     if (recovered.checkpoint) {
       // Snapshot-joined peer: bootstrap from the checkpoint record.
       replica.state = recovered.checkpoint->state;
@@ -210,8 +210,8 @@ void FabricNetwork::on_restart(const std::string& org) {
                                 recovered.checkpoint->tip_hash,
                                 recovered.checkpoint->state);
     }
-    for (const ledger::Block& block : recovered.blocks) {
-      if (!commit_block(org, ch, block, /*replay=*/true)) break;
+    for (ledger::Block& block : recovered.blocks) {
+      if (!commit_block(org, ch, std::move(block), /*replay=*/true)) break;
     }
     // Blocks delivered while down: seek into the delivery service's log.
     while (replica.chain.height() < ch.ordered_log.size()) {
@@ -400,7 +400,7 @@ void FabricNetwork::convict(audit::Misbehavior kind, const std::string& accused,
 }
 
 bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
-                                 const ledger::Block& block, bool replay,
+                                 ledger::Block block, bool replay,
                                  common::BytesView encoded) {
   PeerReplica& replica = channel.replicas.at(org);
   // Endorsement-signature verification dominates commit cost and is a
@@ -515,13 +515,14 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
       ledger::wal_log_block(replica.wal, encoded);
     }
   }
-  replica.chain.append(block);
+  // The chain keeps the block; the apply loop reads it back from there.
+  const ledger::Block& committed = replica.chain.append(std::move(block));
   {
     // The block's writes land in unsealed trie nodes; each node they dirty
     // is hashed once, when the batch ends with the last transaction.
     ledger::WorldState::Batch writes(replica.state);
     for (std::size_t i = 0; i < tx_count; ++i) {
-      const ledger::Transaction& tx = block.transactions[i];
+      const ledger::Transaction& tx = committed.transactions[i];
       const std::string& tx_id = ids[i];
       // Every member peer sees the full transaction (recorded once, at the
       // original commit — WAL replay is a local re-read, not a new leak).
@@ -535,7 +536,7 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
       // clock, so every peer drops exactly the same expired transactions
       // and state stays bit-identical.
       const bool expired =
-          tx.deadline_us != 0 && block.header.timestamp > tx.deadline_us;
+          tx.deadline_us != 0 && committed.header.timestamp > tx.deadline_us;
       if (expired) valid = false;
       if (valid && validation_mode_ == ValidationMode::Detect) {
         // Endorsement-consistency cross-check: a deterministic chaincode
@@ -588,8 +589,8 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
                                            : "mvcc conflict";
       // Count each transaction once, on its first recorded commit
       // (validation is deterministic, so replicas agree).
-      const bool first_record = !receipts_.contains(tx_id);
-      receipts_[tx_id] = receipt;
+      const bool first_record =
+          receipts_.insert_or_assign(tx_id, receipt).second;
       if (receipt.committed && first_record) ++committed_count_;
       if (expired && first_record) {
         network_->count_expired(net::Stage::Validate);
@@ -609,32 +610,32 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
 }
 
 void FabricNetwork::deliver_block(const std::string& channel_name,
-                                  const ledger::Block& block_in) {
+                                  ledger::Block block,
+                                  const std::vector<std::string>& tx_ids) {
   auto& ch = channels_.at(channel_name);
-  ledger::Block block = block_in;
   if (byzantine_orderer_) {
     // A tampering orderer rewrites endorsed write-sets AFTER sequencing,
     // then rebuilds the block so the Merkle root and header hash are
     // self-consistent again. Block::decode and Chain::append
     // cannot see it; only re-verifying the endorsement signatures can.
-    std::vector<ledger::Transaction> txs = block.transactions;
-    for (ledger::Transaction& tx : txs) {
+    for (ledger::Transaction& tx : block.transactions) {
       if (tx.writes.empty()) continue;
       static constexpr char kMark[] = "EVIL";
       tx.writes.front().value.assign(kMark, kMark + 4);
     }
-    block = ledger::Block::make(block_in.header.height,
-                                block_in.header.previous_hash, std::move(txs),
-                                block_in.header.timestamp);
+    block = ledger::Block::make(block.header.height,
+                                block.header.previous_hash,
+                                std::move(block.transactions),
+                                block.header.timestamp);
   }
+  const common::Bytes encoded = block.encode();
   // The orderer's delivery service retains every cut block; peers that
   // miss a delivery seek into this log to catch up. A Byzantine orderer
   // logs its rewritten block — the delivery log is its own record.
-  ch.ordered_log.push_back(block);
   ch.block_height = block.header.height + 1;
+  ch.ordered_log.push_back(std::move(block));
   ch.pdc.expire(ch.block_height);
 
-  const common::Bytes encoded = block.encode();
   const std::string from = orderer_operator(channel_name);
   for (const std::string& member : ch.members) {
     channel_.send(from, peer_of(member), "fabric.block", encoded);
@@ -642,10 +643,11 @@ void FabricNetwork::deliver_block(const std::string& channel_name,
   network_->run();
   // Every live member peer has now committed (or rejected) the block;
   // retire the sealed transactions' validation tokens. Invalidated
-  // tokens were already dropped by the commit-path version check.
+  // tokens were already dropped by the commit-path version check. (A
+  // transaction a Byzantine orderer rewrote no longer has its token's id,
+  // so it retires nothing either way.)
   const common::SimTime now = network_->clock().now();
-  for (const ledger::Transaction& tx : block.transactions) {
-    const std::string id = tx.id();
+  for (const std::string& id : tx_ids) {
     const auto receipt = receipts_.find(id);
     if (receipt != receipts_.end() && receipt->second.committed) {
       mempool_.remove(id, ledger::EvictionRecord::Cause::Committed, now);
@@ -924,8 +926,9 @@ void FabricNetwork::order_transaction(const std::string& channel_name,
     mempool_.remove(tx_id, ledger::EvictionRecord::Cause::Expired, now);
     return;
   }
-  for (const ledger::Block& block : orderer.submit(std::move(tx), now)) {
-    deliver_block(channel_name, block);
+  for (ledger::OrderingService::OrderedBlock& cut :
+       orderer.submit(std::move(tx), tx_id, now)) {
+    deliver_block(channel_name, std::move(cut.block), cut.tx_ids);
   }
 }
 
@@ -972,11 +975,11 @@ TxReceipt FabricNetwork::submit(const std::string& channel,
   mempool_.pin(tx_id);  // in flight until delivery: not a capacity victim
   order_transaction(channel, std::move(tx), tx_id);
   Channel& ch = channels_.at(channel);
-  for (const ledger::Block& block :
+  // A shared orderer cuts every channel's pending transactions here.
+  for (ledger::OrderingService::OrderedBlock& cut :
        orderer_for(ch).flush(network_->clock().now())) {
-    if (!block.transactions.empty()) {
-      deliver_block(block.transactions.front().channel, block);
-    }
+    const std::string cut_channel = cut.block.transactions.front().channel;
+    deliver_block(cut_channel, std::move(cut.block), cut.tx_ids);
   }
   mempool_.unpin(tx_id);
 
@@ -1086,11 +1089,10 @@ std::vector<TxReceipt> FabricNetwork::submit_many(
   // orderer are cut and delivered now (submit() flushes per call).
   for (const std::string& channel_name : touched) {
     Channel& ch = channels_.at(channel_name);
-    for (const ledger::Block& block :
+    for (ledger::OrderingService::OrderedBlock& cut :
          orderer_for(ch).flush(network_->clock().now())) {
-      if (!block.transactions.empty()) {
-        deliver_block(block.transactions.front().channel, block);
-      }
+      const std::string cut_channel = cut.block.transactions.front().channel;
+      deliver_block(cut_channel, std::move(cut.block), cut.tx_ids);
     }
   }
   for (const Ordered& o : ordered) {

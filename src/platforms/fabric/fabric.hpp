@@ -389,8 +389,11 @@ class FabricNetwork {
   void order_transaction(const std::string& channel_name,
                          ledger::Transaction tx, const std::string& tx_id);
   ledger::OrderingService& orderer_for(Channel& channel);
-  void deliver_block(const std::string& channel_name,
-                     const ledger::Block& block);
+  /// Log a cut block in the delivery service and send it to every member
+  /// peer; `tx_ids` are its transactions' ids, as the orderer was given
+  /// them.
+  void deliver_block(const std::string& channel_name, ledger::Block block,
+                     const std::vector<std::string>& tx_ids);
   /// Validate and commit one block into one org's replica. `replay` marks
   /// WAL recovery: the block is already durable and was already observed
   /// pre-crash, so it is neither re-logged nor re-recorded in the auditor.
@@ -399,7 +402,7 @@ class FabricNetwork {
   /// is the delivered payload the block was decoded from, logged to the
   /// WAL as it is; empty for blocks taken from the delivery log.
   bool commit_block(const std::string& org, Channel& channel,
-                    const ledger::Block& block, bool replay = false,
+                    ledger::Block block, bool replay = false,
                     common::BytesView encoded = {});
   /// Record evidence (signed by `reporter_org`) and quarantine
   /// `quarantine_principal` (skipped when empty).

@@ -121,6 +121,28 @@ TEST(BigInt, DivModProperty) {
   }
 }
 
+TEST(BigInt, DivModNormalizationEdges) {
+  // Divisors whose top limb needs no shift, one bit of shift and 31 bits
+  // of shift, against dividends whose shifted top limb does and does not
+  // carry into a new limb.
+  const char* divisors[] = {"ffffffff00000001", "80000000ffffffff",
+                            "7fffffff00000000", "100000000",
+                            "1ffffffffffffffffffffffff"};
+  const char* dividends[] = {"ffffffffffffffffffffffffffffffff",
+                             "80000000000000000000000000000000",
+                             "123456789abcdef0fedcba9876543210",
+                             "ffffffff00000001", "1000000000000000000000000"};
+  for (const char* d : divisors) {
+    for (const char* a : dividends) {
+      const BigInt x = BigInt::from_hex(a);
+      const BigInt y = BigInt::from_hex(d);
+      const auto dm = x.divmod(y);
+      EXPECT_LT(dm.remainder, y) << a << " / " << d;
+      EXPECT_EQ(dm.quotient * y + dm.remainder, x) << a << " / " << d;
+    }
+  }
+}
+
 TEST(BigInt, DivideByZeroThrows) {
   EXPECT_THROW(BigInt(1) / BigInt(0), common::CryptoError);
   EXPECT_THROW(BigInt(1) % BigInt(0), common::CryptoError);

@@ -26,13 +26,18 @@ std::vector<Bytes> make_salts(std::size_t n, std::uint64_t seed) {
   return salts;
 }
 
+MerkleTree build(const std::vector<Bytes>& leaves,
+                 const std::vector<Bytes>& salts = {}) {
+  return MerkleTree::build(common::views_of(leaves), common::views_of(salts));
+}
+
 TEST(Merkle, EmptyTreeThrows) {
   EXPECT_THROW(MerkleTree::build({}), common::CryptoError);
 }
 
 TEST(Merkle, SingleLeaf) {
   const auto leaves = make_leaves(1);
-  const MerkleTree tree = MerkleTree::build(leaves);
+  const MerkleTree tree = build(leaves);
   EXPECT_EQ(tree.leaf_count(), 1u);
   const MerkleProof proof = tree.prove(0);
   EXPECT_TRUE(MerkleTree::verify(tree.root(), leaves[0], {}, proof));
@@ -40,23 +45,23 @@ TEST(Merkle, SingleLeaf) {
 
 TEST(Merkle, RootChangesWithAnyLeaf) {
   auto leaves = make_leaves(8);
-  const Digest root = MerkleTree::build(leaves).root();
+  const Digest root = build(leaves).root();
   for (std::size_t i = 0; i < leaves.size(); ++i) {
     auto modified = leaves;
     modified[i].push_back('!');
-    EXPECT_NE(MerkleTree::build(modified).root(), root) << i;
+    EXPECT_NE(build(modified).root(), root) << i;
   }
 }
 
 TEST(Merkle, SaltChangesLeafHash) {
   const auto leaves = make_leaves(4);
-  const Digest a = MerkleTree::build(leaves, make_salts(4, 1)).root();
-  const Digest b = MerkleTree::build(leaves, make_salts(4, 2)).root();
+  const Digest a = build(leaves, make_salts(4, 1)).root();
+  const Digest b = build(leaves, make_salts(4, 2)).root();
   EXPECT_NE(a, b);
 }
 
 TEST(Merkle, SaltCountMismatchThrows) {
-  EXPECT_THROW(MerkleTree::build(make_leaves(4), make_salts(3, 1)),
+  EXPECT_THROW(build(make_leaves(4), make_salts(3, 1)),
                common::CryptoError);
 }
 
@@ -66,7 +71,7 @@ TEST_P(MerkleProofs, AllLeavesProvable) {
   const std::size_t n = GetParam();
   const auto leaves = make_leaves(n);
   const auto salts = make_salts(n, n);
-  const MerkleTree tree = MerkleTree::build(leaves, salts);
+  const MerkleTree tree = build(leaves, salts);
   for (std::size_t i = 0; i < n; ++i) {
     const MerkleProof proof = tree.prove(i);
     EXPECT_TRUE(MerkleTree::verify(tree.root(), leaves[i], salts[i], proof))
@@ -82,16 +87,16 @@ INSTANTIATE_TEST_SUITE_P(Sizes, MerkleProofs,
                                            64));
 
 TEST(Merkle, ProofIndexOutOfRangeThrows) {
-  const MerkleTree tree = MerkleTree::build(make_leaves(4));
+  const MerkleTree tree = build(make_leaves(4));
   EXPECT_THROW(tree.prove(4), common::CryptoError);
 }
 
 TEST(Merkle, ProofFromDifferentTreeFails) {
   const auto leaves = make_leaves(8);
-  const MerkleTree tree_a = MerkleTree::build(leaves);
+  const MerkleTree tree_a = build(leaves);
   auto other = leaves;
   other[7].push_back('x');
-  const MerkleTree tree_b = MerkleTree::build(other);
+  const MerkleTree tree_b = build(other);
   const MerkleProof proof = tree_b.prove(0);
   // Same leaf 0, but root from tree A and sibling path from tree B.
   EXPECT_FALSE(MerkleTree::verify(tree_a.root(), leaves[0], {}, proof));
@@ -102,7 +107,7 @@ TEST(Merkle, ProofFromDifferentTreeFails) {
 TEST(TearOff, VisibleSubsetVerifiesAgainstRoot) {
   const auto leaves = make_leaves(6);
   const auto salts = make_salts(6, 9);
-  const MerkleTree tree = MerkleTree::build(leaves, salts);
+  const MerkleTree tree = build(leaves, salts);
   const TearOff torn = TearOff::create(leaves, salts, {1, 4});
   EXPECT_TRUE(torn.verify_against(tree.root()));
   EXPECT_EQ(torn.visible_count(), 2u);
@@ -115,7 +120,7 @@ TEST(TearOff, VisibleSubsetVerifiesAgainstRoot) {
 TEST(TearOff, TamperedVisibleLeafFails) {
   const auto leaves = make_leaves(6);
   const auto salts = make_salts(6, 10);
-  const MerkleTree tree = MerkleTree::build(leaves, salts);
+  const MerkleTree tree = build(leaves, salts);
   auto tampered_leaves = leaves;
   tampered_leaves[2] = to_bytes("forged");
   const TearOff torn = TearOff::create(tampered_leaves, salts, {2});
@@ -125,7 +130,7 @@ TEST(TearOff, TamperedVisibleLeafFails) {
 TEST(TearOff, AllVisibleAndNoneVisible) {
   const auto leaves = make_leaves(4);
   const auto salts = make_salts(4, 11);
-  const MerkleTree tree = MerkleTree::build(leaves, salts);
+  const MerkleTree tree = build(leaves, salts);
   const TearOff all = TearOff::create(leaves, salts, {0, 1, 2, 3});
   EXPECT_TRUE(all.verify_against(tree.root()));
   const TearOff none = TearOff::create(leaves, salts, {});
@@ -141,7 +146,7 @@ TEST(TearOff, OutOfRangeVisibleIndexThrows) {
 TEST(TearOff, EncodingRoundTrip) {
   const auto leaves = make_leaves(5);
   const auto salts = make_salts(5, 12);
-  const MerkleTree tree = MerkleTree::build(leaves, salts);
+  const MerkleTree tree = build(leaves, salts);
   const TearOff torn = TearOff::create(leaves, salts, {0, 3});
   const TearOff decoded = TearOff::decode(torn.encode());
   EXPECT_TRUE(decoded.verify_against(tree.root()));

@@ -141,10 +141,12 @@ TEST(ParallelDeterminism, MerkleRootIsThreadCountInvariant) {
     leaves.push_back(rng.next_bytes(1 + rng.next_below(64)));
     salts.push_back(rng.next_bytes(16));
   }
+  const std::vector<common::BytesView> leaf_views = common::views_of(leaves);
+  const std::vector<common::BytesView> salt_views = common::views_of(salts);
   common::ThreadPool::set_global_threads(1);
-  const auto serial = crypto::MerkleTree::build(leaves, salts);
+  const auto serial = crypto::MerkleTree::build(leaf_views, salt_views);
   common::ThreadPool::set_global_threads(8);
-  const auto parallel = crypto::MerkleTree::build(leaves, salts);
+  const auto parallel = crypto::MerkleTree::build(leaf_views, salt_views);
   EXPECT_EQ(serial.root(), parallel.root());
   // Proofs reference interior levels; spot-check they agree too.
   for (const std::size_t idx : {0u, 250u, 499u}) {

@@ -490,6 +490,123 @@ TEST_P(DecodeFuzz, BlockDecodeIsCanonicalAndChecksTheBody) {
   }
 }
 
+// A canonical decoder accepts exactly the bytes its encoder writes: any
+// input it does accept re-encodes to itself. Flips that land anywhere in
+// a valid encoding must either be refused or keep that property.
+template <typename T>
+void expect_canonical_under_flips(const Bytes& enc, common::Rng& rng) {
+  for (int i = 0; i < 200; ++i) {
+    Bytes flipped = enc;
+    const std::size_t at = rng.next_below(flipped.size());
+    flipped[at] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
+    try {
+      EXPECT_EQ(T::decode(flipped).encode(), flipped) << "flip at byte " << at;
+    } catch (const common::Error&) {
+      // refused
+    }
+  }
+}
+
+// `enc` with its first length prefix rewritten in two bytes (non-minimal).
+Bytes with_padded_first_prefix(const Bytes& enc) {
+  common::Reader r(enc);
+  const std::uint64_t len = r.varint();
+  EXPECT_LT(len, 0x80u);
+  Bytes out = {static_cast<std::uint8_t>(len | 0x80), 0x00};
+  out.insert(out.end(), enc.begin() + 1, enc.end());
+  return out;
+}
+
+TEST_P(DecodeFuzz, TransactionDecodeIsCanonical) {
+  common::Rng rng(GetParam() * 104729 + 5);
+  const crypto::Group& group = crypto::Group::test_group();
+  const crypto::KeyPair key = crypto::KeyPair::generate(group, rng);
+  ledger::Transaction tx;
+  tx.channel = "ch";
+  tx.action = "a";
+  tx.participants = {"OrgA", "OrgB"};
+  tx.reads = {{"k", 3}};
+  tx.writes = {{"k", rng.next_bytes(1 + rng.next_below(16)), false}};
+  tx.payload = rng.next_bytes(rng.next_below(32));
+  tx.endorse("OrgA", key);
+  tx.endorse("OrgB", key);
+  const Bytes enc = tx.encode();
+  ASSERT_EQ(ledger::Transaction::decode(enc).encode(), enc);
+
+  // Trailing bytes after the endorsement list.
+  Bytes trailing = enc;
+  trailing.push_back(static_cast<std::uint8_t>(rng.next_below(256)));
+  EXPECT_THROW(ledger::Transaction::decode(trailing), common::Error);
+
+  // Trailing bytes after the body fields, inside the body's prefix.
+  Bytes body = tx.body_encoding();
+  body.push_back(0);
+  common::Writer w;
+  w.bytes(body);
+  w.varint(0);
+  EXPECT_THROW(ledger::Transaction::decode(w.data()), common::Error);
+
+  // A non-minimal length prefix in front of the body.
+  common::Writer bare;
+  bare.bytes(tx.body_encoding());
+  bare.varint(0);
+  ASSERT_NO_THROW(ledger::Transaction::decode(bare.data()));
+  const Bytes& small = bare.data();
+  if (small[0] < 0x80) {  // a one-byte prefix (short bodies only)
+    EXPECT_THROW(
+        ledger::Transaction::decode(with_padded_first_prefix(small)),
+        common::Error);
+  }
+
+  expect_canonical_under_flips<ledger::Transaction>(enc, rng);
+}
+
+TEST_P(DecodeFuzz, KeyAndSignatureDecodeIsCanonical) {
+  common::Rng rng(GetParam() * 7727 + 1);
+  const crypto::Group& group = crypto::Group::test_group();
+  const crypto::KeyPair key = crypto::KeyPair::generate(group, rng);
+  const crypto::Signature sig = key.sign(rng.next_bytes(32));
+  const Bytes sig_enc = sig.encode();
+  const Bytes key_enc = key.public_key().encode();
+  ASSERT_EQ(crypto::Signature::decode(sig_enc), sig);
+  ASSERT_EQ(crypto::PublicKey::decode(key_enc), key.public_key());
+
+  for (const Bytes* enc : {&sig_enc, &key_enc}) {
+    Bytes trailing = *enc;
+    trailing.push_back(static_cast<std::uint8_t>(rng.next_below(256)));
+    EXPECT_THROW(crypto::Signature::decode(trailing), common::Error);
+    EXPECT_THROW(crypto::PublicKey::decode(trailing), common::Error);
+  }
+
+  // A leading zero byte in front of an integer's big-endian bytes.
+  const auto padded = [](const crypto::BigInt& v) {
+    Bytes bytes = v.to_bytes_be();
+    bytes.insert(bytes.begin(), 0);
+    return bytes;
+  };
+  common::Writer key_zero;
+  key_zero.bytes(padded(key.public_key().y));
+  EXPECT_THROW(crypto::PublicKey::decode(key_zero.data()), common::Error);
+  common::Writer sig_zero;
+  sig_zero.bytes(sig.challenge.to_bytes_be());
+  sig_zero.bytes(padded(sig.response));
+  sig_zero.bytes(sig.commitment.to_bytes_be());
+  EXPECT_THROW(crypto::Signature::decode(sig_zero.data()), common::Error);
+  // Zero is the empty string, never a single zero byte.
+  common::Writer zero_byte;
+  zero_byte.bytes(Bytes{0});
+  EXPECT_THROW(crypto::PublicKey::decode(zero_byte.data()), common::Error);
+
+  // A non-minimal length prefix (the test group's integers fit in one).
+  EXPECT_THROW(crypto::PublicKey::decode(with_padded_first_prefix(key_enc)),
+               common::Error);
+  EXPECT_THROW(crypto::Signature::decode(with_padded_first_prefix(sig_enc)),
+               common::Error);
+
+  expect_canonical_under_flips<crypto::Signature>(sig_enc, rng);
+  expect_canonical_under_flips<crypto::PublicKey>(key_enc, rng);
+}
+
 TEST_P(DecodeFuzz, TruncatedValidEncodings) {
   common::Rng rng(GetParam() + 17);
   ledger::Transaction tx;
