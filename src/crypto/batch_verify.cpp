@@ -25,9 +25,7 @@ std::size_t BatchVerifier::add_signature(const PublicKey& pub,
   item.a = sig.response;
   item.b = sig.challenge;
   item.t = sig.commitment;
-  item.pub = pub;
   item.message.assign(message.begin(), message.end());
-  item.sig = sig;
   // Exact pre-checks: scalar ranges, key membership, and the Fiat-Shamir
   // binding e == H(R || y || m). The binding pins the commitment to the
   // transmitted bytes, so the RLC below only has to cover the response.
@@ -51,7 +49,6 @@ std::size_t BatchVerifier::add_dlog(const BigInt& base, const BigInt& y,
   item.y = y;
   item.a = proof.response;
   item.t = proof.commitment;
-  item.proof = proof;
   item.context.assign(context.begin(), context.end());
   item.b = dlog_challenge(*group_, base, y, proof.commitment, context);
   if (proof.response >= group_->q() || proof.commitment.is_zero() ||
@@ -64,9 +61,11 @@ std::size_t BatchVerifier::add_dlog(const BigInt& base, const BigInt& y,
 
 bool BatchVerifier::verify_single(const Item& item) const {
   if (item.is_sig) {
-    return crypto::verify(*group_, item.pub, item.message, item.sig);
+    return crypto::verify(*group_, PublicKey{item.y}, item.message,
+                          Signature{item.b, item.a, item.t});
   }
-  return verify_dlog(*group_, item.base, item.y, item.proof, item.context);
+  return verify_dlog(*group_, item.base, item.y, DlogProof{item.t, item.a},
+                     item.context);
 }
 
 bool BatchVerifier::rlc_check(const std::vector<std::size_t>& indices,

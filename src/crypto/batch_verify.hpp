@@ -102,12 +102,10 @@ class BatchVerifier {
     BigInt b;  // challenge scalar (reduced mod q)
     BigInt t;  // transmitted commitment
     bool precheck_failed = false;
-    // Originals for the exact singleton fallback.
-    PublicKey pub;
-    common::Bytes message;
-    Signature sig;
-    DlogProof proof;
-    common::Bytes context;
+    // The exact singleton fallback rebuilds the key, signature or proof
+    // from the fields above; only the signed bytes need their own copy.
+    common::Bytes message;  // signatures only
+    common::Bytes context;  // dlog only
   };
 
   /// Group::check_key, counted into stats_.

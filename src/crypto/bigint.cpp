@@ -285,23 +285,25 @@ void shift_left_into(const std::vector<std::uint32_t>& in, int shift,
 
 }  // namespace
 
-BigInt::DivMod BigInt::divmod(const BigInt& divisor) const {
+BigInt BigInt::divide(const BigInt& divisor, BigInt* quotient) const {
   if (divisor.is_zero()) throw common::CryptoError("BigInt: division by zero");
-  if (*this < divisor) return {BigInt(), *this};
+  if (*this < divisor) {
+    if (quotient) *quotient = BigInt();
+    return *this;
+  }
 
   // Single-limb fast path.
   if (divisor.limbs_.size() == 1) {
     const std::uint64_t d = divisor.limbs_[0];
-    BigInt q;
-    q.limbs_.resize(limbs_.size());
+    if (quotient) quotient->limbs_.resize(limbs_.size());
     std::uint64_t rem = 0;
     for (std::size_t i = limbs_.size(); i-- > 0;) {
       const std::uint64_t cur = (rem << 32) | limbs_[i];
-      q.limbs_[i] = static_cast<std::uint32_t>(cur / d);
+      if (quotient) quotient->limbs_[i] = static_cast<std::uint32_t>(cur / d);
       rem = cur % d;
     }
-    q.trim();
-    return {std::move(q), BigInt(rem)};
+    if (quotient) quotient->trim();
+    return BigInt(rem);
   }
 
   // Knuth algorithm D. Normalize so the divisor's top limb has its high bit
@@ -315,8 +317,7 @@ BigInt::DivMod BigInt::divmod(const BigInt& divisor) const {
   shift_left_into(divisor.limbs_, shift, vn);
   shift_left_into(limbs_, shift, un);
 
-  BigInt q;
-  q.limbs_.assign(m + 1, 0);
+  if (quotient) quotient->limbs_.assign(m + 1, 0);
 
   for (std::size_t j = m + 1; j-- > 0;) {
     // Estimate qhat = (un[j+n]*B + un[j+n-1]) / vn[n-1].
@@ -363,25 +364,35 @@ BigInt::DivMod BigInt::divmod(const BigInt& divisor) const {
       t += static_cast<std::int64_t>(carry2);
     }
     un[j + n] = static_cast<std::uint32_t>(t);
-    q.limbs_[j] = static_cast<std::uint32_t>(qhat);
+    if (quotient) quotient->limbs_[j] = static_cast<std::uint32_t>(qhat);
   }
 
-  q.trim();
-  // The remainder is un[0..n) shifted back down.
-  BigInt r;
-  r.limbs_.resize(n);
+  if (quotient) quotient->trim();
+  // The remainder is un[0..n) shifted back down, in place: limb i reads
+  // only limbs i and i+1, so ascending order never reads a written limb.
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t above =
         i + 1 < n ? static_cast<std::uint64_t>(un[i + 1]) << (32 - shift) : 0;
-    r.limbs_[i] = static_cast<std::uint32_t>((un[i] >> shift) | above);
+    un[i] = static_cast<std::uint32_t>((un[i] >> shift) | above);
   }
+  un.resize(n);
+  BigInt r;
+  r.limbs_ = std::move(un);
   r.trim();
-  return {std::move(q), std::move(r)};
+  return r;
+}
+
+BigInt::DivMod BigInt::divmod(const BigInt& divisor) const {
+  DivMod out;
+  out.remainder = divide(divisor, &out.quotient);
+  return out;
 }
 
 BigInt BigInt::operator/(const BigInt& rhs) const { return divmod(rhs).quotient; }
 
-BigInt BigInt::operator%(const BigInt& rhs) const { return divmod(rhs).remainder; }
+BigInt BigInt::operator%(const BigInt& rhs) const {
+  return divide(rhs, nullptr);
+}
 
 BigInt BigInt::mod_pow(const BigInt& exponent, const BigInt& modulus) const {
   if (modulus.is_zero()) throw common::CryptoError("mod_pow: zero modulus");

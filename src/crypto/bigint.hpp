@@ -112,6 +112,9 @@ class BigInt {
 
  private:
   void trim();
+  /// The remainder of *this / divisor; the quotient too when `quotient`
+  /// is non-null (operator% skips building it).
+  BigInt divide(const BigInt& divisor, BigInt* quotient) const;
   static BigInt add_magnitudes(const BigInt& a, const BigInt& b);
   static BigInt sub_magnitudes(const BigInt& a, const BigInt& b);  // a >= b
 

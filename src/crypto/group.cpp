@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <deque>
+#include <map>
 #include <mutex>
-#include <set>
 
 #include "common/error.hpp"
 #include "crypto/group_params.hpp"
@@ -13,60 +13,116 @@
 namespace veil::crypto {
 
 FixedBaseTable::FixedBaseTable(std::shared_ptr<const MontgomeryCtx> ctx,
-                               BigInt base, std::size_t max_exp_bits)
-    : ctx_(std::move(ctx)),
-      base_(std::move(base)),
-      digits_((max_exp_bits + kWindowBits - 1) / kWindowBits) {
+                               BigInt base, std::size_t max_exp_bits,
+                               std::size_t window_bits)
+    : ctx_(std::move(ctx)), base_(std::move(base)), window_bits_(window_bits) {
+  // A width dividing 32 keeps every digit inside one BigInt limb.
+  if (window_bits_ == 0 || window_bits_ > 8 || 32 % window_bits_ != 0) {
+    throw common::CryptoError(
+        "FixedBaseTable: window must be 1, 2, 4 or 8 bits");
+  }
+  row_ = (std::size_t{1} << window_bits_) - 1;
+  digits_ = (max_exp_bits + window_bits_ - 1) / window_bits_;
   ctx_->dispatch([&](auto width) {
     constexpr std::size_t K = width;
-    windows_.resize(digits_ * 15 * K);
-    // cur = base^(16^i) in Montgomery form, advanced one window at a time.
+    windows_.resize(digits_ * row_ * K);
+    // cur = base^(2^(w*i)) in Montgomery form, advanced one window at a
+    // time.
     std::array<MontgomeryCtx::Limb, K> cur{};
     ctx_->enter<K>(base_, cur.data());
     for (std::size_t i = 0; i < digits_; ++i) {
-      MontgomeryCtx::Limb* row = &windows_[i * 15 * K];
+      MontgomeryCtx::Limb* row = &windows_[i * row_ * K];
       std::copy(cur.begin(), cur.end(), row);
-      for (std::size_t d = 1; d < 15; ++d) {
+      for (std::size_t d = 1; d < row_; ++d) {
         ctx_->mul<K>(row + d * K, row + (d - 1) * K, cur.data());
       }
-      ctx_->mul<K>(cur.data(), row + 14 * K, cur.data());  // base^(16^(i+1))
+      // base^(2^(w*(i+1))) = base^((2^w - 1) * 2^(w*i)) * base^(2^(w*i)).
+      ctx_->mul<K>(cur.data(), row + (row_ - 1) * K, cur.data());
     }
   });
 }
 
 BigInt FixedBaseTable::pow(const BigInt& e) const {
-  if (e.bit_length() > digits_ * kWindowBits) {
+  const std::size_t bits = e.bit_length();
+  if (bits > digits_ * window_bits_) {
     return ctx_->pow(base_, e);
   }
-  // Product of one table entry per nonzero 4-bit exponent digit; no
+  // Product of one table entry per nonzero w-bit exponent digit; no
   // squarings.
   return ctx_->dispatch([&](auto width) {
     constexpr std::size_t K = width;
     std::array<MontgomeryCtx::Limb, K> acc{};
     bool any = false;
     const std::vector<std::uint32_t>& limbs = e.limbs();
-    for (std::size_t i = 0; i < limbs.size(); ++i) {
-      for (std::size_t j = 0; j < 8; ++j) {
-        const std::uint32_t digit = (limbs[i] >> (4 * j)) & 0xf;
-        if (digit == 0) continue;
-        const MontgomeryCtx::Limb* entry =
-            &windows_[((i * 8 + j) * 15 + digit - 1) * K];
-        if (any) {
-          ctx_->mul<K>(acc.data(), acc.data(), entry);
-        } else {
-          std::copy(entry, entry + K, acc.begin());
-          any = true;
-        }
+    const std::uint32_t mask = static_cast<std::uint32_t>(row_);
+    for (std::size_t i = 0; i * window_bits_ < bits; ++i) {
+      const std::size_t pos = i * window_bits_;
+      const std::uint32_t digit = (limbs[pos / 32] >> (pos % 32)) & mask;
+      if (digit == 0) continue;
+      const MontgomeryCtx::Limb* entry =
+          &windows_[(i * row_ + digit - 1) * K];
+      if (any) {
+        ctx_->mul<K>(acc.data(), acc.data(), entry);
+      } else {
+        std::copy(entry, entry + K, acc.begin());
+        any = true;
       }
     }
     return any ? ctx_->leave<K>(acc.data()) : BigInt(1);
   });
 }
 
+// One record per member key. `age` orders every record for the key cap;
+// `table_age` orders the records holding a table for the table cap.
+// Both hold map iterators, which stay valid until their record is erased.
 struct Group::KeyCache {
+  struct Record {
+    // Uses since the key was remembered or its table was dropped; the
+    // one use that brings it to 2 builds the table.
+    std::uint64_t uses = 0;
+    std::shared_ptr<const FixedBaseTable> table;
+  };
+  using Map = std::map<BigInt, Record>;
   std::mutex mu;
-  std::set<BigInt> members;
-  std::deque<std::set<BigInt>::const_iterator> age;  // oldest first
+  Map keys;
+  std::deque<Map::iterator> age;        // oldest first
+  std::deque<Map::iterator> table_age;  // oldest first
+
+  // Records member y's first use. Threads that check y concurrently on
+  // first sight count as that one use, so the count still steps through
+  // 2, the value that triggers the table build.
+  void remember(const BigInt& y) {
+    const auto [it, inserted] = keys.try_emplace(y);
+    if (!inserted) return;
+    it->second.uses = 1;
+    age.push_back(it);
+    if (age.size() > kKeyCacheCapacity) {
+      const Map::iterator oldest = age.front();
+      age.pop_front();
+      if (oldest->second.table) {
+        table_age.erase(
+            std::find(table_age.begin(), table_age.end(), oldest));
+      }
+      keys.erase(oldest);
+    }
+  }
+
+  // Attaches a freshly built table to y's record, unless y was evicted
+  // meanwhile or a re-remembered y already got one (the caller still uses
+  // the table it built). The dropped oldest table's key starts counting
+  // again, so its next use rebuilds it.
+  void publish(const BigInt& y, std::shared_ptr<const FixedBaseTable> table) {
+    const auto it = keys.find(y);
+    if (it == keys.end() || it->second.table) return;
+    it->second.table = std::move(table);
+    table_age.push_back(it);
+    if (table_age.size() > kKeyTableCapacity) {
+      Record& oldest = table_age.front()->second;
+      oldest.table.reset();
+      oldest.uses = 1;
+      table_age.pop_front();
+    }
+  }
 };
 
 Group::Group(BigInt p, BigInt q, BigInt g, BigInt h)
@@ -87,9 +143,13 @@ Group::Group(BigInt p, BigInt q, BigInt g, BigInt h)
   if (mont_p_) {
     // Scalars are mod q; +1 covers hash_to_element's e+1 lift. Anything
     // longer falls back to the generic windowed pow inside the table.
+    // 8-bit windows: ~20 products per scalar instead of ~38 at 4 bits,
+    // for 255 entries per digit once per group.
     const std::size_t exp_bits = q_.bit_length() + 1;
-    g_table_ = std::make_shared<const FixedBaseTable>(mont_p_, g_, exp_bits);
-    h_table_ = std::make_shared<const FixedBaseTable>(mont_p_, h_, exp_bits);
+    g_table_ = std::make_shared<const FixedBaseTable>(
+        mont_p_, g_, exp_bits, kGeneratorWindowBits);
+    h_table_ = std::make_shared<const FixedBaseTable>(
+        mont_p_, h_, exp_bits, kGeneratorWindowBits);
   }
 }
 
@@ -148,29 +208,43 @@ bool Group::is_element(const BigInt& x) const {
 }
 
 Group::KeyCheck Group::check_key(const BigInt& y) const {
+  KeyCache& cache = *key_cache_;
+  bool build = false;
   {
-    std::lock_guard<std::mutex> lock(key_cache_->mu);
-    if (key_cache_->members.contains(y)) return {true, true};
-  }
-  // The exponentiation runs outside the lock, so concurrent verifiers
-  // never queue behind one another's checks; a key two threads check at
-  // once is simply inserted once.
-  if (!is_element(y)) return {false, false};
-  std::lock_guard<std::mutex> lock(key_cache_->mu);
-  const auto [it, inserted] = key_cache_->members.insert(y);
-  if (inserted) {
-    key_cache_->age.push_back(it);
-    if (key_cache_->age.size() > kKeyCacheCapacity) {
-      key_cache_->members.erase(key_cache_->age.front());
-      key_cache_->age.pop_front();
+    std::lock_guard<std::mutex> lock(cache.mu);
+    const auto it = cache.keys.find(y);
+    if (it != cache.keys.end()) {
+      KeyCache::Record& rec = it->second;
+      if (++rec.uses != 2 || !mont_p_) return {true, true, rec.table};
+      build = true;
     }
   }
-  return {true, false};
+  // The exponentiations run outside the lock, so concurrent verifiers
+  // never queue behind one another's checks or table builds; a key two
+  // threads check at once is simply inserted once, and only the use that
+  // brought the count to 2 builds the table (the others use group.pow
+  // until it is published).
+  if (build) {
+    auto table = std::make_shared<const FixedBaseTable>(
+        mont_p_, y, q_.bit_length() + 1);
+    std::lock_guard<std::mutex> lock(cache.mu);
+    cache.publish(y, table);
+    return {true, true, std::move(table)};
+  }
+  if (!is_element(y)) return {false, false, nullptr};
+  std::lock_guard<std::mutex> lock(cache.mu);
+  cache.remember(y);
+  return {true, false, nullptr};
 }
 
 std::size_t Group::key_cache_size() const {
   std::lock_guard<std::mutex> lock(key_cache_->mu);
-  return key_cache_->members.size();
+  return key_cache_->keys.size();
+}
+
+std::size_t Group::key_table_count() const {
+  std::lock_guard<std::mutex> lock(key_cache_->mu);
+  return key_cache_->table_age.size();
 }
 
 BigInt Group::hash_to_scalar(common::BytesView data) const {

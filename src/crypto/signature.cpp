@@ -140,13 +140,16 @@ Signature KeyPair::sign(common::BytesView message) const {
 bool verify(const Group& group, const PublicKey& pub,
             common::BytesView message, const Signature& sig) {
   if (sig.challenge >= group.q() || sig.response >= group.q()) return false;
-  if (!group.check_key(pub.y).member) return false;
+  const Group::KeyCheck key = group.check_key(pub.y);
+  if (!key.member) return false;
   // The recomputed commitment R' = g^s * y^e must equal the transmitted
   // one AND hash to the transmitted challenge. The equation forces R into
   // the order-q subgroup (its right-hand side is a product of subgroup
-  // elements), so no separate membership check on R is needed.
-  const BigInt r_prime =
-      group.mul(group.pow_g(sig.response), group.pow(pub.y, sig.challenge));
+  // elements), so no separate membership check on R is needed. A key
+  // seen before brings its own fixed-base table for y^e.
+  const BigInt y_e = key.table ? key.table->pow(sig.challenge)
+                               : group.pow(pub.y, sig.challenge);
+  const BigInt r_prime = group.mul(group.pow_g(sig.response), y_e);
   if (sig.commitment != r_prime) return false;
   const BigInt e = schnorr_challenge(group, r_prime, pub.y, message);
   return e == sig.challenge;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -141,6 +143,43 @@ TEST(BigInt, DivModNormalizationEdges) {
       EXPECT_EQ(dm.quotient * y + dm.remainder, x) << a << " / " << d;
     }
   }
+}
+
+TEST(BigInt, RemainderMatchesDivmod) {
+  // operator% skips the quotient; its remainder must be divmod's on every
+  // path: zero dividend, dividend below the divisor (returned as is),
+  // equal operands, the one-limb fast path, and Knuth D with shifts of 0,
+  // 1 and 31 bits, including 2^k +- 1 on both sides.
+  std::vector<BigInt> values = {
+      BigInt(0), BigInt(1), BigInt(2), BigInt(7), BigInt(0xffffffffu),
+      BigInt(0x100000000ULL), BigInt::from_hex("ffffffff00000001"),
+      BigInt::from_hex("80000000ffffffff"),
+      BigInt::from_hex("7fffffff00000000"),
+      BigInt::from_hex("1ffffffffffffffffffffffff"),
+      BigInt::from_hex("800000000000000000000003"),
+      BigInt::from_hex("200000000000000000000001")};
+  for (const std::size_t k : {31u, 32u, 33u, 64u, 95u, 160u, 257u}) {
+    values.push_back((BigInt(1) << k) - BigInt(1));
+    values.push_back(BigInt(1) << k);
+    values.push_back((BigInt(1) << k) + BigInt(1));
+  }
+  common::Rng rng(31);
+  for (int i = 0; i < 20; ++i) {
+    values.push_back(BigInt::random_bits(rng, 1 + rng.next_below(512)));
+  }
+  for (const BigInt& a : values) {
+    for (const BigInt& b : values) {
+      if (b.is_zero()) continue;
+      const BigInt r = a % b;
+      const auto dm = a.divmod(b);
+      EXPECT_EQ(r, dm.remainder) << a.to_hex() << " % " << b.to_hex();
+      EXPECT_EQ(dm.quotient * b + r, a) << a.to_hex() << " % " << b.to_hex();
+      EXPECT_LT(r, b);
+    }
+  }
+  EXPECT_EQ(BigInt(0) % BigInt(5), BigInt(0));
+  EXPECT_EQ(BigInt(5) % BigInt(5), BigInt(0));
+  EXPECT_EQ(BigInt(3) % BigInt(5), BigInt(3));
 }
 
 TEST(BigInt, DivideByZeroThrows) {

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "crypto/group.hpp"
@@ -117,6 +118,57 @@ TEST(FixedBaseTable, MatchesGenericPow) {
   // Exponents wider than the table fall back to the generic path.
   const BigInt wide = BigInt::random_bits(rng, group.q().bit_length() + 64);
   EXPECT_EQ(table.pow(wide), ctx->pow(group.g(), wide));
+}
+
+TEST(FixedBaseTable, EightBitWindowsMatchGenericPow) {
+  // The width the group generators use, on both pinned groups and on a
+  // freshly generated one: every exponent in [0, q] inside the table,
+  // and longer ones through the fallback.
+  common::Rng rng(8);
+  const Group generated = Group::generate(rng, 256, 96);
+  for (const Group* group :
+       {&Group::test_group(), &Group::default_group(), &generated}) {
+    SCOPED_TRACE(group->p().bit_length());
+    const auto ctx = MontgomeryCtx::create(group->p());
+    const std::size_t bits = group->q().bit_length() + 1;
+    const FixedBaseTable table(ctx, group->h(), bits, 8);
+    std::vector<BigInt> exps = {BigInt(0), BigInt(1), BigInt(255),
+                                BigInt(256), group->q() - BigInt(1),
+                                group->q(), BigInt(1) << (bits - 1)};
+    for (int i = 0; i < 10; ++i) {
+      exps.push_back(BigInt::random_below(rng, group->q()));
+    }
+    exps.push_back(BigInt(1) << bits);  // one bit past the table
+    exps.push_back(BigInt::random_bits(rng, bits + 64));
+    for (const BigInt& e : exps) {
+      EXPECT_EQ(table.pow(e), ctx->pow(group->h(), e)) << e.to_hex();
+    }
+    // The group's own generator tables use this width too.
+    for (int i = 0; i < 3; ++i) {
+      const BigInt e = group->random_scalar(rng);
+      EXPECT_EQ(group->pow_g(e), ctx->pow(group->g(), e));
+    }
+    EXPECT_EQ(group->pow_g(group->q()), BigInt(1));
+  }
+}
+
+TEST(FixedBaseTable, WindowWidthsAgree) {
+  // Every width that divides the 32-bit BigInt limb; others are refused.
+  common::Rng rng(9);
+  const Group& group = Group::test_group();
+  const auto ctx = MontgomeryCtx::create(group.p());
+  const std::size_t bits = group.q().bit_length() + 1;
+  for (const std::size_t w : {1u, 2u, 4u, 8u}) {
+    const FixedBaseTable table(ctx, group.g(), bits, w);
+    for (int i = 0; i < 4; ++i) {
+      const BigInt e = BigInt::random_bits(rng, 1 + rng.next_below(bits));
+      EXPECT_EQ(table.pow(e), ctx->pow(group.g(), e)) << w;
+    }
+  }
+  for (const std::size_t w : {0u, 3u, 16u}) {
+    EXPECT_THROW(FixedBaseTable(ctx, group.g(), bits, w), common::CryptoError)
+        << w;
+  }
 }
 
 TEST(FixedBaseTable, GroupGeneratorsRouteThroughTables) {
