@@ -11,7 +11,7 @@ BatchVerifier::BatchVerifier(const Group& group, std::uint64_t seed)
     : group_(&group), rng_(seed) {}
 
 bool BatchVerifier::is_member_key(const BigInt& y) {
-  const Group::KeyCheck check = group_->check_key(y);
+  const Group::KeyCheck check = group_->check_membership(y);
   ++(check.cached ? stats_.key_cache_hits : stats_.key_cache_misses);
   return check.member;
 }

@@ -15,8 +15,8 @@
 // Soundness notes (docs/crypto_performance.md has the full argument):
 //  * Per-item pre-checks run exactly: scalar ranges, the Fiat-Shamir hash
 //    binding e_i == H(R_i || y_i || m_i), and subgroup membership of each
-//    public key (through the group's per-key memo, Group::check_key —
-//    endorser keys repeat heavily). The hash
+//    public key (through the group's per-key memo,
+//    Group::check_membership — endorser keys repeat heavily). The hash
 //    binding pins every commitment byte-for-byte, so an adversary cannot
 //    adjust R_i to engineer cancellation; only the response scalars are
 //    covered probabilistically by the z_i.
@@ -85,7 +85,7 @@ class BatchVerifier {
     std::uint64_t items = 0;
     std::uint64_t batches = 0;
     std::uint64_t rejected_items = 0;
-    // Key-membership lookups answered by / missing Group::check_key's memo.
+    // Key-membership lookups answered by / missing the group's key memo.
     std::uint64_t key_cache_hits = 0;
     std::uint64_t key_cache_misses = 0;
   };
@@ -108,7 +108,7 @@ class BatchVerifier {
     common::Bytes context;  // dlog only
   };
 
-  /// Group::check_key, counted into stats_.
+  /// Group::check_membership, counted into stats_.
   bool is_member_key(const BigInt& y);
   bool verify_single(const Item& item) const;
   /// RLC identity over items_[indices]; true = batch passes.

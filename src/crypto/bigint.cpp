@@ -368,16 +368,16 @@ BigInt BigInt::divide(const BigInt& divisor, BigInt* quotient) const {
   }
 
   if (quotient) quotient->trim();
-  // The remainder is un[0..n) shifted back down, in place: limb i reads
-  // only limbs i and i+1, so ascending order never reads a written limb.
+  // The remainder is un[0..n) shifted back down, into a buffer of its own
+  // size: remainders such as signature scalars outlive the call, and the
+  // dividend-sized `un` would keep its capacity alive with them.
+  BigInt r;
+  r.limbs_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t above =
         i + 1 < n ? static_cast<std::uint64_t>(un[i + 1]) << (32 - shift) : 0;
-    un[i] = static_cast<std::uint32_t>((un[i] >> shift) | above);
+    r.limbs_[i] = static_cast<std::uint32_t>((un[i] >> shift) | above);
   }
-  un.resize(n);
-  BigInt r;
-  r.limbs_ = std::move(un);
   r.trim();
   return r;
 }

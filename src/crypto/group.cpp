@@ -16,10 +16,9 @@ FixedBaseTable::FixedBaseTable(std::shared_ptr<const MontgomeryCtx> ctx,
                                BigInt base, std::size_t max_exp_bits,
                                std::size_t window_bits)
     : ctx_(std::move(ctx)), base_(std::move(base)), window_bits_(window_bits) {
-  // A width dividing 32 keeps every digit inside one BigInt limb.
-  if (window_bits_ == 0 || window_bits_ > 8 || 32 % window_bits_ != 0) {
-    throw common::CryptoError(
-        "FixedBaseTable: window must be 1, 2, 4 or 8 bits");
+  // Both widths divide 32, so every digit sits inside one BigInt limb.
+  if (window_bits_ != 4 && window_bits_ != 8) {
+    throw common::CryptoError("FixedBaseTable: window must be 4 or 8 bits");
   }
   row_ = (std::size_t{1} << window_bits_) - 1;
   digits_ = (max_exp_bits + window_bits_ - 1) / window_bits_;
@@ -77,8 +76,8 @@ BigInt FixedBaseTable::pow(const BigInt& e) const {
 // Both hold map iterators, which stay valid until their record is erased.
 struct Group::KeyCache {
   struct Record {
-    // Uses since the key was remembered or its table was dropped; the
-    // one use that brings it to 2 builds the table.
+    // check_key uses since the key was remembered or its table was
+    // dropped; the one use that brings it to 2 builds the table.
     std::uint64_t uses = 0;
     std::shared_ptr<const FixedBaseTable> table;
   };
@@ -88,13 +87,14 @@ struct Group::KeyCache {
   std::deque<Map::iterator> age;        // oldest first
   std::deque<Map::iterator> table_age;  // oldest first
 
-  // Records member y's first use. Threads that check y concurrently on
-  // first sight count as that one use, so the count still steps through
-  // 2, the value that triggers the table build.
-  void remember(const BigInt& y) {
+  // Records member y with `uses` uses (1 from check_key, 0 from
+  // check_membership). Threads that check y concurrently on first sight
+  // count as that one use, so the count still steps through 2, the value
+  // that triggers the table build.
+  void remember(const BigInt& y, std::uint64_t uses) {
     const auto [it, inserted] = keys.try_emplace(y);
     if (!inserted) return;
-    it->second.uses = 1;
+    it->second.uses = uses;
     age.push_back(it);
     if (age.size() > kKeyCacheCapacity) {
       const Map::iterator oldest = age.front();
@@ -208,6 +208,14 @@ bool Group::is_element(const BigInt& x) const {
 }
 
 Group::KeyCheck Group::check_key(const BigInt& y) const {
+  return lookup_key(y, /*count_use=*/true);
+}
+
+Group::KeyCheck Group::check_membership(const BigInt& y) const {
+  return lookup_key(y, /*count_use=*/false);
+}
+
+Group::KeyCheck Group::lookup_key(const BigInt& y, bool count_use) const {
   KeyCache& cache = *key_cache_;
   bool build = false;
   {
@@ -215,6 +223,7 @@ Group::KeyCheck Group::check_key(const BigInt& y) const {
     const auto it = cache.keys.find(y);
     if (it != cache.keys.end()) {
       KeyCache::Record& rec = it->second;
+      if (!count_use) return {true, true, nullptr};
       if (++rec.uses != 2 || !mont_p_) return {true, true, rec.table};
       build = true;
     }
@@ -233,7 +242,7 @@ Group::KeyCheck Group::check_key(const BigInt& y) const {
   }
   if (!is_element(y)) return {false, false, nullptr};
   std::lock_guard<std::mutex> lock(cache.mu);
-  cache.remember(y);
+  cache.remember(y, count_use ? 1 : 0);
   return {true, false, nullptr};
 }
 

@@ -29,9 +29,10 @@ namespace veil::crypto {
 class FixedBaseTable {
  public:
   /// Tabulates powers covering exponents up to `max_exp_bits` bits in
-  /// digits of `window_bits` (1, 2, 4 or 8) bits; longer exponents fall
-  /// back to the generic windowed pow. A w-bit table costs one product
-  /// per nonzero w-bit digit and holds 2^w - 1 entries per digit.
+  /// digits of `window_bits` bits: 4 (public keys) or 8 (the group
+  /// generators); longer exponents fall back to the generic windowed pow.
+  /// A w-bit table costs one product per nonzero w-bit digit and holds
+  /// 2^w - 1 entries per digit.
   FixedBaseTable(std::shared_ptr<const MontgomeryCtx> ctx, BigInt base,
                  std::size_t max_exp_bits, std::size_t window_bits = 4);
 
@@ -111,13 +112,14 @@ class Group {
   /// one-time keys cannot grow it. Only members are remembered: a
   /// non-member pays the full check, and fails it, on every use.
   ///
-  /// The memo also counts each member's uses. On a key's second use (and
-  /// on its next use after its table was dropped) check_key builds a
-  /// 4-bit FixedBaseTable for y, so a long-lived key — a CA or endorser
-  /// key — verifies with ~38 products for y^e instead of ~200, while a
-  /// one-time key never pays for a table. At most kKeyTableCapacity keys
-  /// hold a table; the oldest table is dropped first. Tables, like the
-  /// membership check, are built outside the lock.
+  /// check_key also counts each member's uses (check_membership does
+  /// not). On a key's second use, and on its next use after its table was
+  /// dropped, check_key builds a 4-bit FixedBaseTable for y, so a
+  /// long-lived key — a CA or endorser key — verifies with ~38 products
+  /// for y^e instead of ~200, while a key verified once never pays for a
+  /// table. At most kKeyTableCapacity keys hold a table; the oldest table
+  /// is dropped first. Tables, like the membership check, are built
+  /// outside the lock.
   struct KeyCheck {
     bool member = false;
     bool cached = false;  // answered from the memo
@@ -125,8 +127,17 @@ class Group {
     std::shared_ptr<const FixedBaseTable> table;
   };
   KeyCheck check_key(const BigInt& y) const;
+  /// The same memoized membership answer without counting a use or
+  /// returning a table, for callers that never compute y^e from it
+  /// (BatchVerifier's prechecks: its combined check does not read tables).
+  KeyCheck check_membership(const BigInt& y) const;
   static constexpr std::size_t kKeyCacheCapacity = 1024;
-  static constexpr std::size_t kKeyTableCapacity = 16;
+  /// Sized from measured traffic: one network of the E9 trade mix
+  /// (Fabric, Corda and Quorum) verifies 4 keys more than once through
+  /// check_key — 2 CA keys and 2 endorser keys — and a fabric_commit
+  /// network 1. 8 slots hold two such networks' keys for 312 KB on
+  /// test_group, 1 MB on default_group.
+  static constexpr std::size_t kKeyTableCapacity = 8;
   std::size_t key_cache_size() const;
   std::size_t key_table_count() const;
 
@@ -144,6 +155,7 @@ class Group {
   std::shared_ptr<const FixedBaseTable> g_table_, h_table_;
   struct KeyCache;
   std::shared_ptr<KeyCache> key_cache_;
+  KeyCheck lookup_key(const BigInt& y, bool count_use) const;
 };
 
 }  // namespace veil::crypto

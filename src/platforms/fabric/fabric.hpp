@@ -26,7 +26,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "audit/evidence.hpp"
@@ -469,8 +468,7 @@ class FabricNetwork {
   std::unique_ptr<ledger::OrderingService> shared_orderer_;
   std::map<std::string, Org> orgs_;
   std::map<std::string, Channel> channels_;
-  // By tx id; looked up, never iterated, so hashed.
-  std::unordered_map<std::string, TxReceipt> receipts_;
+  std::map<std::string, TxReceipt> receipts_;  // by tx id
   std::map<std::string, std::size_t> pdc_acks_;  // dissemination id -> acks
   std::uint64_t pdc_dissemination_seq_ = 0;
   std::uint64_t committed_count_ = 0;

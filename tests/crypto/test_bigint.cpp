@@ -180,6 +180,12 @@ TEST(BigInt, RemainderMatchesDivmod) {
   EXPECT_EQ(BigInt(0) % BigInt(5), BigInt(0));
   EXPECT_EQ(BigInt(5) % BigInt(5), BigInt(0));
   EXPECT_EQ(BigInt(3) % BigInt(5), BigInt(3));
+  // A remainder holds no more limbs than its divisor, also when the
+  // dividend is much wider: reduced scalars (signature challenges and
+  // responses) outlive the division and must not keep its buffer.
+  const BigInt q = (BigInt(1) << 160) - BigInt(47);
+  const BigInt r = BigInt::random_bits(rng, 512) % q;
+  EXPECT_LE(r.limbs().capacity(), q.limbs().size());
 }
 
 TEST(BigInt, DivideByZeroThrows) {

@@ -152,20 +152,16 @@ TEST(FixedBaseTable, EightBitWindowsMatchGenericPow) {
   }
 }
 
-TEST(FixedBaseTable, WindowWidthsAgree) {
-  // Every width that divides the 32-bit BigInt limb; others are refused.
-  common::Rng rng(9);
+TEST(FixedBaseTable, OnlyFourAndEightBitWindows) {
+  // The two widths in use (key tables, generator tables); others are
+  // refused.
   const Group& group = Group::test_group();
   const auto ctx = MontgomeryCtx::create(group.p());
   const std::size_t bits = group.q().bit_length() + 1;
-  for (const std::size_t w : {1u, 2u, 4u, 8u}) {
-    const FixedBaseTable table(ctx, group.g(), bits, w);
-    for (int i = 0; i < 4; ++i) {
-      const BigInt e = BigInt::random_bits(rng, 1 + rng.next_below(bits));
-      EXPECT_EQ(table.pow(e), ctx->pow(group.g(), e)) << w;
-    }
+  for (const std::size_t w : {4u, 8u}) {
+    EXPECT_NO_THROW(FixedBaseTable(ctx, group.g(), bits, w)) << w;
   }
-  for (const std::size_t w : {0u, 3u, 16u}) {
+  for (const std::size_t w : {0u, 1u, 2u, 3u, 16u}) {
     EXPECT_THROW(FixedBaseTable(ctx, group.g(), bits, w), common::CryptoError)
         << w;
   }
