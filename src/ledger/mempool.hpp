@@ -95,9 +95,6 @@ class Mempool {
   /// computed once by the admitting stage.
   bool admit(const Transaction& tx, const crypto::Digest& body_digest,
              bool verified, common::SimTime now);
-  bool admit(const Transaction& tx, bool verified, common::SimTime now) {
-    return admit(tx, tx.body_digest(), verified, now);
-  }
 
   /// Token for `tx_id`, or nullptr if not resident.
   const ValidationToken* token(const std::string& tx_id) const;
@@ -111,10 +108,6 @@ class Mempool {
   /// exactly once.
   bool validated(const crypto::Digest& body_digest, const WorldState& state,
                  common::SimTime now);
-  bool validated(const Transaction& tx, const WorldState& state,
-                 common::SimTime now) {
-    return validated(tx.body_digest(), state, now);
-  }
 
   /// Drop `tx_id` from the pool, recording why.
   void remove(const std::string& tx_id, EvictionRecord::Cause cause,

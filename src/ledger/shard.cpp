@@ -151,7 +151,8 @@ const ShardMap::CoordinatorInfo* ShardMap::coordinator_info(
 SubmitReceipt ShardMap::submit(const Transaction& tx) {
   ++stats_.submitted;
   SubmitReceipt rc;
-  rc.tx_id = tx.id();
+  const crypto::Digest digest = tx.body_digest();
+  rc.tx_id = tx_id(digest);
   std::optional<std::uint64_t> owner;
   const auto fold = [&](const std::string& key) {
     const std::uint64_t s = shard_for_key(key);
@@ -194,7 +195,7 @@ SubmitReceipt ShardMap::submit(const Transaction& tx) {
       return rc;
     }
   }
-  shard.mempool.admit(tx, true, now);
+  shard.mempool.admit(tx, digest, true, now);
   shard.pending.push_back(tx);
   rc.accepted = true;
   if (shard.pending.size() >= config_.block_size) {
@@ -227,13 +228,15 @@ void ShardMap::seal_block(Shard& shard, std::vector<Transaction> txs) {
   {
     WorldState::Batch writes(primary.state);
     for (const Transaction& tx : block.transactions) {
-      shard.mempool.validated(tx, primary.state, now);
+      const crypto::Digest digest = tx.body_digest();
+      shard.mempool.validated(digest, primary.state, now);
       if (writes.apply(tx) == CommitResult::Applied) {
         ++stats_.committed;
       } else {
         ++stats_.invalidated;
       }
-      shard.mempool.remove(tx.id(), EvictionRecord::Cause::Committed, now);
+      shard.mempool.remove(tx_id(digest), EvictionRecord::Cause::Committed,
+                           now);
     }
   }
   ++stats_.blocks_sealed;
@@ -346,8 +349,9 @@ void ShardMap::on_prepare(Shard& shard, const net::Message& msg) {
   // primary can never have voted yes without remembering it.
   for (const ReadAccess& rd : prep.subtx.reads) shard.locks[rd.key] = prep.xid;
   for (const KvWrite& wr : prep.subtx.writes) shard.locks[wr.key] = prep.xid;
-  shard.mempool.admit(prep.subtx, true, now);
-  shard.mempool.pin(prep.subtx.id());
+  const crypto::Digest digest = prep.subtx.body_digest();
+  shard.mempool.admit(prep.subtx, digest, true, now);
+  shard.mempool.pin(tx_id(digest));
   shard.nodes[0].wal.append(kWalXPrepare, prep.encode());
   PreparedTx p;
   p.prepare = prep;
@@ -732,8 +736,9 @@ void ShardMap::on_node_restart(std::uint64_t shard_index,
     // Still prepared: re-lock, re-pin, and go back in doubt.
     for (const ReadAccess& rd : prep.subtx.reads) shard.locks[rd.key] = xid;
     for (const KvWrite& wr : prep.subtx.writes) shard.locks[wr.key] = xid;
-    shard.mempool.admit(prep.subtx, true, now);
-    shard.mempool.pin(prep.subtx.id());
+    const crypto::Digest digest = prep.subtx.body_digest();
+    shard.mempool.admit(prep.subtx, digest, true, now);
+    shard.mempool.pin(tx_id(digest));
     PreparedTx p;
     p.prepare = std::move(prep);
     shard.prepared.emplace(xid, std::move(p));

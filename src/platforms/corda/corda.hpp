@@ -168,13 +168,11 @@ class CordaNetwork {
   BackchainResult resolve_backchain(const std::string& party,
                                     const StateRef& ref);
 
-  /// Route backchain notarization checks through the batched RLC kernel
-  /// (default) or the per-item path (differential testing). Either way an
-  /// ancestor verified once is never re-verified: notarization validity
-  /// is party-independent (same immutable record, same notary key), so
-  /// the verified set is shared network-wide — Corda's mirror of the
-  /// validate-once mempool token.
-  void set_batch_verify(bool on = true) { batch_verify_ = on; }
+  /// Backchain notarization checks run through the batched RLC kernel,
+  /// one batch per walk. An ancestor verified once is never re-verified:
+  /// notarization validity is party-independent (same immutable record,
+  /// same notary key), so the verified set is shared network-wide —
+  /// Corda's mirror of the validate-once mempool token.
   const crypto::BatchVerifier::Stats& batch_verify_stats() const {
     return batch_verifier_.stats();
   }
@@ -454,7 +452,6 @@ class CordaNetwork {
   /// While set, transact() may resolve inputs from the initiator's spent
   /// archive — the byzantine_respend() bypass.
   bool respend_ = false;
-  bool batch_verify_ = true;
   // Overload tier: volatile refusal machinery, never WAL-logged.
   common::SimTime default_ttl_us_ = 0;
   std::size_t pending_capacity_ = 0;

@@ -404,11 +404,12 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
                                  common::BytesView encoded) {
   PeerReplica& replica = channel.replicas.at(org);
   // Endorsement-signature verification dominates commit cost and is a
-  // pure function of each transaction — verify all of them across the
-  // pool, then walk the block serially (auditor records, state.apply and
-  // receipts keep their original order). Trusting peers skip it: they
-  // take the orderer's word, which is exactly the deployment the paper's
-  // orderer caveat warns about.
+  // pure function of each transaction — check every endorsement the
+  // admission tokens do not cover in one batch, then walk the block
+  // serially (auditor records, state.apply and receipts keep their
+  // original order). Trusting peers skip it: they take the orderer's
+  // word, which is exactly the deployment the paper's orderer caveat
+  // warns about.
   const std::size_t tx_count = block.transactions.size();
   // This replica hashes each body it decoded, once: the token check, the
   // batched signature check, the auditor record and the receipt all use
@@ -423,8 +424,7 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
   // Per-transaction "at least one endorsement verifies" — the Detect-mode
   // orderer-tampering signal. Token hits count as fully verified.
   std::vector<char> any_sig_valid(tx_count, 1);
-  if (validation_mode_ != ValidationMode::Trusting &&
-      config_.batch_verify) {
+  if (validation_mode_ != ValidationMode::Trusting) {
     // Validate-once: a transaction whose admission token still speaks for
     // it (same body digest — the id IS the digest — and unmoved read
     // versions) skips signature work entirely. Read versions are checked
@@ -459,26 +459,6 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
         } else {
           any_sig_valid[queued[k].first] = 1;
         }
-      }
-    }
-  } else if (validation_mode_ != ValidationMode::Trusting) {
-    sig_valid = common::ThreadPool::global().parallel_map(
-        tx_count, [&](std::size_t i) -> char {
-          return block.transactions[i].endorsements_valid(*group_) ? 1 : 0;
-        });
-    if (validation_mode_ == ValidationMode::Detect) {
-      for (std::size_t i = 0; i < tx_count; ++i) {
-        const ledger::Transaction& tx = block.transactions[i];
-        if (tx.endorsements.empty()) continue;
-        const common::BytesView msg(digests[i].data(), digests[i].size());
-        bool any = false;
-        for (const ledger::Endorsement& e : tx.endorsements) {
-          if (crypto::verify(*group_, e.key, msg, e.signature)) {
-            any = true;
-            break;
-          }
-        }
-        any_sig_valid[i] = any ? 1 : 0;
       }
     }
   }
@@ -853,37 +833,10 @@ FabricNetwork::PreparedSubmission FabricNetwork::prepare_submission(
   return prepared;
 }
 
-void FabricNetwork::admit_to_mempool(const PreparedSubmission& prepared) {
-  // Trusting peers never verify, so a token would claim work that was
-  // never done — skip the pool entirely in that mode.
-  if (validation_mode_ == ValidationMode::Trusting) return;
-  const ledger::Transaction& tx = prepared.tx;
-  const crypto::Digest& digest = prepared.body_digest;
-  bool verified;
-  if (config_.batch_verify) {
-    const common::BytesView msg(digest.data(), digest.size());
-    for (const ledger::Endorsement& e : tx.endorsements) {
-      batch_verifier_.add_signature(e.key, msg, e.signature);
-    }
-    verified = batch_verifier_.pending() == 0 ||
-               batch_verifier_.verify().all_valid;
-  } else {
-    verified = tx.endorsements_valid(*group_);
-  }
-  mempool_.admit(tx, digest, verified, network_->clock().now());
-}
-
 void FabricNetwork::admit_wave_to_mempool(
     std::vector<PreparedSubmission>& prepared) {
   if (validation_mode_ == ValidationMode::Trusting) return;
   const common::SimTime now = network_->clock().now();
-  if (!config_.batch_verify) {
-    for (PreparedSubmission& p : prepared) {
-      mempool_.admit(p.tx, p.body_digest, p.tx.endorsements_valid(*group_),
-                     now);
-    }
-    return;
-  }
   // One batch for the whole wave; a forged endorsement anywhere bisects
   // down to its add-order index, which maps back to its transaction.
   std::vector<std::size_t> queued;  // batch index -> prepared index
@@ -948,44 +901,9 @@ TxReceipt FabricNetwork::submit(const std::string& channel,
   request.private_data = private_data;
   request.idemix = idemix;
 
-  PreparedSubmission prepared = prepare_submission(request);
-  if (!prepared.ok) return prepared.error;
-  ledger::Transaction& tx = prepared.tx;
-
-  // --- Endorsement signatures ---------------------------------------------
-  // Every endorser signs the same body digest, and signing is
-  // deterministic (HMAC-derived nonce), so parallel signing produces the
-  // same bytes as the serial loop; order is preserved by parallel_map.
-  {
-    const common::BytesView msg(prepared.body_digest.data(),
-                                prepared.body_digest.size());
-    auto endorsements = common::ThreadPool::global().parallel_map(
-        prepared.endorsers.size(), [&](std::size_t i) {
-          const crypto::KeyPair& keypair =
-              orgs_.at(prepared.endorsers[i]).keypair;
-          return ledger::Endorsement{prepared.endorsers[i],
-                                     keypair.public_key(), keypair.sign(msg)};
-        });
-    for (auto& e : endorsements) tx.endorsements.push_back(std::move(e));
-  }
-
-  // --- Admission + ordering + delivery -------------------------------------
-  const std::string tx_id = prepared.tx_id;
-  admit_to_mempool(prepared);
-  mempool_.pin(tx_id);  // in flight until delivery: not a capacity victim
-  order_transaction(channel, std::move(tx), tx_id);
-  Channel& ch = channels_.at(channel);
-  // A shared orderer cuts every channel's pending transactions here.
-  for (ledger::OrderingService::OrderedBlock& cut :
-       orderer_for(ch).flush(network_->clock().now())) {
-    const std::string cut_channel = cut.block.transactions.front().channel;
-    deliver_block(cut_channel, std::move(cut.block), cut.tx_ids);
-  }
-  mempool_.unpin(tx_id);
-
-  const auto receipt = receipts_.find(tx_id);
-  if (receipt == receipts_.end()) return {false, tx_id, "not delivered"};
-  return receipt->second;
+  std::vector<SubmitRequest> wave;
+  wave.push_back(std::move(request));
+  return submit_many(wave, 1)[0];
 }
 
 std::vector<TxReceipt> FabricNetwork::submit_many(
@@ -1020,42 +938,32 @@ std::vector<TxReceipt> FabricNetwork::submit_many(
       origin.push_back(i);
       prepared.push_back(std::move(p));
     }
-    // Stage B: endorsement signing for the WHOLE wave fans out as pool
-    // tasks. Signing is pure (deterministic HMAC nonce), so results are
-    // bit-identical regardless of scheduling; with no workers the tasks
-    // run inline right here, reproducing the serial transcript.
-    std::vector<std::vector<ledger::Endorsement>> endorsements(
-        prepared.size());
-    std::vector<std::future<void>> signing;
+    // Stage B: endorsement signing for the WHOLE wave fans out across
+    // the pool, one index per endorsement; a wave of one signs inline on
+    // the caller. Signing is pure (deterministic HMAC nonce), so results
+    // are bit-identical regardless of scheduling.
+    std::vector<std::pair<std::size_t, std::size_t>> slots;  // (tx, endorser)
     for (std::size_t p = 0; p < prepared.size(); ++p) {
-      const crypto::Digest& digest = prepared[p].body_digest;
-      endorsements[p].resize(prepared[p].endorsers.size());
+      prepared[p].tx.endorsements.resize(prepared[p].endorsers.size());
       for (std::size_t e = 0; e < prepared[p].endorsers.size(); ++e) {
-        const std::string& endorser = prepared[p].endorsers[e];
-        const crypto::KeyPair* keypair = &orgs_.at(endorser).keypair;
-        ledger::Endorsement* slot = &endorsements[p][e];
-        signing.push_back(common::ThreadPool::global().submit(
-            [slot, endorser, digest, keypair] {
-              const common::BytesView msg(digest.data(), digest.size());
-              *slot = ledger::Endorsement{endorser, keypair->public_key(),
-                                          keypair->sign(msg)};
-            }));
+        slots.push_back({p, e});
       }
     }
-    // Stage C (serial, in submission order): harvest the whole wave's
-    // signatures and run ONE batched admission check across every
-    // endorsement in it. A per-transaction check would pay the full RLC
-    // squaring chain once per item and never amortize — the batch must
-    // span the wave for the multi-exponentiation to earn its keep.
-    std::size_t next_future = 0;
-    for (std::size_t p = 0; p < prepared.size(); ++p) {
-      for (std::size_t e = 0; e < endorsements[p].size(); ++e) {
-        signing[next_future++].get();
-      }
-      for (auto& en : endorsements[p]) {
-        prepared[p].tx.endorsements.push_back(std::move(en));
-      }
-    }
+    common::ThreadPool::global().parallel_for(
+        slots.size(), [&](std::size_t k) {
+          PreparedSubmission& p = prepared[slots[k].first];
+          const std::string& endorser = p.endorsers[slots[k].second];
+          const crypto::KeyPair& keypair = orgs_.at(endorser).keypair;
+          const common::BytesView msg(p.body_digest.data(),
+                                      p.body_digest.size());
+          p.tx.endorsements[slots[k].second] = ledger::Endorsement{
+              endorser, keypair.public_key(), keypair.sign(msg)};
+        });
+    // Stage C (serial, in submission order): ONE batched admission check
+    // across every endorsement in the wave. A per-transaction check would
+    // pay the full RLC squaring chain once per item and never amortize —
+    // the batch must span the wave for the multi-exponentiation to earn
+    // its keep.
     admit_wave_to_mempool(prepared);
     for (const PreparedSubmission& p : prepared) {
       mempool_.pin(p.tx_id);
@@ -1086,7 +994,8 @@ std::vector<TxReceipt> FabricNetwork::submit_many(
   }
 
   // Single flush at the end: partial blocks from every touched channel's
-  // orderer are cut and delivered now (submit() flushes per call).
+  // orderer are cut and delivered now, so a wave of one is a flush per
+  // call.
   for (const std::string& channel_name : touched) {
     Channel& ch = channels_.at(channel_name);
     for (ledger::OrderingService::OrderedBlock& cut :

@@ -64,11 +64,6 @@ struct FabricConfig {
   /// in and carry a ValidationToken that block commit consults instead
   /// of re-verifying (ledger/mempool.hpp).
   ledger::MempoolConfig mempool;
-  /// Verify endorsement signatures through the batched
-  /// random-linear-combination kernel (crypto/batch_verify.hpp) instead
-  /// of one exponentiation pair per signature. Results are bit-identical;
-  /// false keeps the per-item path for differential testing.
-  bool batch_verify = true;
 
   // ---- Overload tier (docs/fault_model.md "Overload tier") ----------------
   /// CoDel-style admission controller fronting the mempool: sheds fresh
@@ -158,6 +153,7 @@ class FabricNetwork {
   /// Full transaction flow. `client_org` drives the submission; if
   /// `idemix` is set the transaction carries the pseudonym instead of the
   /// org name. Returns the commit outcome after ordering and validation.
+  /// This is submit_many() over a wave of one.
   TxReceipt submit(const std::string& channel, const std::string& client_org,
                    const std::string& chaincode, const std::string& action,
                    common::BytesView args,
@@ -181,14 +177,14 @@ class FabricNetwork {
     common::SimTime deadline_us = 0;
   };
 
-  /// Pipelined endorse -> order -> validate over many submissions.
-  /// Requests are processed in waves of `pipeline_depth`: endorsement
-  /// signing for the whole wave fans out as pool tasks while earlier
-  /// requests are already being ordered and validated, and admission
-  /// verification batches every endorsement of the wave into one
-  /// combined check. Partial blocks are flushed once at the end (submit()
-  /// flushes per call). With VEIL_THREADS=1 every task runs inline and
-  /// the transcript is bit-identical to the multi-threaded run.
+  /// The commit path: endorse -> order -> validate over many
+  /// submissions. Requests are processed in waves of `pipeline_depth`:
+  /// endorsement signing for the whole wave fans out across the pool, and
+  /// admission verification checks every endorsement of the wave in one
+  /// batch. Partial blocks are flushed once at the end, so submit() — a
+  /// wave of one — flushes per call. With VEIL_THREADS=1 every task runs
+  /// inline and the transcript is bit-identical to the multi-threaded
+  /// run.
   std::vector<TxReceipt> submit_many(const std::vector<SubmitRequest>& requests,
                                      std::size_t pipeline_depth = 8);
 
@@ -362,11 +358,12 @@ class FabricNetwork {
     explicit Channel(net::LeakageAuditor& auditor) : pdc(auditor) {}
   };
 
-  /// Everything submit() does before endorsement signing: membership and
-  /// version checks, contract execution fan-out, PDC dissemination,
-  /// client identity. Serial — it reads and writes shared replica state.
-  /// The submitting stage hashes the finished body once: `body_digest`
-  /// is what endorsers sign and what admission and ordering key on.
+  /// Everything a submission needs before endorsement signing:
+  /// membership and version checks, contract execution fan-out, PDC
+  /// dissemination, client identity. Serial — it reads and writes shared
+  /// replica state. The submitting stage hashes the finished body once:
+  /// `body_digest` is what endorsers sign and what admission and
+  /// ordering key on.
   struct PreparedSubmission {
     bool ok = false;
     TxReceipt error;
@@ -377,12 +374,10 @@ class FabricNetwork {
     std::vector<std::string> endorsers;
   };
   PreparedSubmission prepare_submission(const SubmitRequest& request);
-  /// Admission: verify the attached endorsements (batched) and mint the
-  /// transaction's ValidationToken. No-op in Trusting mode.
-  void admit_to_mempool(const PreparedSubmission& prepared);
-  /// Wave admission for submit_many: every endorsement across the wave
-  /// joins ONE batched check, so the RLC squaring chain is paid once per
-  /// wave instead of once per transaction. No-op in Trusting mode.
+  /// Wave admission: every endorsement across the wave joins ONE batched
+  /// check, so the RLC squaring chain is paid once per wave instead of
+  /// once per transaction, and each transaction's ValidationToken is
+  /// minted. No-op in Trusting mode.
   void admit_wave_to_mempool(std::vector<PreparedSubmission>& prepared);
   /// Hand the endorsed transaction to the ordering service and deliver
   /// any blocks it cut. Does NOT flush partial blocks.

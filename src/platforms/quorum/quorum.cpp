@@ -87,464 +87,329 @@ void QuorumNetwork::add_node(const std::string& org) {
 
 TxResult QuorumNetwork::submit_public(
     const std::string& from, const std::vector<ledger::KvWrite>& writes) {
-  if (!nodes_.contains(from)) return {false, "", "unknown node"};
-  ledger::Transaction tx;
-  tx.channel = "quorum";
-  tx.contract = "evm";
-  tx.action = "public";
-  tx.participants = {from};
-  tx.writes = writes;
-  tx.timestamp = network_->clock().now();
-  if (default_ttl_us_ != 0) tx.deadline_us = tx.timestamp + default_ttl_us_;
-  common::Writer nonce;
-  nonce.u64(nonce_++);
-  tx.payload = nonce.take();
-  tx.endorse(from, nodes_.at(from).keypair);
-  ++public_count_;
-  return enqueue(std::move(tx), {}, {}, {});
+  std::vector<Request> wave(1);
+  wave[0].kind = Request::Kind::Public;
+  wave[0].from = from;
+  wave[0].writes = writes;
+  return submit_waves(wave, 1)[0];
 }
 
 TxResult QuorumNetwork::submit_private(const std::string& from,
                                        const std::set<std::string>& recipients,
                                        const std::vector<ledger::KvWrite>& writes,
                                        common::Bytes payload) {
-  if (!nodes_.contains(from)) return {false, "", "unknown node"};
-  for (const std::string& r : recipients) {
-    if (!nodes_.contains(r)) return {false, "", "unknown recipient " + r};
-  }
-
-  // Serialize the private detail; only its hash goes on chain.
-  common::Writer w;
-  w.varint(writes.size());
-  for (const ledger::KvWrite& kv : writes) {
-    w.str(kv.key);
-    w.bytes(kv.value);
-    w.boolean(kv.is_delete);
-  }
-  w.bytes(payload);
-  w.u64(nonce_++);
-  const common::Bytes private_blob = w.take();
-
-  ledger::Transaction tx;
-  tx.channel = "quorum";
-  tx.contract = "evm";
-  tx.action = "private";
-  // DOCUMENTED FLAW: the participant list is public on the chain.
-  tx.participants.push_back(from);
-  for (const std::string& r : recipients) tx.participants.push_back(r);
-  tx.payload = crypto::digest_bytes(crypto::sha256(private_blob));
-  tx.data_opaque = true;  // chain carries hash only
-  tx.timestamp = network_->clock().now();
-  if (default_ttl_us_ != 0) tx.deadline_us = tx.timestamp + default_ttl_us_;
-  tx.endorse(from, nodes_.at(from).keypair);
-  ++private_count_;
-  return enqueue(std::move(tx), recipients, writes, private_blob);
+  return submit_private_many(from, {{recipients, writes, std::move(payload)}},
+                             1)[0];
 }
 
 std::vector<TxResult> QuorumNetwork::submit_private_many(
     const std::string& from, const std::vector<PrivateSubmission>& batch,
     std::size_t pipeline_depth) {
-  if (pipeline_depth == 0) pipeline_depth = 1;
-  std::vector<TxResult> out(batch.size());
-  if (!nodes_.contains(from)) {
-    for (auto& r : out) r = {false, "", "unknown node"};
-    return out;
+  std::vector<Request> requests(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    requests[i].kind = Request::Kind::Private;
+    requests[i].from = from;
+    requests[i].recipients = batch[i].recipients;
+    requests[i].writes = batch[i].writes;
+    requests[i].payload = batch[i].payload;
   }
-
-  struct Item {
-    std::size_t origin;
-    ledger::Transaction tx;
-    common::Bytes blob;
-    std::vector<std::string> push_targets;
-    std::vector<common::Bytes> nonces;
-    std::vector<common::Bytes> sealed;  // filled by the pool task
-  };
-
-  for (std::size_t wave = 0; wave < batch.size(); wave += pipeline_depth) {
-    const std::size_t wave_end =
-        std::min(batch.size(), wave + pipeline_depth);
-    // Stage A (serial): build each transaction and draw every nonce in
-    // submission order, so the byte stream matches serial
-    // submit_private() calls exactly.
-    std::vector<Item> items;
-    for (std::size_t i = wave; i < wave_end; ++i) {
-      const PrivateSubmission& req = batch[i];
-      bool bad_recipient = false;
-      for (const std::string& r : req.recipients) {
-        if (!nodes_.contains(r)) {
-          out[i] = {false, "", "unknown recipient " + r};
-          bad_recipient = true;
-          break;
-        }
-      }
-      if (bad_recipient) continue;
-
-      Item item;
-      item.origin = i;
-      common::Writer w;
-      w.varint(req.writes.size());
-      for (const ledger::KvWrite& kv : req.writes) {
-        w.str(kv.key);
-        w.bytes(kv.value);
-        w.boolean(kv.is_delete);
-      }
-      w.bytes(req.payload);
-      w.u64(nonce_++);
-      item.blob = w.take();
-
-      item.tx.channel = "quorum";
-      item.tx.contract = "evm";
-      item.tx.action = "private";
-      item.tx.participants.push_back(from);
-      for (const std::string& r : req.recipients) {
-        item.tx.participants.push_back(r);
-      }
-      item.tx.payload = crypto::digest_bytes(crypto::sha256(item.blob));
-      item.tx.data_opaque = true;
-      item.tx.timestamp = network_->clock().now();
-      if (default_ttl_us_ != 0) {
-        item.tx.deadline_us = item.tx.timestamp + default_ttl_us_;
-      }
-      ++private_count_;
-
-      for (const std::string& holder : req.recipients) {
-        if (holder == from) continue;
-        common::Writer nonce;
-        nonce.u64(nonce_++);
-        common::Bytes nonce16 = nonce.take();
-        nonce16.resize(16, 0);
-        item.push_targets.push_back(holder);
-        item.nonces.push_back(std::move(nonce16));
-      }
-      item.sealed.resize(item.push_targets.size());
-      items.push_back(std::move(item));
-    }
-    // Stage B: endorsement signing and per-recipient transaction-manager
-    // sealing for the WHOLE wave run as pool tasks — both are pure
-    // (deterministic nonces, inputs fixed in stage A), so results are
-    // bit-identical at any thread count.
-    const crypto::KeyPair* keypair = &nodes_.at(from).keypair;
-    std::vector<std::future<void>> tasks;
-    for (Item& item : items) {
-      Item* it = &item;
-      tasks.push_back(common::ThreadPool::global().submit(
-          [it, from, keypair] {
-            it->tx.endorse(from, *keypair);
-            for (std::size_t r = 0; r < it->push_targets.size(); ++r) {
-              const common::Bytes pair_key = crypto::hkdf(
-                  {}, common::to_bytes(from + "|" + it->push_targets[r]),
-                  "quorum.tm.pair", 32);
-              it->sealed[r] = crypto::seal(pair_key, it->blob, it->nonces[r]);
-            }
-          }));
-    }
-    // Stage C (serial, submission order): disseminate and collect acks.
-    // While the first items round-trip their acks here, later items are
-    // still sealing in the pool. Admission is deferred to stage D so the
-    // whole wave shares one batched signature check.
-    std::vector<std::size_t> survivors;
-    for (std::size_t j = 0; j < items.size(); ++j) {
-      tasks[j].get();
-      Item& item = items[j];
-      const std::string tx_id = item.tx.id();
-      const PrivateSubmission& req = batch[item.origin];
-
-      auditor().record(from, "tx/" + tx_id + "/data", item.blob.size());
-      nodes_.at(from).tm_store[tx_id] = item.blob;
-      tm_acks_[tx_id] = {};
-      for (std::size_t r = 0; r < item.push_targets.size(); ++r) {
-        PrivateEnvelope env;
-        env.tx_id = tx_id;
-        env.sender = from;
-        env.sealed = item.sealed[r];
-        channel_.send(from, item.push_targets[r], "quorum.tm-push",
-                      env.encode());
-      }
-      network_->run();
-      std::size_t acked = 0;
-      for (const std::string& holder : req.recipients) {
-        if (holder == from || tm_acks_[tx_id].contains(holder)) ++acked;
-      }
-      tm_acks_.erase(tx_id);
-      if (acked < req.recipients.size()) {
-        nodes_.at(from).tm_store.erase(tx_id);
-        out[item.origin] = {false, tx_id,
-                            "private payload dissemination incomplete"};
-        continue;
-      }
-      std::set<std::string> holders = req.recipients;
-      holders.insert(from);
-      private_details_[tx_id] = PrivateDetail{holders, req.writes};
-      survivors.push_back(j);
-      out[item.origin] = {true, tx_id, ""};
-    }
-    // Stage D: one batched admission check across every transaction that
-    // survived dissemination, then enqueue in submission order. Batching
-    // at wave granularity — not per transaction — is what lets the RLC
-    // multi-exponentiation amortize.
-    std::vector<const ledger::Transaction*> wave_txs;
-    for (const std::size_t j : survivors) wave_txs.push_back(&items[j].tx);
-    admit_wave_to_mempool(wave_txs);
-    // Pin the wave's tokens while it drains: capacity eviction must not
-    // take validate-once entries out from under in-flight blocks.
-    std::vector<std::string> wave_pins;
-    for (const std::size_t j : survivors) {
-      const std::string id = items[j].tx.id();
-      mempool_.pin(id);
-      wave_pins.push_back(id);
-    }
-    for (const std::size_t j : survivors) {
-      const std::string tx_id = items[j].tx.id();
-      // Endorsed work re-offers as Commit class: it outranks fresh
-      // arrivals (wider CoDel target) but still sheds when the pending
-      // queue stays bad.
-      if (admission_control_) {
-        const common::SimTime now = network_->clock().now();
-        if (!admission_.offer(tx_id, ledger::AdmitPriority::Commit,
-                              items[j].tx.timestamp, now, pending_.size(),
-                              items[j].tx.deadline_us)) {
-          network_->count_shed();
-          mempool_.remove(tx_id, ledger::EvictionRecord::Cause::Expired, now);
-          nodes_.at(from).tm_store.erase(tx_id);
-          private_details_.erase(tx_id);
-          out[items[j].origin] = {false, tx_id,
-                                  "shed endorsed work at admission"};
-          continue;
-        }
-      }
-      pending_.push_back(std::move(items[j].tx));
-      if (pending_.size() >= block_size_) seal_block();
-    }
-    for (const std::string& id : wave_pins) mempool_.unpin(id);
-  }
-  return out;
+  return submit_waves(requests, pipeline_depth);
 }
 
 TxResult QuorumNetwork::replay_private(const std::string& attacker,
                                        const std::string& tx_id,
                                        const std::set<std::string>& recipients) {
-  const auto node = nodes_.find(attacker);
-  if (node == nodes_.end()) return {false, "", "unknown node"};
-  for (const std::string& r : recipients) {
-    if (!nodes_.contains(r)) return {false, "", "unknown recipient " + r};
-  }
-  const auto blob = node->second.tm_store.find(tx_id);
-  if (blob == node->second.tm_store.end()) {
-    return {false, "", "attacker retains no payload for " + tx_id};
-  }
-  const common::Bytes private_blob = blob->second;
+  std::vector<Request> wave(1);
+  wave[0].kind = Request::Kind::Replay;
+  wave[0].from = attacker;
+  wave[0].recipients = recipients;
+  wave[0].replay_of = tx_id;
+  return submit_waves(wave, 1)[0];
+}
 
-  // The attacker's transaction manager holds the plaintext, so it can
-  // recover the original writes and disseminate them to anyone.
-  std::vector<ledger::KvWrite> writes;
-  try {
-    common::Reader r(private_blob);
-    const std::uint64_t count = r.varint();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      ledger::KvWrite kv;
-      kv.key = r.str();
-      kv.value = r.bytes();
-      kv.is_delete = r.boolean();
-      writes.push_back(std::move(kv));
-    }
-  } catch (const common::Error&) {
-    return {false, "", "retained payload undecodable"};
+QuorumNetwork::Prepared QuorumNetwork::prepare(const Request& request) {
+  const auto fail = [](std::string why) {
+    Prepared refused;
+    refused.error = {false, "", std::move(why)};
+    return refused;
+  };
+  const auto node = nodes_.find(request.from);
+  if (node == nodes_.end()) return fail("unknown node");
+  for (const std::string& r : request.recipients) {
+    if (!nodes_.contains(r)) return fail("unknown recipient " + r);
   }
-
-  ledger::Transaction tx;
+  Prepared p;
+  p.from = request.from;
+  p.keypair = &node->second.keypair;
+  ledger::Transaction& tx = p.tx;
   tx.channel = "quorum";
   tx.contract = "evm";
-  tx.action = "private";
-  tx.participants.push_back(attacker);
-  for (const std::string& r : recipients) tx.participants.push_back(r);
-  // Same blob, same hash: the replayed transaction re-presents the
-  // original nullifier under a fresh transaction id.
-  tx.payload = crypto::digest_bytes(crypto::sha256(private_blob));
-  tx.data_opaque = true;
+
+  if (request.kind == Request::Kind::Public) {
+    tx.action = "public";
+    tx.participants = {request.from};
+    tx.writes = request.writes;
+    common::Writer nonce;
+    nonce.u64(nonce_++);
+    tx.payload = nonce.take();
+    ++public_count_;
+  } else {
+    if (request.kind == Request::Kind::Private) {
+      // Serialize the private detail; only its hash goes on chain.
+      common::Writer w;
+      w.varint(request.writes.size());
+      for (const ledger::KvWrite& kv : request.writes) {
+        w.str(kv.key);
+        w.bytes(kv.value);
+        w.boolean(kv.is_delete);
+      }
+      w.bytes(request.payload);
+      w.u64(nonce_++);
+      p.blob = w.take();
+      p.private_writes = request.writes;
+    } else {
+      // Replay: the attacker's transaction manager holds the plaintext,
+      // so it can recover the original writes and disseminate them to
+      // anyone.
+      const auto blob = node->second.tm_store.find(request.replay_of);
+      if (blob == node->second.tm_store.end()) {
+        return fail("attacker retains no payload for " + request.replay_of);
+      }
+      p.blob = blob->second;
+      try {
+        common::Reader r(p.blob);
+        const std::uint64_t count = r.varint();
+        for (std::uint64_t i = 0; i < count; ++i) {
+          ledger::KvWrite kv;
+          kv.key = r.str();
+          kv.value = r.bytes();
+          kv.is_delete = r.boolean();
+          p.private_writes.push_back(std::move(kv));
+        }
+      } catch (const common::Error&) {
+        return fail("retained payload undecodable");
+      }
+    }
+    tx.action = "private";
+    // DOCUMENTED FLAW: the participant list is public on the chain.
+    tx.participants.push_back(request.from);
+    for (const std::string& r : request.recipients) {
+      tx.participants.push_back(r);
+    }
+    // A replay carries the same blob, so the same hash: it re-presents
+    // the original nullifier under a fresh transaction id.
+    tx.payload = crypto::digest_bytes(crypto::sha256(p.blob));
+    tx.data_opaque = true;  // chain carries hash only
+    ++private_count_;
+    p.recipients = request.recipients;
+  }
   tx.timestamp = network_->clock().now();
   if (default_ttl_us_ != 0) tx.deadline_us = tx.timestamp + default_ttl_us_;
-  tx.endorse(attacker, node->second.keypair);
-  ++private_count_;
-  return enqueue(std::move(tx), recipients, writes, private_blob);
+  p.digest = tx.body_digest();
+  p.tx_id = ledger::tx_id(p.digest);
+
+  // Transaction-manager nonces are drawn here, in submission order
+  // (recipients iterate sorted), so the counter stream does not depend
+  // on the wave size or the thread count.
+  for (const std::string& holder : p.recipients) {
+    if (holder == request.from) continue;
+    common::Writer nonce;
+    nonce.u64(nonce_++);
+    common::Bytes nonce16 = nonce.take();
+    nonce16.resize(16, 0);
+    p.push_targets.push_back(holder);
+    p.nonces.push_back(std::move(nonce16));
+  }
+  p.sealed.resize(p.push_targets.size());
+  p.ok = true;
+  return p;
 }
 
-TxResult QuorumNetwork::enqueue(ledger::Transaction tx,
-                                const std::set<std::string>& private_recipients,
-                                const std::vector<ledger::KvWrite>& private_writes,
-                                const common::Bytes& private_payload) {
-  const std::string tx_id = tx.id();
-  const std::string from = tx.participants.front();
+std::vector<TxResult> QuorumNetwork::submit_waves(
+    const std::vector<Request>& requests, std::size_t pipeline_depth) {
+  if (pipeline_depth == 0) pipeline_depth = 1;
+  std::vector<TxResult> out(requests.size());
 
-  if (tx.action == "private") {
-    // Transaction-manager dissemination (Tessera-style): the payload is
-    // sealed under a per-recipient pair key, pushed over the reliable
-    // channel, and opened at the recipient's transaction manager. This
-    // per-recipient crypto is what makes private transactions slower than
-    // public ones — the [5] performance result reproduced by
-    // bench_scalability_quorum.
-    auditor().record(from, "tx/" + tx_id + "/data", private_payload.size());
-    nodes_.at(from).tm_store[tx_id] = private_payload;
-    tm_acks_[tx_id] = {};
-    // The per-recipient key derivation + sealing fans out across the
-    // pool. Nonces are drawn serially first (recipients iterate in
-    // sorted order) so the counter stream is identical at any thread
-    // count; the sends stay serial in the same order.
-    std::vector<std::string> push_targets;
-    std::vector<common::Bytes> nonces;
-    for (const std::string& holder : private_recipients) {
-      if (holder == from) continue;
-      common::Writer nonce;
-      nonce.u64(nonce_++);
-      common::Bytes nonce16 = nonce.take();
-      nonce16.resize(16, 0);
-      push_targets.push_back(holder);
-      nonces.push_back(std::move(nonce16));
+  for (std::size_t wave = 0; wave < requests.size();
+       wave += pipeline_depth) {
+    const std::size_t wave_end =
+        std::min(requests.size(), wave + pipeline_depth);
+    // Stage A (serial): build each transaction, hash its body once and
+    // draw every nonce in submission order.
+    std::vector<Prepared> items;
+    for (std::size_t i = wave; i < wave_end; ++i) {
+      Prepared p = prepare(requests[i]);
+      if (!p.ok) {
+        out[i] = std::move(p.error);
+        continue;
+      }
+      p.origin = i;
+      items.push_back(std::move(p));
     }
-    const auto sealed_payloads = common::ThreadPool::global().parallel_map(
-        push_targets.size(), [&](std::size_t i) {
-          const common::Bytes pair_key = crypto::hkdf(
-              {}, common::to_bytes(from + "|" + push_targets[i]),
-              "quorum.tm.pair", 32);
-          return crypto::seal(pair_key, private_payload, nonces[i]);
-        });
-    for (std::size_t i = 0; i < push_targets.size(); ++i) {
-      PrivateEnvelope env;
-      env.tx_id = tx_id;
-      env.sender = from;
-      env.sealed = sealed_payloads[i];
-      channel_.send(from, push_targets[i], "quorum.tm-push", env.encode());
-    }
-    network_->run();
-    std::size_t acked = 0;
-    for (const std::string& holder : private_recipients) {
-      if (holder == from || tm_acks_[tx_id].contains(holder)) ++acked;
-    }
-    tm_acks_.erase(tx_id);
-    if (acked < private_recipients.size()) {
-      // Fail closed: without every recipient's transaction manager
-      // confirming receipt, the hash must not reach the chain — a private
-      // transaction nobody can open is worse than no transaction.
-      nodes_.at(from).tm_store.erase(tx_id);
-      return {false, tx_id, "private payload dissemination incomplete"};
-    }
-    std::set<std::string> holders = private_recipients;
-    holders.insert(from);
-    private_details_[tx_id] = PrivateDetail{holders, private_writes};
-  }
+    // Stage B: endorsement signing and per-recipient transaction-manager
+    // sealing (the HKDF + AES work that makes private transactions
+    // slower than public ones — the [5] performance result reproduced by
+    // bench_scalability_quorum) fan out across the pool, one index per
+    // transaction; a wave of one runs inline on the caller. Both are pure
+    // (deterministic nonces, inputs fixed in stage A), so results are
+    // bit-identical at any thread count.
+    common::ThreadPool::global().parallel_for(items.size(), [&](std::size_t j) {
+      Prepared& it = items[j];
+      const common::BytesView msg(it.digest.data(), it.digest.size());
+      it.tx.endorsements.push_back(ledger::Endorsement{
+          it.from, it.keypair->public_key(), it.keypair->sign(msg)});
+      for (std::size_t r = 0; r < it.push_targets.size(); ++r) {
+        const common::Bytes pair_key = crypto::hkdf(
+            {}, common::to_bytes(it.from + "|" + it.push_targets[r]),
+            "quorum.tm.pair", 32);
+        it.sealed[r] = crypto::seal(pair_key, it.blob, it.nonces[r]);
+      }
+    });
+    // Stage C (serial, submission order): disseminate private payloads,
+    // then pass each transaction through the one overload gate. The gate
+    // sees the pending queue as it will be when this item is enqueued:
+    // earlier survivors of the wave count, and a queue that reaches a
+    // full block starts over empty.
+    std::size_t projected = pending_.size();
+    std::vector<std::size_t> survivors;
+    for (std::size_t j = 0; j < items.size(); ++j) {
+      Prepared& item = items[j];
+      const std::string& tx_id = item.tx_id;
+      const bool is_private = item.tx.action == "private";
+      if (is_private) {
+        // Transaction-manager dissemination (Tessera-style): the payload
+        // is sealed under a per-recipient pair key, pushed over the
+        // reliable channel, and opened at the recipient's manager.
+        auditor().record(item.from, "tx/" + tx_id + "/data", item.blob.size());
+        nodes_.at(item.from).tm_store[tx_id] = item.blob;
+        tm_acks_[tx_id] = {};
+        for (std::size_t r = 0; r < item.push_targets.size(); ++r) {
+          PrivateEnvelope env;
+          env.tx_id = tx_id;
+          env.sender = item.from;
+          env.sealed = std::move(item.sealed[r]);
+          channel_.send(item.from, item.push_targets[r], "quorum.tm-push",
+                        env.encode());
+        }
+        network_->run();
+        std::size_t acked = 0;
+        for (const std::string& holder : item.recipients) {
+          if (holder == item.from || tm_acks_[tx_id].contains(holder)) ++acked;
+        }
+        tm_acks_.erase(tx_id);
+        if (acked < item.recipients.size()) {
+          // Fail closed: without every recipient's transaction manager
+          // confirming receipt, the hash must not reach the chain — a
+          // private transaction nobody can open is worse than none.
+          nodes_.at(item.from).tm_store.erase(tx_id);
+          out[item.origin] = {false, tx_id,
+                              "private payload dissemination incomplete"};
+          continue;
+        }
+        std::set<std::string> holders = item.recipients;
+        holders.insert(item.from);
+        private_details_[tx_id] =
+            PrivateDetail{std::move(holders), std::move(item.private_writes)};
+      }
 
-  // ---- Overload gate -------------------------------------------------------
-  // Refusals after private dissemination tidy up the TM side: a payload
-  // whose hash never reaches the chain should not linger as an orphan.
-  const auto refuse = [&](std::string why) {
-    if (tx.action == "private") {
-      nodes_.at(from).tm_store.erase(tx_id);
-      private_details_.erase(tx_id);
+      // ---- Overload gate ---------------------------------------------------
+      // Refusals after private dissemination tidy up the TM side: a
+      // payload whose hash never reaches the chain should not linger as
+      // an orphan.
+      const auto refuse = [&](std::string why) {
+        if (is_private) {
+          nodes_.at(item.from).tm_store.erase(tx_id);
+          private_details_.erase(tx_id);
+        }
+        out[item.origin] = {false, tx_id, std::move(why)};
+      };
+      const common::SimTime gate_now = network_->clock().now();
+      if (item.tx.deadline_us != 0 && gate_now > item.tx.deadline_us) {
+        network_->count_expired(net::Stage::Endorse);
+        refuse("expired before enqueue");
+        continue;
+      }
+      if (admission_control_ &&
+          !admission_.offer(tx_id, ledger::AdmitPriority::Fresh,
+                            item.tx.timestamp, gate_now, projected,
+                            item.tx.deadline_us)) {
+        network_->count_shed();
+        refuse("shed at admission (retry after " +
+               std::to_string(admission_.retry_after(gate_now)) + "us)");
+        continue;
+      }
+      if (pending_capacity_ != 0 && projected >= pending_capacity_) {
+        network_->count_busy_rejected();
+        refuse("busy: pending queue full");
+        continue;
+      }
+      out[item.origin] = {true, tx_id, ""};
+      survivors.push_back(j);
+      if (++projected >= block_size_) projected = 0;
     }
-    return TxResult{false, tx_id, std::move(why)};
-  };
-  const common::SimTime gate_now = network_->clock().now();
-  if (tx.deadline_us != 0 && gate_now > tx.deadline_us) {
-    network_->count_expired(net::Stage::Endorse);
-    return refuse("expired before enqueue");
-  }
-  if (admission_control_ &&
-      !admission_.offer(tx_id, ledger::AdmitPriority::Fresh, tx.timestamp,
-                        gate_now, pending_.size(), tx.deadline_us)) {
-    network_->count_shed();
-    return refuse("shed at admission (retry after " +
-                  std::to_string(admission_.retry_after(gate_now)) + "us)");
-  }
-  if (pending_capacity_ != 0 && pending_.size() >= pending_capacity_) {
-    network_->count_busy_rejected();
-    return refuse("busy: pending queue full");
-  }
-
-  admit_to_mempool(tx);
-  pending_.push_back(std::move(tx));
-  if (pending_.size() >= block_size_) seal_block();
-  return {true, tx_id, ""};
-}
-
-void QuorumNetwork::admit_to_mempool(const ledger::Transaction& tx) {
-  if (!verify_commits_) return;
-  bool verified;
-  if (batch_verify_) {
-    const crypto::Digest digest = tx.body_digest();
-    const common::BytesView msg(digest.data(), digest.size());
-    for (const ledger::Endorsement& e : tx.endorsements) {
-      batch_verifier_.add_signature(e.key, msg, e.signature);
+    // Stage D: one batched admission check across every transaction the
+    // gate let through, then enqueue in submission order. Batching at
+    // wave granularity — not per transaction — is what lets the RLC
+    // multi-exponentiation amortize. The wave's tokens stay pinned while
+    // it drains: capacity eviction must not take validate-once entries
+    // out from under in-flight blocks.
+    admit_wave_to_mempool(items, survivors);
+    for (const std::size_t j : survivors) mempool_.pin(items[j].tx_id);
+    for (const std::size_t j : survivors) {
+      pending_.push_back(std::move(items[j].tx));
+      if (pending_.size() >= block_size_) seal_block();
     }
-    verified = batch_verifier_.pending() == 0 ||
-               batch_verifier_.verify().all_valid;
-  } else {
-    verified = tx.endorsements_valid(*group_);
+    for (const std::size_t j : survivors) mempool_.unpin(items[j].tx_id);
   }
-  mempool_.admit(tx, verified, network_->clock().now());
+  return out;
 }
 
 void QuorumNetwork::admit_wave_to_mempool(
-    const std::vector<const ledger::Transaction*>& txs) {
+    const std::vector<Prepared>& items, const std::vector<std::size_t>& admit) {
   if (!verify_commits_) return;
   const common::SimTime now = network_->clock().now();
-  if (!batch_verify_) {
-    for (const ledger::Transaction* tx : txs) {
-      mempool_.admit(*tx, tx->endorsements_valid(*group_), now);
-    }
-    return;
-  }
-  std::vector<std::size_t> queued;  // batch index -> txs index
-  for (std::size_t i = 0; i < txs.size(); ++i) {
-    const crypto::Digest digest = txs[i]->body_digest();
-    const common::BytesView msg(digest.data(), digest.size());
-    for (const ledger::Endorsement& e : txs[i]->endorsements) {
+  std::vector<std::size_t> queued;  // batch index -> position in `admit`
+  for (std::size_t k = 0; k < admit.size(); ++k) {
+    const Prepared& item = items[admit[k]];
+    const common::BytesView msg(item.digest.data(), item.digest.size());
+    for (const ledger::Endorsement& e : item.tx.endorsements) {
       batch_verifier_.add_signature(e.key, msg, e.signature);
-      queued.push_back(i);
+      queued.push_back(k);
     }
   }
-  std::vector<char> ok(txs.size(), 1);
+  std::vector<char> ok(admit.size(), 1);
   if (batch_verifier_.pending() > 0) {
     const crypto::BatchOutcome outcome = batch_verifier_.verify();
     for (const std::size_t bad : outcome.invalid) ok[queued[bad]] = 0;
   }
-  for (std::size_t i = 0; i < txs.size(); ++i) {
-    mempool_.admit(*txs[i], ok[i] != 0, now);
+  for (std::size_t k = 0; k < admit.size(); ++k) {
+    const Prepared& item = items[admit[k]];
+    mempool_.admit(item.tx, item.digest, ok[k] != 0, now);
   }
 }
 
 std::vector<char> QuorumNetwork::block_signatures_valid(
-    const ledger::Block& block, const ledger::WorldState& state,
-    bool replay) {
+    const ledger::Block& block, const std::vector<crypto::Digest>& digests,
+    const ledger::WorldState& state, bool replay) {
   std::vector<char> ok(block.transactions.size(), 1);
   if (!verify_commits_) return ok;
   // Validate-once: a token minted at admission (same body digest — the
   // id IS the digest) stands in for re-verification. Quorum transactions
   // carry no read-set, so the token's version check is digest-only.
+  // Token misses join one batched check.
   const common::SimTime now = network_->clock().now();
-  std::vector<std::size_t> misses;
+  std::vector<std::size_t> queued;  // batch index -> tx index
   for (std::size_t i = 0; i < block.transactions.size(); ++i) {
-    if (replay || !mempool_.validated(block.transactions[i], state, now)) {
-      misses.push_back(i);
+    if (!replay && mempool_.validated(digests[i], state, now)) continue;
+    const common::BytesView msg(digests[i].data(), digests[i].size());
+    for (const ledger::Endorsement& e : block.transactions[i].endorsements) {
+      batch_verifier_.add_signature(e.key, msg, e.signature);
+      queued.push_back(i);
     }
   }
-  if (batch_verify_) {
-    std::vector<std::size_t> queued;  // batch index -> tx index
-    for (const std::size_t i : misses) {
-      const ledger::Transaction& tx = block.transactions[i];
-      const crypto::Digest digest = tx.body_digest();
-      const common::BytesView msg(digest.data(), digest.size());
-      for (const ledger::Endorsement& e : tx.endorsements) {
-        batch_verifier_.add_signature(e.key, msg, e.signature);
-        queued.push_back(i);
-      }
-    }
-    if (batch_verifier_.pending() > 0) {
-      const crypto::BatchOutcome outcome = batch_verifier_.verify();
-      for (const std::size_t bad : outcome.invalid) ok[queued[bad]] = 0;
-    }
-  } else {
-    for (const std::size_t i : misses) {
-      ok[i] = block.transactions[i].endorsements_valid(*group_) ? 1 : 0;
-    }
+  if (batch_verifier_.pending() > 0) {
+    const crypto::BatchOutcome outcome = batch_verifier_.verify();
+    for (const std::size_t bad : outcome.invalid) ok[queued[bad]] = 0;
   }
   return ok;
 }
@@ -635,8 +500,18 @@ void QuorumNetwork::apply_block(const std::string& org,
                                 const ledger::Block& block, bool replay,
                                 common::BytesView encoded) {
   Node& node = nodes_.at(org);
+  // This node hashes each body it applies, once: the signature check,
+  // the auditor record, the replay detector and the private-detail
+  // lookup all use that digest and the id derived from it.
+  const std::size_t tx_count = block.transactions.size();
+  std::vector<crypto::Digest> digests(tx_count);
+  std::vector<std::string> ids(tx_count);
+  for (std::size_t i = 0; i < tx_count; ++i) {
+    digests[i] = block.transactions[i].body_digest();
+    ids[i] = ledger::tx_id(digests[i]);
+  }
   const std::vector<char> sig_ok =
-      block_signatures_valid(block, node.public_state, replay);
+      block_signatures_valid(block, digests, node.public_state, replay);
   // WAL invariant: the block is durable before any in-memory mutation.
   // A delivered block is logged in the bytes it arrived in.
   if (!replay) {
@@ -652,16 +527,17 @@ void QuorumNetwork::apply_block(const std::string& org,
     // when the batches end with the last transaction.
     ledger::WorldState::Batch public_writes(node.public_state);
     ledger::WorldState::Batch private_writes(node.private_state);
-    std::size_t tx_index = 0;
-    for (const ledger::Transaction& tx : block.transactions) {
+    for (std::size_t i = 0; i < tx_count; ++i) {
+      const ledger::Transaction& tx = block.transactions[i];
+      const std::string& id = ids[i];
       // Every node sees the full on-chain form: public payload in clear,
       // private payload as hash — but always the participant list.
       // (Recorded once, at the original commit; WAL replay is a local
       // re-read, not a new leak.)
-      if (!replay) record_visibility(auditor(), org, tx);
+      if (!replay) record_visibility(auditor(), org, tx, id);
       // Fail closed on a forged endorsement (verify-commits deployments
       // only): the transaction stays on chain but mutates no state.
-      if (sig_ok[tx_index++] == 0) continue;
+      if (sig_ok[i] == 0) continue;
       if (tx.action == "public") {
         for (const ledger::KvWrite& kv : tx.writes) {
           if (kv.is_delete) {
@@ -680,9 +556,8 @@ void QuorumNetwork::apply_block(const std::string& org,
         const std::string nullifier(tx.payload.begin(), tx.payload.end());
         const auto seen = nullifiers_.find(nullifier);
         if (seen == nullifiers_.end()) {
-          nullifiers_.emplace(nullifier,
-                              std::make_pair(tx.id(), tx.encode()));
-        } else if (seen->second.first != tx.id()) {
+          nullifiers_.emplace(nullifier, std::make_pair(id, tx.encode()));
+        } else if (seen->second.first != id) {
           replayed = true;
           // The attacker does not convict itself; any honest node does.
           if (detection_ && org != tx.participants.front()) {
@@ -702,7 +577,7 @@ void QuorumNetwork::apply_block(const std::string& org,
             network_->quarantine(accused);
           }
         }
-        const auto detail = private_details_.find(tx.id());
+        const auto detail = private_details_.find(id);
         if (detail != private_details_.end() &&
             detail->second.recipients.contains(org) &&
             !(detection_ && replayed)) {

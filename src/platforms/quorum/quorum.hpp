@@ -87,13 +87,17 @@ class QuorumNetwork {
     common::Bytes payload;
   };
 
-  /// Pipelined private submissions: transaction-manager sealing (the
+  /// Pipelined private submissions in waves of `pipeline_depth`.
+  /// Endorsement signing and transaction-manager sealing (the
   /// per-recipient HKDF + AES work that dominates private-tx cost) for a
-  /// wave of `pipeline_depth` submissions runs as pool tasks while
-  /// earlier submissions are already disseminating and being sealed into
-  /// blocks. Nonces are drawn serially up front, so the resulting
-  /// transactions are byte-identical to serial submit_private() calls at
-  /// any thread count.
+  /// whole wave fan out across the pool, and admission checks the wave's
+  /// signatures in one batch. This is the commit path every submission
+  /// takes: submit_public(), submit_private() and replay_private() are
+  /// waves of one. Each transaction passes one overload gate after its
+  /// dissemination, in this order: the endorse-stage TTL check, the
+  /// Fresh-class admission offer, then the pending-capacity check, which
+  /// counts the wave's earlier survivors as already queued. Nonces are
+  /// drawn serially, so results are bit-identical at any thread count.
   std::vector<TxResult> submit_private_many(
       const std::string& from, const std::vector<PrivateSubmission>& batch,
       std::size_t pipeline_depth = 8);
@@ -104,9 +108,6 @@ class QuorumNetwork {
   /// endorsement signature at apply time, consulting the validate-once
   /// mempool token first; transactions failing verification are skipped.
   void set_verify_commits(bool on = true) { verify_commits_ = on; }
-  /// Route commit verification through the batched RLC kernel (default)
-  /// or the per-item path (differential testing).
-  void set_batch_verify(bool on = true) { batch_verify_ = on; }
 
   const ledger::Mempool& mempool() const { return mempool_; }
   const crypto::BatchVerifier::Stats& batch_verify_stats() const {
@@ -116,8 +117,8 @@ class QuorumNetwork {
   // ---- Overload tier (docs/fault_model.md "Overload tier") -----------------
 
   /// CoDel admission control in front of the pending queue (off until
-  /// configured). Fresh submissions are gated at enqueue; endorsed wave
-  /// work re-offers as Commit class in submit_private_many.
+  /// configured). Every transaction is offered once, as Fresh class, at
+  /// its overload gate.
   void set_admission(ledger::AdmissionConfig config) {
     admission_ = ledger::AdmissionController(config);
     admission_control_ = true;
@@ -129,7 +130,8 @@ class QuorumNetwork {
   }
   /// Default TTL stamped on submissions at build time (deadline =
   /// timestamp + ttl; part of the signed body). Expired work is dropped
-  /// at enqueue and again when blocks are sealed. 0 = no deadline.
+  /// at the overload gate and again when blocks are sealed. 0 = no
+  /// deadline.
   void set_default_ttl(common::SimTime ttl_us) { default_ttl_us_ = ttl_us; }
   /// Route the reliable channel's sends through a circuit breaker fed by
   /// delivery outcomes (acks close, exhausted retries open).
@@ -245,22 +247,56 @@ class QuorumNetwork {
     std::uint64_t blocks_applied = 0;
   };
 
-  TxResult enqueue(ledger::Transaction tx,
-                   const std::set<std::string>& private_recipients,
-                   const std::vector<ledger::KvWrite>& private_writes,
-                   const common::Bytes& private_payload);
-  /// Admission verification + token mint (no-op unless verify_commits_).
-  void admit_to_mempool(const ledger::Transaction& tx);
-  /// Wave admission for submit_private_many: one batched signature check
-  /// spanning every transaction in the wave (no-op unless
-  /// verify_commits_).
-  void admit_wave_to_mempool(const std::vector<const ledger::Transaction*>& txs);
+  /// One submission for the commit path: a public write, a private
+  /// transfer, or an attacker's replay of a private payload its
+  /// transaction manager retained.
+  struct Request {
+    enum class Kind { Public, Private, Replay };
+    Kind kind = Kind::Public;
+    std::string from;
+    std::set<std::string> recipients;     // private and replay
+    std::vector<ledger::KvWrite> writes;  // public and private
+    common::Bytes payload;                // private
+    std::string replay_of;                // replay: the retained tx id
+  };
+  /// A request built into its unsigned transaction. The body is hashed
+  /// once here: `digest` is what the sender signs, and `tx_id`, derived
+  /// from it, labels the audit record, the TM store, the mempool token
+  /// and the pin.
+  struct Prepared {
+    bool ok = false;
+    TxResult error;
+    std::size_t origin = 0;  // index into the request list
+    std::string from;
+    const crypto::KeyPair* keypair = nullptr;
+    ledger::Transaction tx;
+    crypto::Digest digest{};
+    std::string tx_id;
+    // Private and replay: what goes to the transaction managers.
+    std::set<std::string> recipients;
+    std::vector<ledger::KvWrite> private_writes;
+    common::Bytes blob;
+    std::vector<std::string> push_targets;
+    std::vector<common::Bytes> nonces;
+    std::vector<common::Bytes> sealed;  // filled with the signature
+  };
+  /// Checks, body and nonces for one request. Serial: it draws from the
+  /// shared nonce counter.
+  Prepared prepare(const Request& request);
+  /// The commit path (see submit_private_many).
+  std::vector<TxResult> submit_waves(const std::vector<Request>& requests,
+                                     std::size_t pipeline_depth);
+  /// Wave admission: one batched signature check spanning `items[admit]`,
+  /// then a token per transaction (no-op unless verify_commits_).
+  void admit_wave_to_mempool(const std::vector<Prepared>& items,
+                             const std::vector<std::size_t>& admit);
   /// Per-transaction signature validity for a block at apply time:
-  /// validate-once token hits skip verification, misses go through the
-  /// batched (or per-item) check. All-ones unless verify_commits_.
-  std::vector<char> block_signatures_valid(const ledger::Block& block,
-                                           const ledger::WorldState& state,
-                                           bool replay);
+  /// validate-once token hits skip verification, misses go through one
+  /// batched check. `digests` are the applying node's own hashes of the
+  /// block's bodies. All-ones unless verify_commits_.
+  std::vector<char> block_signatures_valid(
+      const ledger::Block& block, const std::vector<crypto::Digest>& digests,
+      const ledger::WorldState& state, bool replay);
   void deliver(const ledger::Block& block);
   void on_node_message(const std::string& self, const net::Message& msg);
   /// Append one block to one node's replica. `replay` marks WAL recovery
@@ -319,7 +355,6 @@ class QuorumNetwork {
   std::uint64_t nonce_ = 0;
   bool detection_ = false;
   bool verify_commits_ = false;
-  bool batch_verify_ = true;
   /// Validate-once admission pool (volatile; cleared on any node crash).
   ledger::Mempool mempool_;
   // Overload tier: all volatile, never WAL-logged — refused work was

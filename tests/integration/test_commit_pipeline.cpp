@@ -1,8 +1,10 @@
-// Commit-path batching integration: the pipelined submit paths and the
-// batched RLC verification must be BIT-IDENTICAL to the serial/per-item
-// paths — same receipts, same state digests — and every Byzantine
-// attack the Detect tier convicts must still be convicted with batching
-// on (the bisection fallback makes convictions exact).
+// Commit-path integration: each platform has one commit path, and a
+// single-item call is a wave of one through it. Waves of any size must
+// be BIT-IDENTICAL in what they commit — same receipts, same state
+// digests — seeded single-item transcripts are pinned byte for byte, and
+// every Byzantine attack the Detect tier convicts must still be
+// convicted through the batched RLC check (the bisection fallback makes
+// convictions exact).
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.hpp"
@@ -75,7 +77,8 @@ TEST(CommitPipeline, FabricPipelinedMatchesSerialState) {
   EXPECT_EQ(serial_committed, wave.size());
   EXPECT_EQ(piped_committed, wave.size());
   // Same transactions in the same order: the replicas end bit-identical
-  // (block boundaries may differ — submit() flushes per call).
+  // (block boundaries may differ — submit() is a wave of one, so it
+  // flushes per call).
   EXPECT_EQ(serial.fab.state("ch", "OrgA").digest(),
             piped.fab.state("ch", "OrgA").digest());
   EXPECT_EQ(piped.fab.state("ch", "OrgA").digest(),
@@ -104,24 +107,24 @@ TEST(CommitPipeline, FabricPipelineDeterministicAcrossThreadCounts) {
   EXPECT_EQ(one.second, eight.second);  // same final state
 }
 
-TEST(CommitPipeline, FabricBatchVerifyOffIsBitIdentical) {
-  fabric::FabricConfig off_config;
-  off_config.batch_verify = false;
+TEST(CommitPipeline, FabricWaveSizeIsBitIdentical) {
+  // The admission batch spans a wave: sixteen requests in waves of eight
+  // and in waves of one reach the same verdicts and the same bytes.
   FabricRig batched;
-  FabricRig per_item(off_config);
+  FabricRig single;
   const auto wave = fabric_wave(16);
 
   const auto rb = batched.fab.submit_many(wave, 8);
-  const auto rp = per_item.fab.submit_many(wave, 8);
-  ASSERT_EQ(rb.size(), rp.size());
+  const auto rs = single.fab.submit_many(wave, 1);
+  ASSERT_EQ(rb.size(), rs.size());
   for (std::size_t i = 0; i < rb.size(); ++i) {
-    EXPECT_EQ(rb[i].committed, rp[i].committed);
-    EXPECT_EQ(rb[i].tx_id, rp[i].tx_id);
+    EXPECT_TRUE(rb[i].committed) << rb[i].reason;
+    EXPECT_EQ(rb[i].committed, rs[i].committed);
+    EXPECT_EQ(rb[i].tx_id, rs[i].tx_id);
   }
   EXPECT_EQ(batched.fab.state("ch", "OrgA").digest(),
-            per_item.fab.state("ch", "OrgA").digest());
+            single.fab.state("ch", "OrgA").digest());
   EXPECT_GT(batched.fab.batch_verify_stats().items, 0u);
-  EXPECT_EQ(per_item.fab.batch_verify_stats().items, 0u);
 }
 
 TEST(CommitPipeline, FabricOrdererTamperingConvictedWithBatchingOn) {
@@ -184,28 +187,30 @@ std::vector<quorum::QuorumNetwork::PrivateSubmission> quorum_wave(
   return wave;
 }
 
-TEST(CommitPipeline, QuorumBatchedCommitVerificationMatchesPerItem) {
+TEST(CommitPipeline, QuorumBatchedCommitVerificationMatchesUnverified) {
+  // Honest traffic: verifying commits through the batched check changes
+  // no verdict and no byte against a deployment that trusts its gossip.
   QuorumRig batched;
-  QuorumRig per_item;
-  per_item.quorum.set_batch_verify(false);
+  QuorumRig unverified;
+  unverified.quorum.set_verify_commits(false);
   const auto wave = quorum_wave(8);
 
   const auto rb = batched.quorum.submit_private_many("NodeA", wave, 8);
-  const auto rp = per_item.quorum.submit_private_many("NodeA", wave, 8);
+  const auto ru = unverified.quorum.submit_private_many("NodeA", wave, 8);
   batched.quorum.seal_block();
-  per_item.quorum.seal_block();
-  ASSERT_EQ(rb.size(), rp.size());
+  unverified.quorum.seal_block();
+  ASSERT_EQ(rb.size(), ru.size());
   for (std::size_t i = 0; i < rb.size(); ++i) {
     EXPECT_TRUE(rb[i].accepted) << rb[i].reason;
-    EXPECT_EQ(rb[i].accepted, rp[i].accepted);
-    EXPECT_EQ(rb[i].tx_id, rp[i].tx_id);
+    EXPECT_EQ(rb[i].accepted, ru[i].accepted);
+    EXPECT_EQ(rb[i].tx_id, ru[i].tx_id);
   }
   EXPECT_EQ(batched.quorum.public_state("NodeA").digest(),
-            per_item.quorum.public_state("NodeA").digest());
+            unverified.quorum.public_state("NodeA").digest());
   EXPECT_EQ(batched.quorum.public_state("NodeA").digest(),
             batched.quorum.public_state("NodeC").digest());
   EXPECT_GT(batched.quorum.batch_verify_stats().items, 0u);
-  EXPECT_EQ(per_item.quorum.batch_verify_stats().items, 0u);
+  EXPECT_EQ(unverified.quorum.batch_verify_stats().items, 0u);
 }
 
 TEST(CommitPipeline, QuorumReplayStillDetectedWithVerifiedBatching) {
@@ -359,16 +364,14 @@ TEST(CommitPipeline, CordaBackchainBatchedValidateOnce) {
   EXPECT_EQ(second.tx_ids, first.tx_ids);
   EXPECT_EQ(rig.corda.batch_verify_stats().items, items_after_first);
 
-  // Per-item path agrees with the batched one on a fresh, identically
-  // seeded network.
-  CordaRig per_item;
-  per_item.corda.set_batch_verify(false);
-  const auto issued2 = per_item.issue_cash("Alice", "99");
+  // A fresh, identically seeded network resolves the same backchain.
+  CordaRig replica;
+  const auto issued2 = replica.issue_cash("Alice", "99");
   (void)issued;
   (void)issued2;
   auto hop2 = [&](const std::string& from, const std::string& to) {
-    const auto ref = per_item.corda.vault(from).back().ref;
-    const auto r = per_item.corda.transact(
+    const auto ref = replica.corda.vault(from).back().ref;
+    const auto r = replica.corda.transact(
         from, {ref}, {corda::OutputSpec{"Cash", to_bytes("99"), {to}}},
         "Notary");
     ASSERT_TRUE(r.success) << r.reason;
@@ -376,11 +379,200 @@ TEST(CommitPipeline, CordaBackchainBatchedValidateOnce) {
   hop2("Alice", "Bob");
   hop2("Bob", "Alice");
   hop2("Alice", "Carol");
-  const auto reference = per_item.corda.resolve_backchain(
-      "Carol", per_item.corda.vault("Carol").front().ref);
+  const auto reference = replica.corda.resolve_backchain(
+      "Carol", replica.corda.vault("Carol").front().ref);
   ASSERT_TRUE(reference.valid) << reference.reason;
   EXPECT_EQ(reference.depth, first.depth);
   EXPECT_EQ(reference.tx_ids, first.tx_ids);
+}
+
+// ---- Golden single-item transcripts ----------------------------------------
+//
+// Seeded sequences of single-item calls with their outcomes pinned as
+// literals: every receipt (outcome, tx id, reason) folded into one
+// digest, the sim clock, the replicas' state roots, the tip hash and the
+// bytes put on the wire. A single-item call is a wave of one through its
+// platform's commit path; these values must not move when that path
+// changes shape.
+
+struct Golden {
+  std::string receipts;
+  common::SimTime clock = 0;
+  std::string roots;
+  std::string tip;
+  std::uint64_t bytes_sent = 0;
+
+  bool operator==(const Golden&) const = default;
+};
+
+void PrintTo(const Golden& g, std::ostream* os) {
+  *os << "{\"" << g.receipts << "\", " << g.clock << ", \"" << g.roots
+      << "\", \"" << g.tip << "\", " << g.bytes_sent << "}";
+}
+
+/// Lines folded into one hex SHA-256 digest.
+class Fold {
+ public:
+  void add(const std::string& line) { text_ += line + "\n"; }
+  std::string hex() const { return crypto::digest_hex(crypto::sha256(text_)); }
+
+ private:
+  std::string text_;
+};
+
+Golden fabric_submit_golden(fabric::FabricNetwork::ValidationMode mode) {
+  fabric::FabricConfig config;
+  config.snapshots.interval = 8;
+  FabricRig rig(config);
+  rig.fab.set_validation_mode(mode);
+  rig.net.set_drop_probability(0.05);
+  Rng pick(41);
+  Fold receipts;
+  std::size_t committed = 0;
+  for (std::size_t i = 0; i < 40; ++i) {
+    const std::string client = pick.next_below(4) == 0 ? "OrgA" : "OrgB";
+    // Every tenth call names an action the chaincode lacks: no endorser
+    // succeeds and the call fails before ordering.
+    const std::string action =
+        (i % 10 == 9 ? "get:k" : "put:k") + std::to_string(pick.next_below(6));
+    const auto r = rig.fab.submit("ch", client, "kv", action,
+                                  to_bytes("v" + std::to_string(i)));
+    receipts.add(std::to_string(r.committed) + " " + r.tx_id + " " + r.reason);
+    committed += r.committed ? 1 : 0;
+  }
+  EXPECT_GT(committed, 20u);
+  Fold roots;
+  for (const char* org : {"OrgA", "OrgB"}) {
+    roots.add(crypto::digest_hex(rig.fab.state_root("ch", org)));
+  }
+  return {receipts.hex(), rig.net.clock().now(), roots.hex(),
+          crypto::digest_hex(rig.fab.chain("ch", "OrgA").tip_hash()),
+          rig.net.stats().bytes_sent};
+}
+
+// Honest traffic: Validate and Detect commit the same bytes.
+const Golden kFabricSubmitGolden{
+    "3549808a6c98b3e9b9833e8e62bf6c2cdcfad3ddc85deccee40fdc13033bc4ad",
+    271063,
+    "6a071abf7902f206aecd5c8304e50078202e9abbd837b16986cb53de4bffc559",
+    "3be9ce4055bb699216495139111e68480bf0006322ae92f7270def906866263a",
+    30380};
+
+TEST(CommitPipeline, FabricSubmitGoldenValidate) {
+  EXPECT_EQ(
+      fabric_submit_golden(fabric::FabricNetwork::ValidationMode::Validate),
+      kFabricSubmitGolden);
+}
+
+TEST(CommitPipeline, FabricSubmitGoldenDetect) {
+  EXPECT_EQ(
+      fabric_submit_golden(fabric::FabricNetwork::ValidationMode::Detect),
+      kFabricSubmitGolden);
+}
+
+Golden quorum_single_item_golden(bool verify_commits) {
+  QuorumRig rig(/*block_size=*/4);
+  rig.quorum.set_verify_commits(verify_commits);
+  rig.quorum.enable_detection();
+  rig.net.set_drop_probability(0.05);
+  Rng pick(43);
+  Fold receipts;
+  const auto note = [&receipts](const quorum::TxResult& r) {
+    receipts.add(std::to_string(r.accepted) + " " + r.tx_id + " " + r.reason);
+  };
+  const std::vector<std::string> nodes{"NodeA", "NodeB", "NodeC"};
+  std::string replayable;  // a NodeA -> NodeB transfer NodeB can replay
+  for (std::size_t i = 0; i < 30; ++i) {
+    const std::string& from = nodes[pick.next_below(nodes.size())];
+    const std::string& to = nodes[pick.next_below(nodes.size())];
+    const std::string key = "asset/a" + std::to_string(pick.next_below(5));
+    if (pick.next_below(3) == 0) {
+      note(rig.quorum.submit_public(from, {{key, to_bytes(to)}}));
+    } else {
+      const auto r = rig.quorum.submit_private(
+          from, {to}, {{key + "/owner", to_bytes(to)}},
+          to_bytes("transfer " + std::to_string(i)));
+      if (r.accepted && from == "NodeA" && to == "NodeB") replayable = r.tx_id;
+      note(r);
+    }
+  }
+  // The recipient replays a transfer to a fresh party; with detection on
+  // the nullifier cross-check convicts it once the block is applied.
+  EXPECT_FALSE(replayable.empty());
+  note(rig.quorum.replay_private("NodeB", replayable, {"NodeC"}));
+  for (std::size_t i = 0; i < 3; ++i) {
+    note(rig.quorum.submit_private(
+        "NodeA", {"NodeC"},
+        {{"asset/z" + std::to_string(i), to_bytes("NodeC")}}));
+  }
+  rig.quorum.seal_block();
+  rig.quorum.sync();
+  EXPECT_EQ(rig.quorum.evidence().count(), 1u);
+  receipts.add("evidence " + std::to_string(rig.quorum.evidence().count()));
+  Fold roots;
+  for (const std::string& node : nodes) {
+    roots.add(crypto::digest_hex(rig.quorum.public_state(node).digest()));
+    roots.add(crypto::digest_hex(rig.quorum.private_state(node).digest()));
+  }
+  return {receipts.hex(), rig.net.clock().now(), roots.hex(),
+          crypto::digest_hex(rig.quorum.public_chain("NodeA").tip_hash()),
+          rig.net.stats().bytes_sent};
+}
+
+// Honest traffic: verifying commits changes no byte.
+const Golden kQuorumSingleItemGolden{
+    "0089eedbfb28e09f951837685a8aad2405443522ccd8dfbd907d7038de8086d4",
+    343641,
+    "8181d2e5ad4eff185a21b156a268015f23ac775d05e03680d1849a88e3bed16a",
+    "5aa33601f5cecc08b9e76bc8e8005c91fb0f4f53d6464fe80d7013e93a5f64fa",
+    47947};
+
+TEST(CommitPipeline, QuorumSingleItemGoldenVerifyOff) {
+  EXPECT_EQ(quorum_single_item_golden(false), kQuorumSingleItemGolden);
+}
+
+TEST(CommitPipeline, QuorumSingleItemGoldenVerifyOn) {
+  EXPECT_EQ(quorum_single_item_golden(true), kQuorumSingleItemGolden);
+}
+
+// Corda keeps no chain, so the tip field stays empty; the roots are the
+// parties' vault digests.
+TEST(CommitPipeline, CordaIssueTransactGolden) {
+  CordaRig rig;
+  Fold receipts;
+  const auto note = [&receipts](const corda::FlowResult& r) {
+    receipts.add(std::to_string(r.success) + " " + r.tx_id + " " + r.reason);
+  };
+  for (int i = 0; i < 6; ++i) {
+    const auto r = rig.corda.issue("Alice", "Cash", to_bytes(std::to_string(i)),
+                                   {"Alice"}, "Notary");
+    note(r);
+    // Each issued state moves Alice -> Bob -> Carol under one-time keys.
+    const auto to_bob = rig.corda.transact(
+        "Alice", {corda::StateRef{r.tx_id, 1}},
+        {corda::OutputSpec{"Cash", to_bytes(std::to_string(i)), {"Bob"}}},
+        "Notary", /*confidential=*/true);
+    note(to_bob);
+    const auto to_carol = rig.corda.transact(
+        "Bob", {rig.corda.vault("Bob").back().ref},
+        {corda::OutputSpec{"Cash", to_bytes(std::to_string(i)), {"Carol"}}},
+        "Notary", /*confidential=*/true);
+    note(to_carol);
+  }
+  EXPECT_EQ(rig.corda.vault("Carol").size(), 6u);
+  Fold roots;
+  for (const char* party : {"Alice", "Bob", "Carol"}) {
+    roots.add(crypto::digest_hex(rig.corda.vault_digest(party)));
+  }
+  const Golden expected{
+      "90fb619e63b9da9b43018fccef06ec2a988a9897d63e9870e65477fa85921bc3",
+      235552,
+      "f19feeef179269adcd78b2d4ccff144590977d92fa122450140068c12c054d03",
+      "",
+      13806};
+  EXPECT_EQ((Golden{receipts.hex(), rig.net.clock().now(), roots.hex(), "",
+                    rig.net.stats().bytes_sent}),
+            expected);
 }
 
 }  // namespace

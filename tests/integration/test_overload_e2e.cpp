@@ -237,6 +237,39 @@ TEST(OverloadE2E, QuorumBoundedPendingRefusesBusyAndConverges) {
             rig.quorum.public_state("NodeC").digest());
 }
 
+TEST(OverloadE2E, QuorumWaveRespectsPendingCapacity) {
+  QuorumRig rig(/*block_size=*/4);
+  rig.quorum.set_pending_capacity(2);
+
+  // The same five submissions as one wave: the pending bound gates each
+  // transaction exactly as it gates five single-item calls.
+  std::vector<quorum::QuorumNetwork::PrivateSubmission> wave;
+  for (std::size_t i = 0; i < 5; ++i) {
+    wave.push_back(
+        {{"NodeB"},
+         {ledger::KvWrite{"asset/q" + std::to_string(i) + "/owner",
+                          to_bytes("NodeB")}},
+         {}});
+  }
+  const auto results = rig.quorum.submit_private_many("NodeA", wave, 5);
+  ASSERT_EQ(results.size(), 5u);
+  EXPECT_TRUE(results[0].accepted) << results[0].reason;
+  EXPECT_TRUE(results[1].accepted) << results[1].reason;
+  for (std::size_t i = 2; i < 5; ++i) {
+    EXPECT_FALSE(results[i].accepted);
+    EXPECT_NE(results[i].reason.find("busy"), std::string::npos)
+        << results[i].reason;
+  }
+  EXPECT_EQ(rig.net.stats().busy_rejected, 3u);
+  EXPECT_EQ(rig.quorum.pending_depth(), 2u);
+
+  // The accepted work still commits and replicas agree.
+  rig.quorum.seal_block();
+  EXPECT_EQ(rig.quorum.pending_depth(), 0u);
+  EXPECT_EQ(rig.quorum.public_state("NodeA").digest(),
+            rig.quorum.public_state("NodeC").digest());
+}
+
 TEST(OverloadE2E, QuorumTtlExpiresStaleWorkAtSealing) {
   QuorumRig rig(/*block_size=*/4);
   rig.quorum.set_default_ttl(50'000);

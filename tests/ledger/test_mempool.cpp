@@ -25,7 +25,7 @@ Transaction make_tx(const std::string& action,
 TEST(MempoolTest, AdmitMintsTokenAndRejectsDuplicates) {
   Mempool pool;
   const Transaction tx = make_tx("a");
-  EXPECT_TRUE(pool.admit(tx, /*verified=*/true, /*now=*/10));
+  EXPECT_TRUE(pool.admit(tx, tx.body_digest(), /*verified=*/true, /*now=*/10));
   EXPECT_EQ(pool.size(), 1u);
 
   const ValidationToken* token = pool.token(tx.id());
@@ -36,7 +36,7 @@ TEST(MempoolTest, AdmitMintsTokenAndRejectsDuplicates) {
   EXPECT_TRUE(token->verified);
 
   // Re-admission of the same body is a duplicate, not a second resident.
-  EXPECT_FALSE(pool.admit(tx, true, 11));
+  EXPECT_FALSE(pool.admit(tx, tx.body_digest(), true, 11));
   EXPECT_EQ(pool.size(), 1u);
   EXPECT_EQ(pool.stats().admitted, 1u);
   EXPECT_EQ(pool.stats().duplicates, 1u);
@@ -47,9 +47,9 @@ TEST(MempoolTest, CapacityOverflowEvictsOldestFifo) {
   const Transaction a = make_tx("a");
   const Transaction b = make_tx("b");
   const Transaction c = make_tx("c");
-  EXPECT_TRUE(pool.admit(a, true, 1));
-  EXPECT_TRUE(pool.admit(b, true, 2));
-  EXPECT_TRUE(pool.admit(c, true, 3));
+  EXPECT_TRUE(pool.admit(a, a.body_digest(), true, 1));
+  EXPECT_TRUE(pool.admit(b, b.body_digest(), true, 2));
+  EXPECT_TRUE(pool.admit(c, c.body_digest(), true, 3));
 
   EXPECT_EQ(pool.size(), 2u);
   EXPECT_EQ(pool.token(a.id()), nullptr);  // oldest went first
@@ -67,12 +67,12 @@ TEST(MempoolTest, ValidatedHitsOnlyVerifiedTokens) {
   WorldState state;
   const Transaction verified_tx = make_tx("v");
   const Transaction unverified_tx = make_tx("u");
-  pool.admit(verified_tx, /*verified=*/true, 1);
-  pool.admit(unverified_tx, /*verified=*/false, 1);
+  pool.admit(verified_tx, verified_tx.body_digest(), /*verified=*/true, 1);
+  pool.admit(unverified_tx, unverified_tx.body_digest(), /*verified=*/false, 1);
 
-  EXPECT_TRUE(pool.validated(verified_tx, state, 2));
-  EXPECT_FALSE(pool.validated(unverified_tx, state, 2));
-  EXPECT_FALSE(pool.validated(make_tx("absent"), state, 2));
+  EXPECT_TRUE(pool.validated(verified_tx.body_digest(), state, 2));
+  EXPECT_FALSE(pool.validated(unverified_tx.body_digest(), state, 2));
+  EXPECT_FALSE(pool.validated(make_tx("absent").body_digest(), state, 2));
   EXPECT_EQ(pool.stats().token_hits, 1u);
   EXPECT_EQ(pool.stats().token_misses, 2u);
 }
@@ -84,14 +84,14 @@ TEST(MempoolTest, ReadVersionMoveInvalidatesTokenOnce) {
   const std::uint64_t v = state.get("acct")->version;
 
   const Transaction tx = make_tx("xfer", {{"acct", v}});
-  pool.admit(tx, true, 1);
-  EXPECT_TRUE(pool.validated(tx, state, 2));
+  pool.admit(tx, tx.body_digest(), true, 1);
+  EXPECT_TRUE(pool.validated(tx.body_digest(), state, 2));
 
   // A concurrent commit moves the version the token recorded: the token
   // must be invalidated and dropped, sending the tx back through full
   // verification exactly once.
   state.put("acct", common::to_bytes("90"));
-  EXPECT_FALSE(pool.validated(tx, state, 3));
+  EXPECT_FALSE(pool.validated(tx.body_digest(), state, 3));
   EXPECT_EQ(pool.token(tx.id()), nullptr);
   EXPECT_EQ(pool.stats().invalidated, 1u);
   ASSERT_FALSE(pool.evictions().empty());
@@ -100,14 +100,14 @@ TEST(MempoolTest, ReadVersionMoveInvalidatesTokenOnce) {
   // Re-admission against the new version restores the fast path.
   const Transaction fresh = make_tx("xfer2", {{"acct",
                                                state.get("acct")->version}});
-  pool.admit(fresh, true, 4);
-  EXPECT_TRUE(pool.validated(fresh, state, 5));
+  pool.admit(fresh, fresh.body_digest(), true, 4);
+  EXPECT_TRUE(pool.validated(fresh.body_digest(), state, 5));
 }
 
 TEST(MempoolTest, RemoveRecordsCause) {
   Mempool pool;
   const Transaction tx = make_tx("a");
-  pool.admit(tx, true, 1);
+  pool.admit(tx, tx.body_digest(), true, 1);
   pool.remove(tx.id(), EvictionRecord::Cause::Committed, 2);
   EXPECT_EQ(pool.size(), 0u);
   EXPECT_EQ(pool.stats().removed_committed, 1u);
@@ -123,15 +123,15 @@ TEST(MempoolTest, ClearDropsAllTokens) {
   WorldState state;
   const Transaction a = make_tx("a");
   const Transaction b = make_tx("b");
-  pool.admit(a, true, 1);
-  pool.admit(b, true, 1);
+  pool.admit(a, a.body_digest(), true, 1);
+  pool.admit(b, b.body_digest(), true, 1);
   pool.clear();  // crash/restart: the pool is volatile
   EXPECT_EQ(pool.size(), 0u);
   EXPECT_EQ(pool.token(a.id()), nullptr);
-  EXPECT_FALSE(pool.validated(b, state, 2));
+  EXPECT_FALSE(pool.validated(b.body_digest(), state, 2));
   // Admission after the wipe works normally (no stale FIFO interference).
-  EXPECT_TRUE(pool.admit(a, true, 3));
-  EXPECT_TRUE(pool.validated(a, state, 4));
+  EXPECT_TRUE(pool.admit(a, a.body_digest(), true, 3));
+  EXPECT_TRUE(pool.validated(a.body_digest(), state, 4));
 }
 
 // ---- wire formats ----------------------------------------------------------
@@ -166,10 +166,10 @@ TEST(MempoolTest, PinnedEntrySparedFromCapacityEviction) {
   const Transaction a = make_tx("a");
   const Transaction b = make_tx("b");
   const Transaction c = make_tx("c");
-  pool.admit(a, true, 1);
-  pool.admit(b, true, 2);
+  pool.admit(a, a.body_digest(), true, 1);
+  pool.admit(b, b.body_digest(), true, 2);
   pool.pin(a.id());  // a's token is in flight with a wave
-  pool.admit(c, true, 3);
+  pool.admit(c, c.body_digest(), true, 3);
 
   // The FIFO victim would be a, but it is pinned: the next-oldest
   // unpinned resident (b) goes instead, and the skip is logged.
@@ -186,7 +186,8 @@ TEST(MempoolTest, PinnedEntrySparedFromCapacityEviction) {
   // Age order is preserved across the skip: once unpinned, a is the
   // FIFO victim again on the next overflow.
   pool.unpin(a.id());
-  pool.admit(make_tx("d"), true, 4);
+  const Transaction d = make_tx("d");
+  pool.admit(d, d.body_digest(), true, 4);
   EXPECT_EQ(pool.token(a.id()), nullptr);
   EXPECT_NE(pool.token(c.id()), nullptr);
 }
@@ -195,13 +196,14 @@ TEST(MempoolTest, AllPinnedAdmitsOverCapacity) {
   Mempool pool(MempoolConfig{.capacity = 2});
   const Transaction a = make_tx("a");
   const Transaction b = make_tx("b");
-  pool.admit(a, true, 1);
-  pool.admit(b, true, 2);
+  pool.admit(a, a.body_digest(), true, 1);
+  pool.admit(b, b.body_digest(), true, 2);
   pool.pin(a.id());
   pool.pin(b.id());
   // Nothing is evictable: memory safety yields to wave correctness, the
   // admit goes over capacity, and the overflow is counted.
-  EXPECT_TRUE(pool.admit(make_tx("c"), true, 3));
+  const Transaction c = make_tx("c");
+  EXPECT_TRUE(pool.admit(c, c.body_digest(), true, 3));
   EXPECT_EQ(pool.size(), 3u);
   EXPECT_EQ(pool.stats().pinned_overflow, 1u);
   EXPECT_NE(pool.token(a.id()), nullptr);
@@ -211,7 +213,7 @@ TEST(MempoolTest, AllPinnedAdmitsOverCapacity) {
 TEST(MempoolTest, PinDoesNotBlockExplicitRemove) {
   Mempool pool;
   const Transaction a = make_tx("a");
-  pool.admit(a, true, 1);
+  pool.admit(a, a.body_digest(), true, 1);
   pool.pin(a.id());
   pool.remove(a.id(), EvictionRecord::Cause::Committed, 2);
   EXPECT_EQ(pool.token(a.id()), nullptr);
