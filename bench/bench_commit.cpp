@@ -6,18 +6,15 @@
 //     validation mode (Trusting/Validate/Detect) × pool threads
 //     (1/2/4/8). Wave size 1 at 1 thread is the serial submit() baseline;
 //     the spread against it is what the mempool tokens, the pipelined
-//     stages and the batched RLC verification buy together.
+//     stages and the wave-wide signature checks buy together.
 //   * BM_QuorumPrivatePipeline — private-tx pipeline (TM sealing as pool
 //     tasks) with commit verification ON, the configuration where the
-//     validate-once mempool and batch kernel are load-bearing.
+//     validate-once mempool tokens are load-bearing.
 //   * BM_CordaFlowPipeline — wave-staged flows (one network drain per
 //     round per wave) against per-flow serial rounds.
-//   * BM_BatchVerifyKernel — the raw crypto: N Schnorr checks per-item
-//     vs one random-linear-combination multi-exponentiation.
 #include <benchmark/benchmark.h>
 
 #include "common/thread_pool.hpp"
-#include "crypto/batch_verify.hpp"
 #include "platforms/corda/corda.hpp"
 #include "platforms/fabric/fabric.hpp"
 #include "platforms/quorum/quorum.hpp"
@@ -277,45 +274,6 @@ void BM_FabricLoopDiscipline(benchmark::State& state) {
 BENCHMARK(BM_FabricLoopDiscipline)
     ->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
-
-// ---- Raw kernel: per-item vs batched RLC verification ----------------------
-
-void BM_BatchVerifyKernel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const bool batched = state.range(1) == 1;
-
-  const crypto::Group& group = crypto::Group::test_group();
-  common::Rng rng(27);
-  const crypto::KeyPair key = crypto::KeyPair::generate(group, rng);
-  std::vector<common::Bytes> messages;
-  std::vector<crypto::Signature> sigs;
-  for (std::size_t i = 0; i < n; ++i) {
-    messages.push_back(rng.next_bytes(32));
-    sigs.push_back(key.sign(messages.back()));
-  }
-
-  crypto::BatchVerifier verifier(group, 29);
-  for (auto _ : state) {
-    if (batched) {
-      for (std::size_t i = 0; i < n; ++i) {
-        verifier.add_signature(key.public_key(), messages[i], sigs[i]);
-      }
-      const auto outcome = verifier.verify();
-      benchmark::DoNotOptimize(outcome.all_valid);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        benchmark::DoNotOptimize(
-            crypto::verify(group, key.public_key(), messages[i], sigs[i]));
-      }
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-  state.SetLabel(batched ? "rlc-batched" : "per-item");
-}
-BENCHMARK(BM_BatchVerifyKernel)
-    ->ArgsProduct({{8, 32, 128}, {0, 1}})
-    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -215,9 +215,9 @@ PY
 fi
 
 # ---- Commit-path batching study --------------------------------------------
-# End-to-end commit pipeline (mempool tokens + staged waves + batched RLC
-# verification) across wave size x validation mode x threads, plus the
-# raw per-item-vs-batched kernel comparison, into BENCH_commit.json.
+# End-to-end commit pipeline (mempool tokens + staged waves + queued
+# signature checks) across wave size x validation mode x threads, into
+# BENCH_commit.json.
 if [[ -z "${BENCH_SKIP_COMMIT:-}" ]]; then
   COMMIT_OUT="${BENCH_COMMIT_OUT:-$ROOT/BENCH_commit.json}"
   if [[ ! -x "$BUILD/bench/bench_commit" ]]; then

@@ -134,22 +134,6 @@ void ThreadPool::parallel_for(std::size_t n,
   }
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
-  std::future<void> future = packaged->get_future();
-  if (workers_.empty()) {
-    (*packaged)();
-    return future;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.emplace_back([packaged] { (*packaged)(); });
-  }
-  cv_.notify_one();
-  return future;
-}
-
 namespace {
 std::unique_ptr<ThreadPool>& global_slot() {
   static std::unique_ptr<ThreadPool> pool =

@@ -1,10 +1,9 @@
 // Fixed-size worker pool with order-preserving data-parallel helpers.
 //
 // The execution engine behind every parallel hot path in the framework:
-// Fabric endorsement fan-out, per-transaction signature verification
-// during block validation, Quorum transaction-manager envelope
-// encryption, Merkle leaf hashing and Miller-Rabin witness rounds all
-// funnel through `parallel_for`/`parallel_map`.
+// Fabric endorsement fan-out, Quorum transaction-manager envelope
+// encryption, Corda flow sealing, Merkle leaf hashing and Miller-Rabin
+// witness rounds all funnel through `parallel_for`/`parallel_map`.
 //
 // Design constraints, in order of importance:
 //
@@ -31,7 +30,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -67,10 +65,6 @@ class ThreadPool {
     parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
     return out;
   }
-
-  /// Enqueue a free-standing task. Runs inline when the pool has no
-  /// workers. The future carries any exception the task throws.
-  std::future<void> submit(std::function<void()> task);
 
   /// The process-wide pool. Sized from `VEIL_THREADS` when set (>= 1),
   /// otherwise from std::thread::hardware_concurrency().

@@ -87,14 +87,13 @@ struct Group::KeyCache {
   std::deque<Map::iterator> age;        // oldest first
   std::deque<Map::iterator> table_age;  // oldest first
 
-  // Records member y with `uses` uses (1 from check_key, 0 from
-  // check_membership). Threads that check y concurrently on first sight
-  // count as that one use, so the count still steps through 2, the value
-  // that triggers the table build.
-  void remember(const BigInt& y, std::uint64_t uses) {
+  // Records member y with its first use. Threads that check y
+  // concurrently on first sight count as that one use, so the count still
+  // steps through 2, the value that triggers the table build.
+  void remember(const BigInt& y) {
     const auto [it, inserted] = keys.try_emplace(y);
     if (!inserted) return;
-    it->second.uses = uses;
+    it->second.uses = 1;
     age.push_back(it);
     if (age.size() > kKeyCacheCapacity) {
       const Map::iterator oldest = age.front();
@@ -208,14 +207,6 @@ bool Group::is_element(const BigInt& x) const {
 }
 
 Group::KeyCheck Group::check_key(const BigInt& y) const {
-  return lookup_key(y, /*count_use=*/true);
-}
-
-Group::KeyCheck Group::check_membership(const BigInt& y) const {
-  return lookup_key(y, /*count_use=*/false);
-}
-
-Group::KeyCheck Group::lookup_key(const BigInt& y, bool count_use) const {
   KeyCache& cache = *key_cache_;
   bool build = false;
   {
@@ -223,7 +214,6 @@ Group::KeyCheck Group::lookup_key(const BigInt& y, bool count_use) const {
     const auto it = cache.keys.find(y);
     if (it != cache.keys.end()) {
       KeyCache::Record& rec = it->second;
-      if (!count_use) return {true, true, nullptr};
       if (++rec.uses != 2 || !mont_p_) return {true, true, rec.table};
       build = true;
     }
@@ -242,7 +232,7 @@ Group::KeyCheck Group::lookup_key(const BigInt& y, bool count_use) const {
   }
   if (!is_element(y)) return {false, false, nullptr};
   std::lock_guard<std::mutex> lock(cache.mu);
-  cache.remember(y, count_use ? 1 : 0);
+  cache.remember(y);
   return {true, false, nullptr};
 }
 

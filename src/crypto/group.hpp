@@ -106,20 +106,19 @@ class Group {
 
   /// is_element for a public key, memoized per distinct key so the y^q
   /// exponentiation is paid once per key rather than once per signature.
-  /// The memo is shared by crypto::verify and BatchVerifier (and by every
-  /// copy of this group), guarded by a mutex, and bounded at
-  /// kKeyCacheCapacity keys with oldest-first eviction, so a stream of
-  /// one-time keys cannot grow it. Only members are remembered: a
-  /// non-member pays the full check, and fails it, on every use.
+  /// The memo is shared by every crypto::verify call (and by every copy of
+  /// this group), guarded by a mutex, and bounded at kKeyCacheCapacity
+  /// keys with oldest-first eviction, so a stream of one-time keys cannot
+  /// grow it. Only members are remembered: a non-member pays the full
+  /// check, and fails it, on every use.
   ///
-  /// check_key also counts each member's uses (check_membership does
-  /// not). On a key's second use, and on its next use after its table was
-  /// dropped, check_key builds a 4-bit FixedBaseTable for y, so a
-  /// long-lived key — a CA or endorser key — verifies with ~38 products
-  /// for y^e instead of ~200, while a key verified once never pays for a
-  /// table. At most kKeyTableCapacity keys hold a table; the oldest table
-  /// is dropped first. Tables, like the membership check, are built
-  /// outside the lock.
+  /// check_key also counts each member's uses. On a key's second use, and
+  /// on its next use after its table was dropped, it builds a 4-bit
+  /// FixedBaseTable for y, so a long-lived key — a CA or endorser key —
+  /// verifies with ~38 products for y^e instead of ~200, while a key
+  /// verified once never pays for a table. At most kKeyTableCapacity keys
+  /// hold a table; the oldest table is dropped first. Tables, like the
+  /// membership check, are built outside the lock.
   struct KeyCheck {
     bool member = false;
     bool cached = false;  // answered from the memo
@@ -127,16 +126,12 @@ class Group {
     std::shared_ptr<const FixedBaseTable> table;
   };
   KeyCheck check_key(const BigInt& y) const;
-  /// The same memoized membership answer without counting a use or
-  /// returning a table, for callers that never compute y^e from it
-  /// (BatchVerifier's prechecks: its combined check does not read tables).
-  KeyCheck check_membership(const BigInt& y) const;
   static constexpr std::size_t kKeyCacheCapacity = 1024;
-  /// Sized from measured traffic: one network of the E9 trade mix
-  /// (Fabric, Corda and Quorum) verifies 4 keys more than once through
-  /// check_key — 2 CA keys and 2 endorser keys — and a fabric_commit
-  /// network 1. 8 slots hold two such networks' keys for 312 KB on
-  /// test_group, 1 MB on default_group.
+  /// Sized from measured traffic (perfbench, seed 1): one network of the
+  /// E9 trade mix (Fabric, Corda and Quorum) verifies 4 keys more than
+  /// once — 2 CA keys and 2 endorser keys — and a fabric_commit network 3.
+  /// 8 slots hold two such networks' keys for 312 KB on test_group, 1 MB
+  /// on default_group.
   static constexpr std::size_t kKeyTableCapacity = 8;
   std::size_t key_cache_size() const;
   std::size_t key_table_count() const;
@@ -155,7 +150,6 @@ class Group {
   std::shared_ptr<const FixedBaseTable> g_table_, h_table_;
   struct KeyCache;
   std::shared_ptr<KeyCache> key_cache_;
-  KeyCheck lookup_key(const BigInt& y, bool count_use) const;
 };
 
 }  // namespace veil::crypto

@@ -10,10 +10,9 @@
 // The kernel is fixed-width: a modulus of K 64-bit limbs (K <= 32, so up
 // to 2048 bits) is handled by code templated on K, with values held in
 // stack arrays, column sums in unsigned __int128, and R = 2^(64K).
-// Values stay in Montgomery form for a whole exponentiation,
-// multi-exponentiation or fixed-base table lookup; BigInt appears only at
-// this class's API and at the Group API above it. The limb-level
-// templates live in montgomery_kernel.hpp.
+// Values stay in Montgomery form for a whole exponentiation or fixed-base
+// table lookup; BigInt appears only at this class's API and at the Group
+// API above it. The limb-level templates live in montgomery_kernel.hpp.
 //
 // Contexts are cheap to build but not free (two divisions for R mod n and
 // R^2 mod n), so callers with a long-lived modulus hold one context and

@@ -3,7 +3,7 @@
 // Everything here is templated on K, the modulus width in 64-bit limbs,
 // so the compiler sees constant trip counts and unrolls the product loops;
 // MontgomeryCtx::dispatch() maps the runtime width onto one of the 32
-// instantiations once per operation (pow, multi-exp, table lookup), not
+// instantiations once per operation (pow, table build, table lookup), not
 // once per product. Included only by the crypto translation units that
 // run whole operations in the Montgomery domain.
 #pragma once

@@ -37,13 +37,8 @@ struct PublicKey {
 struct Signature {
   BigInt challenge;   // e = H(R || y || m)
   BigInt response;    // s = k - x*e mod q
-  // R = g^k, carried on the wire. The (e, s) form alone can only be
-  // checked by recomputing the hash per signature; with R transmitted the
-  // verifier additionally has the group equation g^s * y^e == R, which is
-  // what BatchVerifier folds into one random-linear-combination check
-  // across a whole block. Verification requires both the hash binding and
-  // the equation, so a signature remains exactly as hard to forge as
-  // before.
+  // R = g^k, carried on the wire. Verification requires both the hash
+  // binding e == H(R || y || m) and the group equation g^s * y^e == R.
   BigInt commitment;
 
   std::size_t encoded_size() const;

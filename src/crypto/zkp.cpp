@@ -17,11 +17,6 @@ BigInt challenge_of(const Group& group, std::initializer_list<const BigInt*> par
 
 }  // namespace
 
-BigInt dlog_challenge(const Group& group, const BigInt& base, const BigInt& y,
-                      const BigInt& commitment, common::BytesView context) {
-  return challenge_of(group, {&base, &y, &commitment}, context);
-}
-
 common::Bytes DlogProof::encode() const {
   common::Writer w;
   w.bytes(commitment.to_bytes_be());

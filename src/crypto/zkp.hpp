@@ -45,12 +45,6 @@ DlogProof prove_dlog(const Group& group, const BigInt& base,
 bool verify_dlog(const Group& group, const BigInt& base, const BigInt& y,
                  const DlogProof& proof, common::BytesView context);
 
-/// The Fiat-Shamir challenge c = H(base || y || t || context) used by
-/// prove_dlog/verify_dlog. Exposed so BatchVerifier can pre-compute the
-/// challenges it folds into the batched check.
-BigInt dlog_challenge(const Group& group, const BigInt& base, const BigInt& y,
-                      const BigInt& commitment, common::BytesView context);
-
 /// OR-proof that a Pedersen commitment C opens to 0 or to 1 (CDS
 /// composition of two Schnorr proofs, one simulated).
 struct BitProof {

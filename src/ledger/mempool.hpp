@@ -1,8 +1,9 @@
 // Mempool with validate-once semantics.
 //
 // Admission is the expensive step: a transaction enters the pool only
-// after its endorsement signatures / ZKPs have been checked (the platform
-// adapters run that check through crypto::BatchVerifier). Admission mints
+// after its endorsement signatures have been checked (the platform
+// adapters queue them in a crypto::BatchVerifier, which runs the exact
+// crypto::verify on each). Admission mints
 // a ValidationToken recording the body digest and the read-set versions
 // the check was performed against. At block sealing the committer
 // consults the token instead of re-verifying: if the digest still matches

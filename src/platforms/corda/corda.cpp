@@ -1,7 +1,5 @@
 #include "platforms/corda/corda.hpp"
 
-#include <future>
-
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 #include "common/thread_pool.hpp"
@@ -116,10 +114,7 @@ CordaNetwork::CordaNetwork(net::Transport& network, const crypto::Group& group,
       ca_("corda-doorman", group, rng_),
       channel_(network),
       vault_snapshot_interval_(vault_snapshot_interval),
-      // Domain-separated constant seed: drawing from rng_ here would
-      // shift every later party-key/salt draw. The randomizer stream
-      // only needs to be verifier-local and deterministic.
-      batch_verifier_(group, 0xC0DDA7AB17C4E21FULL) {}
+      batch_verifier_(group, 0) {}
 
 void CordaNetwork::add_party(const std::string& name) {
   if (parties_.contains(name)) return;
@@ -834,22 +829,21 @@ std::vector<FlowResult> CordaNetwork::transact_many(
       wave.push_back(prepare_flow(requests[i]));
     }
 
-    // --- Stage B: Merkle build + initiator signature as pool tasks.
+    // --- Stage B: Merkle build + initiator signature fan out across the
+    // pool, one index per flow; a wave of one seals inline on the caller.
     // Both are pure functions of stage-A output (signing nonces are
-    // derived, not drawn), so later flows seal while earlier ones are
-    // already running their message rounds below.
-    std::vector<std::future<void>> sealing(wave.size());
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      PreparedFlow* flow = &wave[i];
-      if (!flow->ok) continue;
-      const crypto::KeyPair* keypair = &parties_.at(flow->initiator).keypair;
-      sealing[i] = common::ThreadPool::global().submit([flow, keypair] {
-        flow->root = crypto::MerkleTree::build(common::views_of(flow->leaves),
-                                               common::views_of(flow->salts))
-                         .root();
-        flow->initiator_signature = keypair->sign(root_view(flow->root));
-      });
-    }
+    // derived, not drawn), so results are bit-identical at any thread
+    // count.
+    common::ThreadPool::global().parallel_for(
+        wave.size(), [&](std::size_t i) {
+          PreparedFlow& flow = wave[i];
+          if (!flow.ok) return;
+          flow.root = crypto::MerkleTree::build(common::views_of(flow.leaves),
+                                                common::views_of(flow.salts))
+                          .root();
+          flow.initiator_signature =
+              parties_.at(flow.initiator).keypair.sign(root_view(flow.root));
+        });
 
     const auto fail = [&](PreparedFlow& flow, std::size_t origin,
                           std::string reason) {
@@ -873,7 +867,6 @@ std::vector<FlowResult> CordaNetwork::transact_many(
         out[origin] = {false, "", p.error};
         continue;
       }
-      sealing[i].get();
       p.tx_id = crypto::digest_hex(p.root).substr(0, 24);
       if (p.unresolvable) {
         out[origin] = {false, p.tx_id, "unresolvable participant"};
@@ -1121,7 +1114,7 @@ CordaNetwork::BackchainResult CordaNetwork::resolve_backchain(
     }
     const crypto::BatchOutcome outcome = batch_verifier_.verify();
     if (!outcome.all_valid) {
-      // Bisection already pinned the exact culprit with a per-item check.
+      // Every item had its own exact check, so the index is the culprit.
       result.reason =
           "invalid notarization on " + owed[outcome.invalid.front()].tx_id;
       result.valid = false;

@@ -168,11 +168,11 @@ class CordaNetwork {
   BackchainResult resolve_backchain(const std::string& party,
                                     const StateRef& ref);
 
-  /// Backchain notarization checks run through the batched RLC kernel,
-  /// one batch per walk. An ancestor verified once is never re-verified:
-  /// notarization validity is party-independent (same immutable record,
-  /// same notary key), so the verified set is shared network-wide —
-  /// Corda's mirror of the validate-once mempool token.
+  /// Backchain notarization checks are queued and run as one batch per
+  /// walk. An ancestor verified once is never re-verified: notarization
+  /// validity is party-independent (same immutable record, same notary
+  /// key), so the verified set is shared network-wide — Corda's mirror of
+  /// the validate-once mempool token.
   const crypto::BatchVerifier::Stats& batch_verify_stats() const {
     return batch_verifier_.stats();
   }

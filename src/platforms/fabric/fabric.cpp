@@ -93,6 +93,8 @@ FabricNetwork::FabricNetwork(net::Transport& network,
       mempool_(config.mempool),
       admission_(config.admission),
       breaker_(config.breaker),
+      // The verifier ignores its seed; the draw stays so that every
+      // seeded transcript is unchanged.
       batch_verifier_(group, rng_.next_u64()) {
   if (config_.circuit_breaker) channel_.set_breaker(&breaker_);
   if (config_.orderer_deployment == ledger::OrdererDeployment::Shared) {
@@ -837,8 +839,8 @@ void FabricNetwork::admit_wave_to_mempool(
     std::vector<PreparedSubmission>& prepared) {
   if (validation_mode_ == ValidationMode::Trusting) return;
   const common::SimTime now = network_->clock().now();
-  // One batch for the whole wave; a forged endorsement anywhere bisects
-  // down to its add-order index, which maps back to its transaction.
+  // One batch for the whole wave; a forged endorsement's add-order index
+  // maps back to its transaction.
   std::vector<std::size_t> queued;  // batch index -> prepared index
   for (std::size_t p = 0; p < prepared.size(); ++p) {
     const crypto::Digest& digest = prepared[p].body_digest;
@@ -959,11 +961,8 @@ std::vector<TxReceipt> FabricNetwork::submit_many(
           p.tx.endorsements[slots[k].second] = ledger::Endorsement{
               endorser, keypair.public_key(), keypair.sign(msg)};
         });
-    // Stage C (serial, in submission order): ONE batched admission check
-    // across every endorsement in the wave. A per-transaction check would
-    // pay the full RLC squaring chain once per item and never amortize —
-    // the batch must span the wave for the multi-exponentiation to earn
-    // its keep.
+    // Stage C (serial, in submission order): one admission check across
+    // every endorsement in the wave.
     admit_wave_to_mempool(prepared);
     for (const PreparedSubmission& p : prepared) {
       mempool_.pin(p.tx_id);

@@ -374,10 +374,9 @@ class FabricNetwork {
     std::vector<std::string> endorsers;
   };
   PreparedSubmission prepare_submission(const SubmitRequest& request);
-  /// Wave admission: every endorsement across the wave joins ONE batched
-  /// check, so the RLC squaring chain is paid once per wave instead of
-  /// once per transaction, and each transaction's ValidationToken is
-  /// minted. No-op in Trusting mode.
+  /// Wave admission: every endorsement across the wave joins one queued
+  /// check, and each transaction's ValidationToken is minted. No-op in
+  /// Trusting mode.
   void admit_wave_to_mempool(std::vector<PreparedSubmission>& prepared);
   /// Hand the endorsed transaction to the ordering service and deliver
   /// any blocks it cut. Does NOT flush partial blocks.

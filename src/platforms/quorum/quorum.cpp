@@ -69,6 +69,8 @@ QuorumNetwork::QuorumNetwork(net::Transport& network,
                         },
                     .on_fail = nullptr,
                 }),
+      // The verifier ignores its seed; the draw stays so that every
+      // seeded transcript is unchanged.
       batch_verifier_(group, rng_.next_u64()) {
   tip_hash_ = crypto::sha256(std::string_view("veil.chain.genesis"));
 }
@@ -347,16 +349,14 @@ std::vector<TxResult> QuorumNetwork::submit_waves(
       survivors.push_back(j);
       if (++projected >= block_size_) projected = 0;
     }
-    // Stage D: one batched admission check across every transaction the
-    // gate let through, then enqueue in submission order. Batching at
-    // wave granularity — not per transaction — is what lets the RLC
-    // multi-exponentiation amortize. The wave's tokens stay pinned while
-    // it drains: capacity eviction must not take validate-once entries
-    // out from under in-flight blocks.
+    // Stage D: one queued admission check across every transaction the
+    // gate let through, then enqueue in submission order. The wave's
+    // tokens stay pinned while it drains: capacity eviction must not take
+    // validate-once entries out from under in-flight blocks.
     admit_wave_to_mempool(items, survivors);
     for (const std::size_t j : survivors) mempool_.pin(items[j].tx_id);
     for (const std::size_t j : survivors) {
-      pending_.push_back(std::move(items[j].tx));
+      pending_.push_back({std::move(items[j].tx), items[j].tx_id});
       if (pending_.size() >= block_size_) seal_block();
     }
     for (const std::size_t j : survivors) mempool_.unpin(items[j].tx_id);
@@ -481,19 +481,28 @@ void QuorumNetwork::seal_block() {
   // is dropped here rather than sealed into a block every node would
   // then validate and discard.
   const common::SimTime seal_now = network_->clock().now();
-  std::erase_if(pending_, [&](const ledger::Transaction& tx) {
-    if (tx.deadline_us == 0 || seal_now <= tx.deadline_us) return false;
+  std::erase_if(pending_, [&](const PendingTx& p) {
+    if (p.tx.deadline_us == 0 || seal_now <= p.tx.deadline_us) return false;
     network_->count_expired(net::Stage::Order);
-    mempool_.remove(tx.id(), ledger::EvictionRecord::Cause::Expired, seal_now);
+    mempool_.remove(p.id, ledger::EvictionRecord::Cause::Expired, seal_now);
     return true;
   });
   if (pending_.empty()) return;
-  ledger::Block block = ledger::Block::make(
-      next_height_, tip_hash_, std::move(pending_), network_->clock().now());
+  std::vector<ledger::Transaction> txs;
+  std::vector<std::string> ids;
+  txs.reserve(pending_.size());
+  ids.reserve(pending_.size());
+  for (PendingTx& p : pending_) {
+    txs.push_back(std::move(p.tx));
+    ids.push_back(std::move(p.id));
+  }
   pending_.clear();
+  ledger::Block block = ledger::Block::make(next_height_, tip_hash_,
+                                            std::move(txs),
+                                            network_->clock().now());
   tip_hash_ = block.header.hash();
   ++next_height_;
-  deliver(block);
+  deliver(block, ids);
 }
 
 void QuorumNetwork::apply_block(const std::string& org,
@@ -606,7 +615,8 @@ void QuorumNetwork::apply_block(const std::string& org,
   }
 }
 
-void QuorumNetwork::deliver(const ledger::Block& block) {
+void QuorumNetwork::deliver(const ledger::Block& block,
+                            const std::vector<std::string>& ids) {
   ordered_log_.push_back(block);
   const common::Bytes encoded = block.encode();
   const std::string& from = block.transactions.front().participants.front();
@@ -616,8 +626,8 @@ void QuorumNetwork::deliver(const ledger::Block& block) {
   network_->run();
   // All live nodes have applied the block; retire its validation tokens.
   const common::SimTime now = network_->clock().now();
-  for (const ledger::Transaction& tx : block.transactions) {
-    mempool_.remove(tx.id(), ledger::EvictionRecord::Cause::Committed, now);
+  for (const std::string& id : ids) {
+    mempool_.remove(id, ledger::EvictionRecord::Cause::Committed, now);
   }
 }
 

@@ -297,7 +297,9 @@ class QuorumNetwork {
   std::vector<char> block_signatures_valid(
       const ledger::Block& block, const std::vector<crypto::Digest>& digests,
       const ledger::WorldState& state, bool replay);
-  void deliver(const ledger::Block& block);
+  /// `ids` are the block's transaction ids, in order, as prepare()
+  /// computed them.
+  void deliver(const ledger::Block& block, const std::vector<std::string>& ids);
   void on_node_message(const std::string& self, const net::Message& msg);
   /// Append one block to one node's replica. `replay` marks WAL recovery
   /// (already durable, already observed — no re-log, no auditor record).
@@ -336,7 +338,12 @@ class QuorumNetwork {
   /// the provider's pointer across the serve rounds, so the forgery must
   /// outlive the callback).
   std::map<std::string, ledger::WorldState> forged_states_;
-  std::vector<ledger::Transaction> pending_;
+  /// A sealed-to-be transaction with the id prepare() computed for it.
+  struct PendingTx {
+    ledger::Transaction tx;
+    std::string id;
+  };
+  std::vector<PendingTx> pending_;
   /// Every sealed block in order — the delivery log nodes seek into when
   /// they missed deliveries (and the restart catch-up source).
   std::vector<ledger::Block> ordered_log_;

@@ -96,14 +96,6 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, SubmitRunsTaskAndCarriesException) {
-  ThreadPool pool(2);
-  auto ok = pool.submit([] {});
-  ok.get();
-  auto bad = pool.submit([] { throw std::runtime_error("task"); });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, GlobalPoolRebuild) {
   ThreadPool::set_global_threads(3);
   EXPECT_EQ(ThreadPool::global().thread_count(), 3u);

@@ -6,9 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "crypto/group.hpp"
-#include "crypto/multiexp.hpp"
 
 namespace veil::crypto {
 namespace {
@@ -210,22 +208,14 @@ void check_modulus(common::Rng& rng, const BigInt& n) {
   }
 
   const BigInt exp = BigInt::random_bits(rng, 96);
-  std::vector<ExpTerm> terms;
-  BigInt expected(1);
   for (const BigInt& a : operands) {
     const BigInt want = naive_mod_pow(a, exp, n);
     const BigInt got = ctx->pow(a, exp);
     EXPECT_LT(got, n);
     EXPECT_EQ(got, want) << n.to_hex();
-    if (a.is_zero()) continue;  // a zero base zeroes the whole product
     const FixedBaseTable table(ctx, a, exp.bit_length());
     EXPECT_EQ(table.pow(exp), want) << n.to_hex();
-    terms.push_back({a, exp});
-    expected = (expected * want) % n;
   }
-  const BigInt product = multi_exp(*ctx, terms);
-  EXPECT_LT(product, n);
-  EXPECT_EQ(product, expected) << n.to_hex();
 }
 
 TEST(MontgomeryKernel, EveryWidthMatchesSchoolbook) {
@@ -262,23 +252,6 @@ TEST(MontgomeryKernel, WiderThanKernelFallsBack) {
   const BigInt base = BigInt::from_hex("123456789abcdef0123456789abcdef");
   const BigInt exp = BigInt::from_hex("fedcba9876543210f");
   EXPECT_EQ(base.mod_pow(exp, wider), naive_mod_pow(base, exp, wider));
-}
-
-TEST(MontgomeryKernel, ParallelMultiExpMatchesSerial) {
-  // With workers, multi_exp_parallel splits the terms into chunks and
-  // multiplies the chunks' Montgomery-form partial products together.
-  common::Rng rng(8);
-  const Group& group = Group::default_group();
-  std::vector<ExpTerm> terms;
-  for (int i = 0; i < 40; ++i) {
-    terms.push_back({group.pow_g(group.random_scalar(rng)),
-                     group.random_scalar(rng)});
-  }
-  const BigInt serial = multi_exp(*group.mont(), terms);
-  common::ThreadPool::set_global_threads(4);
-  const BigInt parallel = multi_exp_parallel(*group.mont(), terms);
-  common::ThreadPool::set_global_threads(1);
-  EXPECT_EQ(parallel, serial);
 }
 
 }  // namespace

@@ -238,10 +238,9 @@ TEST_F(SignatureKeyTable, OneTimeKeysNeverGetTables) {
   EXPECT_EQ(group_.key_table_count(), 0u);
 }
 
-TEST_F(SignatureKeyTable, BatchLookupsCountNoUse) {
-  // A batch's membership precheck never reads a table, so it is no use:
-  // a one-signature batch verifies its key exactly once (the singleton
-  // fallback through verify()), and that key gets no table.
+TEST_F(SignatureKeyTable, QueuedChecksCountAsUses) {
+  // A queued check is a verify() like any other: the key's first queued
+  // check remembers it, the second builds its table.
   const KeyPair kp = KeyPair::from_secret(group_, BigInt(777));
   const auto sig = kp.sign(to_bytes("one endorsement"));
   BatchVerifier batch(group_, 1);
@@ -249,16 +248,10 @@ TEST_F(SignatureKeyTable, BatchLookupsCountNoUse) {
   ASSERT_TRUE(batch.verify().all_valid);
   EXPECT_EQ(group_.key_cache_size(), 1u);
   EXPECT_EQ(group_.key_table_count(), 0u);
-  // Membership-only lookups leave the count alone however often they run;
-  // the next verify() is the key's second use and builds its table.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(group_.check_membership(kp.public_key().y).cached);
-  }
-  EXPECT_EQ(group_.key_table_count(), 0u);
-  EXPECT_TRUE(verify(group_, kp.public_key(), to_bytes("one endorsement"),
-                     sig));
+  batch.add_signature(kp.public_key(), to_bytes("one endorsement"), sig);
+  ASSERT_TRUE(batch.verify().all_valid);
   EXPECT_EQ(group_.key_table_count(), 1u);
-  EXPECT_EQ(group_.check_membership(kp.public_key().y).table, nullptr);
+  EXPECT_NE(group_.check_key(kp.public_key().y).table, nullptr);
 }
 
 TEST_F(SignatureKeyTable, VerdictsMatchWithAndWithoutTable) {

@@ -3,8 +3,7 @@
 // be BIT-IDENTICAL in what they commit — same receipts, same state
 // digests — seeded single-item transcripts are pinned byte for byte, and
 // every Byzantine attack the Detect tier convicts must still be
-// convicted through the batched RLC check (the bisection fallback makes
-// convictions exact).
+// convicted through the wave's queued signature checks.
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.hpp"
@@ -133,8 +132,8 @@ TEST(CommitPipeline, FabricOrdererTamperingConvictedWithBatchingOn) {
   rig.fab.set_byzantine_orderer(true);
   const auto receipts = rig.fab.submit_many(fabric_wave(6), 8);
   for (const auto& r : receipts) EXPECT_FALSE(r.committed);
-  // The batch rejects, bisection pins the invalid endorsements, and the
-  // conviction is exactly the one the serial path produces.
+  // The queued checks pin the invalid endorsements, and the conviction is
+  // exactly the one the serial path produces.
   ASSERT_GE(rig.fab.evidence().count(), 1u);
   EXPECT_EQ(rig.fab.evidence().entries().front().kind,
             audit::Misbehavior::OrdererTampering);
@@ -331,6 +330,31 @@ TEST(CommitPipeline, CordaWaveInputConflictArbitratedByNotary) {
   EXPECT_FALSE(results[0].success && results[1].success);
   EXPECT_EQ(rig.corda.vault("Bob").size() + rig.corda.vault("Carol").size(),
             1u);
+}
+
+TEST(CommitPipeline, CordaBackchainForgedNotarizationRefused) {
+  CordaRig rig;
+  const auto issued = rig.issue_cash("Alice", "40");
+  // Re-registering the notary gives it a fresh key: the issuance's
+  // notarization is now a signature by a key other than the notary's,
+  // i.e. a forgery. The transfer after it is notarized under the new key.
+  rig.corda.add_notary("Notary", /*validating=*/false);
+  const auto moved = rig.corda.transact(
+      "Alice", {issued}, {corda::OutputSpec{"Cash", to_bytes("40"), {"Bob"}}},
+      "Notary");
+  ASSERT_TRUE(moved.success) << moved.reason;
+
+  const corda::StateRef bob_ref{moved.tx_id, 1};
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const auto result = rig.corda.resolve_backchain("Bob", bob_ref);
+    EXPECT_FALSE(result.valid) << attempt;
+    EXPECT_EQ(result.reason, "invalid notarization on " + issued.tx_id)
+        << attempt;
+    // A refused walk marks nothing verified, so the forgery is caught
+    // again on the next resolution.
+    EXPECT_EQ(rig.corda.verified_ancestor_count(), 0u) << attempt;
+  }
+  EXPECT_EQ(rig.corda.batch_verify_stats().rejected_items, 2u);
 }
 
 TEST(CommitPipeline, CordaBackchainBatchedValidateOnce) {
