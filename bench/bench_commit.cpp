@@ -3,18 +3,17 @@
 // Series:
 //   * BM_FabricCommitPipeline — end-to-end submit→endorse→order→validate
 //     throughput via submit_many(), swept over wave size (1/8/32/128) ×
-//     validation mode (Trusting/Validate/Detect) × pool threads
-//     (1/2/4/8). Wave size 1 at 1 thread is the serial submit() baseline;
-//     the spread against it is what the mempool tokens, the pipelined
-//     stages and the wave-wide signature checks buy together.
-//   * BM_QuorumPrivatePipeline — private-tx pipeline (TM sealing as pool
-//     tasks) with commit verification ON, the configuration where the
+//     validation mode (Trusting/Validate/Detect). Wave size 1 is the
+//     serial submit() baseline; the spread against it is what the mempool
+//     tokens, the pipelined stages and the wave-wide signature checks buy
+//     together.
+//   * BM_QuorumPrivatePipeline — private-tx pipeline (per-wave TM sealing)
+//     with commit verification ON, the configuration where the
 //     validate-once mempool tokens are load-bearing.
 //   * BM_CordaFlowPipeline — wave-staged flows (one network drain per
 //     round per wave) against per-flow serial rounds.
 #include <benchmark/benchmark.h>
 
-#include "common/thread_pool.hpp"
 #include "platforms/corda/corda.hpp"
 #include "platforms/fabric/fabric.hpp"
 #include "platforms/quorum/quorum.hpp"
@@ -38,7 +37,6 @@ std::shared_ptr<contracts::FunctionContract> put_contract() {
 void BM_FabricCommitPipeline(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   const auto mode = static_cast<int>(state.range(1));
-  const auto threads = static_cast<std::size_t>(state.range(2));
 
   net::SimNetwork net{common::Rng(21)};
   common::Rng rng(22);
@@ -56,7 +54,6 @@ void BM_FabricCommitPipeline(benchmark::State& state) {
       : mode == 1 ? fabric::FabricNetwork::ValidationMode::Validate
                   : fabric::FabricNetwork::ValidationMode::Detect);
 
-  common::ThreadPool::set_global_threads(threads);
   std::uint64_t committed = 0;
   std::uint64_t seq = 0;
   for (auto _ : state) {
@@ -71,26 +68,23 @@ void BM_FabricCommitPipeline(benchmark::State& state) {
       if (r.committed) ++committed;
     }
   }
-  common::ThreadPool::set_global_threads(1);
 
   state.SetItemsProcessed(static_cast<int64_t>(committed));
   state.counters["batch"] = static_cast<double>(batch);
   state.counters["mode"] = mode;
-  state.counters["threads"] = static_cast<double>(threads);
   state.counters["token_hits"] =
       static_cast<double>(fab.mempool().stats().token_hits);
   state.counters["batched_items"] =
       static_cast<double>(fab.batch_verify_stats().items);
 }
 BENCHMARK(BM_FabricCommitPipeline)
-    ->ArgsProduct({{1, 8, 32, 128}, {0, 1, 2}, {1, 2, 4, 8}})
+    ->ArgsProduct({{1, 8, 32, 128}, {0, 1, 2}})
     ->Unit(benchmark::kMillisecond);
 
 // ---- Quorum: private-tx pipeline with commit verification on ---------------
 
 void BM_QuorumPrivatePipeline(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
 
   net::SimNetwork net{common::Rng(23)};
   common::Rng rng(24);
@@ -99,7 +93,6 @@ void BM_QuorumPrivatePipeline(benchmark::State& state) {
   for (const char* n : {"NodeA", "NodeB", "NodeC", "NodeD"}) q.add_node(n);
   q.set_verify_commits(true);
 
-  common::ThreadPool::set_global_threads(threads);
   std::uint64_t committed = 0;
   std::uint64_t seq = 0;
   for (auto _ : state) {
@@ -117,23 +110,20 @@ void BM_QuorumPrivatePipeline(benchmark::State& state) {
     }
     q.seal_block();
   }
-  common::ThreadPool::set_global_threads(1);
 
   state.SetItemsProcessed(static_cast<int64_t>(committed));
   state.counters["batch"] = static_cast<double>(batch);
-  state.counters["threads"] = static_cast<double>(threads);
   state.counters["token_hits"] =
       static_cast<double>(q.mempool().stats().token_hits);
 }
 BENCHMARK(BM_QuorumPrivatePipeline)
-    ->ArgsProduct({{1, 8, 32, 128}, {1, 8}})
+    ->Arg(1)->Arg(8)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
 // ---- Corda: wave-staged notary rounds --------------------------------------
 
 void BM_CordaFlowPipeline(benchmark::State& state) {
   const auto depth = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
 
   net::SimNetwork net{common::Rng(25)};
   common::Rng rng(26);
@@ -142,7 +132,6 @@ void BM_CordaFlowPipeline(benchmark::State& state) {
   c.add_party("Bob");
   c.add_notary("Notary", /*validating=*/false);
 
-  common::ThreadPool::set_global_threads(threads);
   std::uint64_t committed = 0;
   std::uint64_t seq = 0;
   for (auto _ : state) {
@@ -171,14 +160,12 @@ void BM_CordaFlowPipeline(benchmark::State& state) {
       if (r.success) ++committed;
     }
   }
-  common::ThreadPool::set_global_threads(1);
 
   state.SetItemsProcessed(static_cast<int64_t>(committed));
   state.counters["depth"] = static_cast<double>(depth);
-  state.counters["threads"] = static_cast<double>(threads);
 }
 BENCHMARK(BM_CordaFlowPipeline)
-    ->ArgsProduct({{1, 8, 32}, {1, 8}})
+    ->Arg(1)->Arg(8)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
 // ---- Closed- vs open-loop measurement discipline ---------------------------

@@ -3,15 +3,14 @@
 # the repo root (BENCH_crypto.json) so the perf trajectory is tracked
 # across PRs. Also runs the fault-tolerance cost sweep (bench_faults:
 # throughput/latency vs 0-30% message loss) into BENCH_faults.json, and
-# the symmetric-kernel + thread-scaling suite (bench_parallel: AES-NI vs
-# T-table vs reference, SHA-NI vs scalar, pooled hot-path sweeps at
-# 1/2/4/8 threads) into BENCH_symmetric.json.
+# the symmetric-kernel suite (bench_parallel: AES-NI vs T-table vs
+# reference, SHA-NI vs scalar) into BENCH_symmetric.json.
 #
 # Usage:
 #   bench/run_benches.sh                  # bench_crypto + bench_faults + bench_parallel
 #   BENCH_FILTER='BM_ModPow.*' bench/run_benches.sh
 #   BENCH_SKIP_FAULTS=1 bench/run_benches.sh      # skip fault sweep
-#   BENCH_SKIP_PARALLEL=1 bench/run_benches.sh    # skip symmetric/thread suite
+#   BENCH_SKIP_PARALLEL=1 bench/run_benches.sh    # skip symmetric-kernel suite
 #   BENCH_SKIP_BYZANTINE=1 bench/run_benches.sh   # skip Byzantine cost study
 #   BENCH_SKIP_RECOVERY=1 bench/run_benches.sh    # skip recovery/rejoin study
 #   BENCH_SKIP_COMMIT=1 bench/run_benches.sh      # skip commit-path study
@@ -176,15 +175,14 @@ PY
   fi
 fi
 
-# ---- Symmetric kernels + thread scaling ------------------------------------
-# Thread-sweep numbers only mean something relative to the host's core
-# count, so the CPU count is stamped into the context block alongside
-# which hardware kernels were available (the aesni/sha_ni rows register
+# ---- Symmetric kernels -----------------------------------------------------
+# The CPU count is stamped into the context block alongside which
+# hardware kernels were available (the aesni/sha_ni rows register
 # conditionally on CPUID).
 if [[ -z "${BENCH_SKIP_PARALLEL:-}" ]]; then
   SYM_OUT="${BENCH_SYMMETRIC_OUT:-$ROOT/BENCH_symmetric.json}"
   if [[ ! -x "$BUILD/bench/bench_parallel" ]]; then
-    echo "bench_parallel not built; skipping symmetric/thread suite" >&2
+    echo "bench_parallel not built; skipping symmetric-kernel suite" >&2
   else
     STMP="$(mktemp "${SYM_OUT}.XXXXXX")"
     trap 'rm -f "$STMP"' EXIT
@@ -216,7 +214,7 @@ fi
 
 # ---- Commit-path batching study --------------------------------------------
 # End-to-end commit pipeline (mempool tokens + staged waves + queued
-# signature checks) across wave size x validation mode x threads, into
+# signature checks) across wave size x validation mode, into
 # BENCH_commit.json.
 if [[ -z "${BENCH_SKIP_COMMIT:-}" ]]; then
   COMMIT_OUT="${BENCH_COMMIT_OUT:-$ROOT/BENCH_commit.json}"
@@ -240,7 +238,7 @@ data["context"]["build_type"] = os.environ.get("VEIL_BENCH_BUILD_TYPE", "unknown
 data["context"]["validation_modes"] = {
     "0": "Trusting", "1": "Validate", "2": "Detect"}
 # PR 5 measured the serial Validate-mode commit path at ~9k commits/s;
-# the batch>=32, 8-thread Validate rows are the >=5x target against it.
+# the batch>=32 Validate rows are the >=5x target against it.
 data["context"]["seed_baseline_commits_per_s"] = {"fabric_validate_serial": 9000}
 with open(path, "w") as f:
     json.dump(data, f, indent=2)

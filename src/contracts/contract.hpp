@@ -53,11 +53,10 @@ class SmartContract {
 
   /// Execute `action`. Reads/writes go through the context.
   ///
-  /// Concurrency contract: the endorsement fan-out may invoke the same
-  /// contract object from several pool threads at once (one per
-  /// endorsing org). Implementations must keep all per-invocation state
-  /// in `ctx` / locals — a contract that mutates member state inside
-  /// invoke() is a bug (and will trip the TSan CI job).
+  /// Every endorsing org invokes the same contract object against its
+  /// own replica. Implementations must keep all per-invocation state in
+  /// `ctx` / locals: a contract that mutates member state inside
+  /// invoke() lets one endorser's run leak into the next.
   virtual InvokeStatus invoke(ContractContext& ctx,
                               const std::string& action) = 0;
 

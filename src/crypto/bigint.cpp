@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "crypto/montgomery.hpp"
 
 namespace veil::crypto {
@@ -519,9 +517,9 @@ bool BigInt::is_probable_prime(common::Rng& rng, int rounds) const {
   const auto ctx = MontgomeryCtx::create(*this);
   const BigInt minus_one_mont = ctx->to_mont(n_minus_1);
 
-  // All witness bases are drawn serially up front, so the rng stream is
-  // a function of `rounds` alone — independent of thread count and of
-  // which round (if any) finds a witness.
+  // All witness bases are drawn up front, so the rng stream is a
+  // function of `rounds` alone, not of which round (if any) finds a
+  // witness.
   std::vector<BigInt> bases;
   bases.reserve(static_cast<std::size_t>(rounds));
   for (int round = 0; round < rounds; ++round) {
@@ -538,24 +536,10 @@ bool BigInt::is_probable_prime(common::Rng& rng, int rounds) const {
     }
     return true;
   };
-
-  // The first base runs serially: nearly every composite that survives
-  // the sieve is rejected here with a single pow, and fanning out for
-  // those would cost more than it saves. Only candidates that pass go
-  // through the remaining rounds in parallel (the common case for actual
-  // primes, which must survive every round anyway).
-  if (rounds > 0 && is_witness(bases[0])) return false;
-  if (rounds <= 1) return true;
-
-  std::atomic<bool> composite{false};
-  common::ThreadPool::global().parallel_for(
-      static_cast<std::size_t>(rounds - 1), [&](std::size_t i) {
-        if (composite.load(std::memory_order_relaxed)) return;
-        if (is_witness(bases[i + 1])) {
-          composite.store(true, std::memory_order_relaxed);
-        }
-      });
-  return !composite.load(std::memory_order_relaxed);
+  for (const BigInt& a : bases) {
+    if (is_witness(a)) return false;
+  }
+  return true;
 }
 
 BigInt BigInt::generate_prime(common::Rng& rng, std::size_t bits) {

@@ -2,17 +2,8 @@
 
 #include "common/error.hpp"
 #include "common/serialize.hpp"
-#include "common/thread_pool.hpp"
 
 namespace veil::crypto {
-
-namespace {
-
-// Below this many hash computations the pool's dispatch overhead beats
-// the win; per-block trees in the simulations are usually tiny.
-constexpr std::size_t kParallelHashThreshold = 64;
-
-}  // namespace
 
 Digest MerkleTree::hash_leaf(common::BytesView leaf, common::BytesView salt) {
   return Sha256().update("veil.merkle.leaf").update(salt).update(leaf).finalize();
@@ -37,17 +28,12 @@ std::vector<std::vector<Digest>> build_levels(std::vector<Digest> level0) {
     const auto& prev = levels.back();
     const std::size_t pairs = (prev.size() + 1) / 2;
     std::vector<Digest> next;
-    const auto node_at = [&prev](std::size_t i) {
+    next.reserve(pairs);
+    for (std::size_t i = 0; i < pairs; ++i) {
       const Digest& left = prev[2 * i];
       const Digest& right =
           (2 * i + 1 < prev.size()) ? prev[2 * i + 1] : prev[2 * i];
-      return MerkleTree::hash_node(left, right);
-    };
-    if (pairs >= kParallelHashThreshold) {
-      next = common::ThreadPool::global().parallel_map(pairs, node_at);
-    } else {
-      next.reserve(pairs);
-      for (std::size_t i = 0; i < pairs; ++i) next.push_back(node_at(i));
+      next.push_back(MerkleTree::hash_node(left, right));
     }
     levels.push_back(std::move(next));
   }
@@ -64,18 +50,11 @@ MerkleTree MerkleTree::build(std::span<const common::BytesView> leaves,
   if (!salts.empty() && salts.size() != leaves.size()) {
     throw common::CryptoError("MerkleTree: salt count mismatch");
   }
-  const auto leaf_at = [&](std::size_t i) {
-    return hash_leaf(leaves[i],
-                     salts.empty() ? common::BytesView() : salts[i]);
-  };
   std::vector<Digest> hashes;
-  if (leaves.size() >= kParallelHashThreshold) {
-    hashes = common::ThreadPool::global().parallel_map(leaves.size(), leaf_at);
-  } else {
-    hashes.reserve(leaves.size());
-    for (std::size_t i = 0; i < leaves.size(); ++i) {
-      hashes.push_back(leaf_at(i));
-    }
+  hashes.reserve(leaves.size());
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    hashes.push_back(
+        hash_leaf(leaves[i], salts.empty() ? common::BytesView() : salts[i]));
   }
   MerkleTree tree;
   tree.leaf_count_ = leaves.size();

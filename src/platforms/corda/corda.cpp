@@ -2,7 +2,6 @@
 
 #include "common/error.hpp"
 #include "common/serialize.hpp"
-#include "common/thread_pool.hpp"
 
 namespace veil::corda {
 
@@ -820,30 +819,25 @@ std::vector<FlowResult> CordaNetwork::transact_many(
     const std::size_t wave_end =
         std::min(requests.size(), wave_start + pipeline_depth);
 
-    // --- Stage A: serial prepare. All rng draws (one-time keys, Merkle
-    // salts) and counter bumps happen here, in submission order — the
-    // transcript is the same at any thread count.
+    // --- Stage A: prepare. All rng draws (one-time keys, Merkle salts)
+    // and counter bumps happen here, in submission order.
     std::vector<PreparedFlow> wave;
     wave.reserve(wave_end - wave_start);
     for (std::size_t i = wave_start; i < wave_end; ++i) {
       wave.push_back(prepare_flow(requests[i]));
     }
 
-    // --- Stage B: Merkle build + initiator signature fan out across the
-    // pool, one index per flow; a wave of one seals inline on the caller.
-    // Both are pure functions of stage-A output (signing nonces are
-    // derived, not drawn), so results are bit-identical at any thread
-    // count.
-    common::ThreadPool::global().parallel_for(
-        wave.size(), [&](std::size_t i) {
-          PreparedFlow& flow = wave[i];
-          if (!flow.ok) return;
-          flow.root = crypto::MerkleTree::build(common::views_of(flow.leaves),
-                                                common::views_of(flow.salts))
-                          .root();
-          flow.initiator_signature =
-              parties_.at(flow.initiator).keypair.sign(root_view(flow.root));
-        });
+    // --- Stage B: Merkle build + initiator signature. Both are pure
+    // functions of stage-A output (signing nonces are derived, not
+    // drawn).
+    for (PreparedFlow& flow : wave) {
+      if (!flow.ok) continue;
+      flow.root = crypto::MerkleTree::build(common::views_of(flow.leaves),
+                                            common::views_of(flow.salts))
+                      .root();
+      flow.initiator_signature =
+          parties_.at(flow.initiator).keypair.sign(root_view(flow.root));
+    }
 
     const auto fail = [&](PreparedFlow& flow, std::size_t origin,
                           std::string reason) {

@@ -134,11 +134,11 @@ class CordaNetwork {
   };
 
   /// Pipelined flows: requests run in waves of `pipeline_depth`. Within a
-  /// wave the Merkle builds and initiator signatures run as pool tasks,
-  /// and each message round (sign, oracle, notarize, finalize) is batched
-  /// — one network drain serves the whole wave instead of one per flow.
-  /// All randomness is drawn serially in submission order, so outcomes
-  /// are deterministic at any thread count; at depth 1 the per-flow
+  /// wave every flow is prepared, then sealed (Merkle build and initiator
+  /// signature), and each message round (sign, oracle, notarize,
+  /// finalize) is batched — one network drain serves the whole wave
+  /// instead of one per flow. All randomness is drawn in submission
+  /// order, so outcomes are deterministic; at depth 1 the per-flow
   /// operation order matches transact(). Two flows in one wave consuming
   /// the same input are arbitrated by the notary exactly like concurrent
   /// submitters — the second fails, and with detection on the refusal
@@ -360,7 +360,7 @@ class CordaNetwork {
   /// Everything transact() does before the message rounds: validation,
   /// input resolution, contract verification, confidential identities,
   /// Merkle leaves + salts, signer resolution. Every rng draw happens
-  /// here, in submission order — the stage-B pool tasks are pure.
+  /// here, in submission order — the stage-B sealing is pure.
   struct PreparedFlow {
     bool ok = false;
     std::string error;  // failure reason when !ok

@@ -2,7 +2,6 @@
 
 #include "common/error.hpp"
 #include "common/serialize.hpp"
-#include "common/thread_pool.hpp"
 #include "ledger/shard.hpp"
 
 namespace veil::fabric {
@@ -696,8 +695,7 @@ FabricNetwork::PreparedSubmission FabricNetwork::prepare_submission(
   const std::set<std::string> endorsing_orgs =
       policy_it->second.mentioned_orgs();
   // In-built version control: all endorsers must run identical code.
-  // Cheap registry lookups stay serial; they also fix the eligible-org
-  // order (sorted, from the std::set) before the fan-out.
+  // The eligible orgs keep the sorted order of the std::set.
   std::vector<std::string> eligible;
   std::optional<crypto::Digest> reference_code;
   for (const std::string& org : endorsing_orgs) {
@@ -719,16 +717,15 @@ FabricNetwork::PreparedSubmission FabricNetwork::prepare_submission(
     eligible.push_back(org);
   }
 
-  // Contract execution is independent per org — each runs against its
-  // own replica's state and execute() is pure — so it fans out across
-  // the pool. parallel_map returns results in input order, which keeps
-  // the reference/divergence fold below identical to the serial loop.
-  auto exec_results = common::ThreadPool::global().parallel_map(
-      eligible.size(), [&](std::size_t i) {
-        const std::string& org = eligible[i];
-        return engine_.execute(peer_of(org), chaincode, action, args,
-                               ch.replicas.at(org).state, channel);
-      });
+  // Every eligible org executes against its own replica's state before
+  // the reference/divergence fold below compares the results.
+  std::vector<std::optional<contracts::ExecutionResult>> exec_results;
+  exec_results.reserve(eligible.size());
+  for (const std::string& org : eligible) {
+    exec_results.push_back(engine_.execute(peer_of(org), chaincode, action,
+                                           args, ch.replicas.at(org).state,
+                                           channel));
+  }
 
   std::optional<contracts::ExecutionResult> reference;
   std::vector<std::string> endorsers;
@@ -940,27 +937,16 @@ std::vector<TxReceipt> FabricNetwork::submit_many(
       origin.push_back(i);
       prepared.push_back(std::move(p));
     }
-    // Stage B: endorsement signing for the WHOLE wave fans out across
-    // the pool, one index per endorsement; a wave of one signs inline on
-    // the caller. Signing is pure (deterministic HMAC nonce), so results
-    // are bit-identical regardless of scheduling.
-    std::vector<std::pair<std::size_t, std::size_t>> slots;  // (tx, endorser)
-    for (std::size_t p = 0; p < prepared.size(); ++p) {
-      prepared[p].tx.endorsements.resize(prepared[p].endorsers.size());
-      for (std::size_t e = 0; e < prepared[p].endorsers.size(); ++e) {
-        slots.push_back({p, e});
+    // Stage B: every endorser signs each body digest. Signing is pure
+    // (deterministic HMAC nonce).
+    for (PreparedSubmission& p : prepared) {
+      const common::BytesView msg(p.body_digest.data(), p.body_digest.size());
+      for (const std::string& endorser : p.endorsers) {
+        const crypto::KeyPair& keypair = orgs_.at(endorser).keypair;
+        p.tx.endorsements.push_back(ledger::Endorsement{
+            endorser, keypair.public_key(), keypair.sign(msg)});
       }
     }
-    common::ThreadPool::global().parallel_for(
-        slots.size(), [&](std::size_t k) {
-          PreparedSubmission& p = prepared[slots[k].first];
-          const std::string& endorser = p.endorsers[slots[k].second];
-          const crypto::KeyPair& keypair = orgs_.at(endorser).keypair;
-          const common::BytesView msg(p.body_digest.data(),
-                                      p.body_digest.size());
-          p.tx.endorsements[slots[k].second] = ledger::Endorsement{
-              endorser, keypair.public_key(), keypair.sign(msg)};
-        });
     // Stage C (serial, in submission order): one admission check across
     // every endorsement in the wave.
     admit_wave_to_mempool(prepared);

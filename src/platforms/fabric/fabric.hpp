@@ -179,12 +179,9 @@ class FabricNetwork {
 
   /// The commit path: endorse -> order -> validate over many
   /// submissions. Requests are processed in waves of `pipeline_depth`:
-  /// endorsement signing for the whole wave fans out across the pool, and
-  /// admission verification checks every endorsement of the wave in one
-  /// batch. Partial blocks are flushed once at the end, so submit() — a
-  /// wave of one — flushes per call. With VEIL_THREADS=1 every task runs
-  /// inline and the transcript is bit-identical to the multi-threaded
-  /// run.
+  /// the whole wave is signed, then admission verification checks every
+  /// endorsement of the wave in one batch. Partial blocks are flushed
+  /// once at the end, so submit() — a wave of one — flushes per call.
   std::vector<TxReceipt> submit_many(const std::vector<SubmitRequest>& requests,
                                      std::size_t pipeline_depth = 8);
 
@@ -359,7 +356,7 @@ class FabricNetwork {
   };
 
   /// Everything a submission needs before endorsement signing:
-  /// membership and version checks, contract execution fan-out, PDC
+  /// membership and version checks, contract execution per endorser, PDC
   /// dissemination, client identity. Serial — it reads and writes shared
   /// replica state. The submitting stage hashes the finished body once:
   /// `body_digest` is what endorsers sign and what admission and

@@ -2,7 +2,6 @@
 
 #include "common/error.hpp"
 #include "common/serialize.hpp"
-#include "common/thread_pool.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/hmac.hpp"
 
@@ -212,7 +211,7 @@ QuorumNetwork::Prepared QuorumNetwork::prepare(const Request& request) {
 
   // Transaction-manager nonces are drawn here, in submission order
   // (recipients iterate sorted), so the counter stream does not depend
-  // on the wave size or the thread count.
+  // on the wave size.
   for (const std::string& holder : p.recipients) {
     if (holder == request.from) continue;
     common::Writer nonce;
@@ -251,12 +250,9 @@ std::vector<TxResult> QuorumNetwork::submit_waves(
     // Stage B: endorsement signing and per-recipient transaction-manager
     // sealing (the HKDF + AES work that makes private transactions
     // slower than public ones — the [5] performance result reproduced by
-    // bench_scalability_quorum) fan out across the pool, one index per
-    // transaction; a wave of one runs inline on the caller. Both are pure
-    // (deterministic nonces, inputs fixed in stage A), so results are
-    // bit-identical at any thread count.
-    common::ThreadPool::global().parallel_for(items.size(), [&](std::size_t j) {
-      Prepared& it = items[j];
+    // bench_scalability_quorum). Both are pure: nonces and inputs were
+    // fixed in stage A.
+    for (Prepared& it : items) {
       const common::BytesView msg(it.digest.data(), it.digest.size());
       it.tx.endorsements.push_back(ledger::Endorsement{
           it.from, it.keypair->public_key(), it.keypair->sign(msg)});
@@ -266,7 +262,7 @@ std::vector<TxResult> QuorumNetwork::submit_waves(
             "quorum.tm.pair", 32);
         it.sealed[r] = crypto::seal(pair_key, it.blob, it.nonces[r]);
       }
-    });
+    }
     // Stage C (serial, submission order): disseminate private payloads,
     // then pass each transaction through the one overload gate. The gate
     // sees the pending queue as it will be when this item is enqueued:

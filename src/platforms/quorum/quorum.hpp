@@ -89,15 +89,16 @@ class QuorumNetwork {
 
   /// Pipelined private submissions in waves of `pipeline_depth`.
   /// Endorsement signing and transaction-manager sealing (the
-  /// per-recipient HKDF + AES work that dominates private-tx cost) for a
-  /// whole wave fan out across the pool, and admission checks the wave's
-  /// signatures in one batch. This is the commit path every submission
-  /// takes: submit_public(), submit_private() and replay_private() are
-  /// waves of one. Each transaction passes one overload gate after its
+  /// per-recipient HKDF + AES work that dominates private-tx cost) run
+  /// for a whole wave, then admission checks the wave's signatures in one
+  /// batch. This is the commit path every submission takes:
+  /// submit_public(), submit_private() and replay_private() are waves of
+  /// one. Each transaction passes one overload gate after its
   /// dissemination, in this order: the endorse-stage TTL check, the
   /// Fresh-class admission offer, then the pending-capacity check, which
   /// counts the wave's earlier survivors as already queued. Nonces are
-  /// drawn serially, so results are bit-identical at any thread count.
+  /// drawn in submission order, so results do not depend on the wave
+  /// size.
   std::vector<TxResult> submit_private_many(
       const std::string& from, const std::vector<PrivateSubmission>& batch,
       std::size_t pipeline_depth = 8);

@@ -383,6 +383,31 @@ TEST(BigInt, PrimalityKnownValues) {
   EXPECT_FALSE(BigInt(41041).is_probable_prime(rng));
 }
 
+TEST(BigInt, PrimalityLargeKnownValues) {
+  // 2^127 - 1, and its product with a 129-bit prime: no small factors, so
+  // the verdicts come from the Miller-Rabin rounds. Every base is drawn
+  // before the first round, so the rng position does not depend on which
+  // round finds a witness.
+  const BigInt prime =
+      BigInt::from_decimal("170141183460469231731687303715884105727");
+  const BigInt composite =
+      prime * BigInt::from_decimal("340282366920938463463374607431768211507");
+  common::Rng rng(5);
+  EXPECT_TRUE(prime.is_probable_prime(rng));
+  EXPECT_EQ(rng.next_u64(), 5904929400452482616ULL);
+  common::Rng rng2(5);
+  EXPECT_FALSE(composite.is_probable_prime(rng2));
+  EXPECT_EQ(rng2.next_u64(), 4688667664860943415ULL);
+}
+
+TEST(BigInt, GeneratePrimeIsPinnedWithItsRngPosition) {
+  // Key generation depends on both the prime and the draws it consumed.
+  common::Rng rng(4242);
+  EXPECT_EQ(BigInt::generate_prime(rng, 96).to_hex(),
+            "9529f212f0346ac42b30abf7");
+  EXPECT_EQ(rng.next_u64(), 1746665164068898174ULL);
+}
+
 TEST(BigInt, GeneratePrimeHasRequestedSize) {
   common::Rng rng(9);
   const BigInt p = BigInt::generate_prime(rng, 96);

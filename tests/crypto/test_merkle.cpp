@@ -84,7 +84,21 @@ TEST_P(MerkleProofs, AllLeavesProvable) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, MerkleProofs,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 33,
-                                           64));
+                                           64, 500));
+
+TEST(Merkle, LargeTreeRootIsPinned) {
+  // 500 random leaves of 1-64 bytes with 16-byte salts: a tree with more
+  // levels than the per-block trees, pinned so its bytes cannot drift.
+  common::Rng rng(99);
+  std::vector<Bytes> leaves;
+  std::vector<Bytes> salts;
+  for (int i = 0; i < 500; ++i) {
+    leaves.push_back(rng.next_bytes(1 + rng.next_below(64)));
+    salts.push_back(rng.next_bytes(16));
+  }
+  EXPECT_EQ(digest_hex(build(leaves, salts).root()),
+            "aaf7785b7c046c5ffee8586e0f3f039762eaa531d308e17121da7b63692834f2");
+}
 
 TEST(Merkle, ProofIndexOutOfRangeThrows) {
   const MerkleTree tree = build(make_leaves(4));

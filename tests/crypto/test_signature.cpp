@@ -2,11 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "crypto/batch_verify.hpp"
 #include "non_member_key.hpp"
 
@@ -125,6 +126,24 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SignatureMessages,
 
 // ---- Key-membership memo (Group::check_key) ---------------------------------
 
+// Returns {fn(0), ..., fn(n-1)}, computed on four threads that each take
+// one contiguous quarter of the indices. Every quarter starts on the same
+// key, so the threads meet the group's key memo at once.
+template <typename F>
+std::vector<char> on_four_threads(std::size_t n, F fn) {
+  std::vector<char> out(n);
+  const std::size_t per = (n + 3) / 4;
+  {
+    std::vector<std::jthread> threads;  // joined when the scope ends
+    for (std::size_t begin = 0; begin < n; begin += per) {
+      threads.emplace_back([&out, &fn, begin, end = std::min(n, begin + per)] {
+        for (std::size_t i = begin; i < end; ++i) out[i] = fn(i);
+      });
+    }
+  }
+  return out;
+}
+
 class SignatureKeyCache : public ::testing::Test {
  protected:
   // A fresh copy of the test parameters: its own, empty key memo.
@@ -183,8 +202,8 @@ TEST_F(SignatureKeyCache, BoundedUnderOneTimeKeys) {
 }
 
 TEST_F(SignatureKeyCache, ConcurrentVerifiersAgree) {
-  // Verifiers on every pool worker hit the memo at once (the commit path
-  // verifies endorsements in parallel); each verdict is still exact.
+  // Verifiers on several threads hit the memo at once; each verdict is
+  // still exact.
   std::vector<KeyPair> keys;
   for (int i = 0; i < 4; ++i) {
     keys.push_back(KeyPair::from_secret(group_, BigInt(50 + i)));
@@ -193,17 +212,13 @@ TEST_F(SignatureKeyCache, ConcurrentVerifiersAgree) {
       testing::sign_as_non_member(group_, keys[0], to_bytes("m"));
   std::vector<Signature> sigs;
   for (const KeyPair& kp : keys) sigs.push_back(kp.sign(to_bytes("m")));
-  const auto verdicts = common::ThreadPool::global().parallel_map(
-      64, [&](std::size_t i) -> char {
-        if (i % 8 == 7) {
-          return verify(group_, forged.key, to_bytes("m"), forged.sig) ? 1 : 0;
-        }
-        const KeyPair& kp = keys[i % keys.size()];
-        return verify(group_, kp.public_key(), to_bytes("m"),
-                      sigs[i % keys.size()])
-                   ? 1
-                   : 0;
-      });
+  const auto verdicts = on_four_threads(64, [&](std::size_t i) -> char {
+    if (i % 8 == 7) {
+      return verify(group_, forged.key, to_bytes("m"), forged.sig);
+    }
+    const std::size_t k = i % keys.size();
+    return verify(group_, keys[k].public_key(), to_bytes("m"), sigs[k]);
+  });
   for (std::size_t i = 0; i < verdicts.size(); ++i) {
     EXPECT_EQ(verdicts[i], i % 8 == 7 ? 0 : 1) << i;
   }
@@ -340,9 +355,9 @@ TEST_F(SignatureKeyTable, BoundedUnderReusedKeys) {
 
 TEST_F(SignatureKeyTable, ConcurrentVerifiersAgree) {
   // Tables are built outside the memo's lock and published while other
-  // pool workers read them; every verdict stays exact and each reused
-  // key ends with one table, also when several workers meet a key for the
-  // first time at once. Each round starts from an empty memo.
+  // threads read them; every verdict stays exact and each reused key ends
+  // with one table, also when several threads meet a key for the first
+  // time at once. Each round starts from an empty memo.
   std::vector<KeyPair> keys;
   for (int i = 0; i < 6; ++i) {
     keys.push_back(KeyPair::from_secret(group_, BigInt(70 + i)));
@@ -355,23 +370,16 @@ TEST_F(SignatureKeyTable, ConcurrentVerifiersAgree) {
   tampered.response = (tampered.response + BigInt(1)) % group_.q();
   for (int round = 0; round < 6; ++round) {
     const Group group{base_.p(), base_.q(), base_.g(), base_.h()};
-    const auto verdicts = common::ThreadPool::global().parallel_map(
-        96, [&](std::size_t i) -> char {
-          if (i % 8 == 7) {
-            return verify(group, forged.key, to_bytes("m"), forged.sig) ? 1
-                                                                        : 0;
-          }
-          if (i % 8 == 5) {
-            return verify(group, keys[1].public_key(), to_bytes("m"),
-                          tampered)
-                       ? 1
-                       : 0;
-          }
-          const std::size_t k = i % keys.size();
-          return verify(group, keys[k].public_key(), to_bytes("m"), sigs[k])
-                     ? 1
-                     : 0;
-        });
+    const auto verdicts = on_four_threads(96, [&](std::size_t i) -> char {
+      if (i % 8 == 7) {
+        return verify(group, forged.key, to_bytes("m"), forged.sig);
+      }
+      if (i % 8 == 5) {
+        return verify(group, keys[1].public_key(), to_bytes("m"), tampered);
+      }
+      const std::size_t k = i % keys.size();
+      return verify(group, keys[k].public_key(), to_bytes("m"), sigs[k]);
+    });
     for (std::size_t i = 0; i < verdicts.size(); ++i) {
       EXPECT_EQ(verdicts[i], i % 8 == 7 || i % 8 == 5 ? 0 : 1) << i;
     }

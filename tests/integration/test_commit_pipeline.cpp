@@ -6,7 +6,6 @@
 // convicted through the wave's queued signature checks.
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.hpp"
 #include "platforms/corda/corda.hpp"
 #include "platforms/fabric/fabric.hpp"
 #include "platforms/quorum/quorum.hpp"
@@ -85,25 +84,6 @@ TEST(CommitPipeline, FabricPipelinedMatchesSerialState) {
   // The pipeline actually exercised the new machinery.
   EXPECT_GT(piped.fab.mempool().stats().token_hits, 0u);
   EXPECT_GT(piped.fab.batch_verify_stats().items, 0u);
-}
-
-TEST(CommitPipeline, FabricPipelineDeterministicAcrossThreadCounts) {
-  const auto run = [](std::size_t threads) {
-    common::ThreadPool::set_global_threads(threads);
-    FabricRig rig;
-    const auto receipts = rig.fab.submit_many(fabric_wave(16), 8);
-    common::ThreadPool::set_global_threads(1);
-    std::vector<std::string> ids;
-    for (const auto& r : receipts) {
-      EXPECT_TRUE(r.committed) << r.reason;
-      ids.push_back(r.tx_id);
-    }
-    return std::make_pair(ids, rig.fab.state("ch", "OrgA").digest());
-  };
-  const auto one = run(1);
-  const auto eight = run(8);
-  EXPECT_EQ(one.first, eight.first);    // same tx ids, same order
-  EXPECT_EQ(one.second, eight.second);  // same final state
 }
 
 TEST(CommitPipeline, FabricWaveSizeIsBitIdentical) {
