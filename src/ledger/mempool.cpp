@@ -155,6 +155,68 @@ void Mempool::remove(const std::string& tx_id, EvictionRecord::Cause cause,
   evictions_.push_back({tx_id, cause, now});
 }
 
+void Mempool::admit_wave(crypto::BatchVerifier& verifier,
+                         const std::vector<WaveItem>& wave,
+                         common::SimTime now) {
+  std::vector<std::size_t> queued;  // batch index -> wave index
+  for (std::size_t w = 0; w < wave.size(); ++w) {
+    const crypto::Digest& digest = *wave[w].body_digest;
+    const common::BytesView msg(digest.data(), digest.size());
+    for (const Endorsement& e : wave[w].tx->endorsements) {
+      verifier.add_signature(e.key, msg, e.signature);
+      queued.push_back(w);
+    }
+  }
+  std::vector<char> ok(wave.size(), 1);
+  if (verifier.pending() > 0) {
+    for (const std::size_t bad : verifier.verify().invalid) ok[queued[bad]] = 0;
+  }
+  for (std::size_t w = 0; w < wave.size(); ++w) {
+    admit(*wave[w].tx, *wave[w].body_digest, ok[w] != 0, now);
+  }
+}
+
+Mempool::BlockCheck Mempool::check_block(crypto::BatchVerifier& verifier,
+                                         const Block& block,
+                                         const WorldState& state, bool replay,
+                                         bool verify, common::SimTime now) {
+  const std::size_t count = block.transactions.size();
+  BlockCheck out{std::vector<crypto::Digest>(count),
+                 std::vector<std::string>(count), std::vector<char>(count, 1),
+                 std::vector<char>(count, 1)};
+  for (std::size_t i = 0; i < count; ++i) {
+    out.digests[i] = block.transactions[i].body_digest();
+    out.ids[i] = tx_id(out.digests[i]);
+  }
+  if (!verify) return out;
+  std::vector<std::size_t> queued;  // batch index -> transaction index
+  for (std::size_t i = 0; i < count; ++i) {
+    // Read versions are checked against pre-block state; a version that
+    // moves mid-block only affects MVCC, never signature validity.
+    if (!replay && validated(out.digests[i], state, now)) continue;
+    const common::BytesView msg(out.digests[i].data(), out.digests[i].size());
+    const std::vector<Endorsement>& endorsements =
+        block.transactions[i].endorsements;
+    for (const Endorsement& e : endorsements) {
+      verifier.add_signature(e.key, msg, e.signature);
+      queued.push_back(i);
+    }
+    if (!endorsements.empty()) out.any_valid[i] = 0;  // until one verifies
+  }
+  if (verifier.pending() == 0) return out;
+  const crypto::BatchOutcome outcome = verifier.verify();
+  const std::set<std::size_t> bad(outcome.invalid.begin(),
+                                  outcome.invalid.end());
+  for (std::size_t k = 0; k < queued.size(); ++k) {
+    if (bad.contains(k)) {
+      out.all_valid[queued[k]] = 0;
+    } else {
+      out.any_valid[queued[k]] = 1;
+    }
+  }
+  return out;
+}
+
 void Mempool::clear() {
   tokens_.clear();
   fifo_.clear();

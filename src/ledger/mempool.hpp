@@ -28,6 +28,8 @@
 
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
+#include "crypto/batch_verify.hpp"
+#include "ledger/block.hpp"
 #include "ledger/state.hpp"
 #include "ledger/transaction.hpp"
 
@@ -96,6 +98,31 @@ class Mempool {
   /// computed once by the admitting stage.
   bool admit(const Transaction& tx, const crypto::Digest& body_digest,
              bool verified, common::SimTime now);
+
+  /// Wave admission (the platforms' commit paths): every endorsement of
+  /// the wave joins one queued check, then each transaction is admitted,
+  /// verified iff all of its own endorsements were.
+  struct WaveItem {
+    const Transaction* tx;
+    const crypto::Digest* body_digest;
+  };
+  void admit_wave(crypto::BatchVerifier& verifier,
+                  const std::vector<WaveItem>& wave, common::SimTime now);
+
+  /// Per-transaction endorsement verdicts for a block about to be
+  /// applied, from the applier's own hash of each body. A transaction
+  /// whose token still speaks for it (validated(); never on WAL replay)
+  /// counts as verified; the others' endorsements share one queued check.
+  /// With `verify` off every verdict is true.
+  struct BlockCheck {
+    std::vector<crypto::Digest> digests;
+    std::vector<std::string> ids;
+    std::vector<char> all_valid;  // every endorsement verified
+    std::vector<char> any_valid;  // at least one did, or none to check
+  };
+  BlockCheck check_block(crypto::BatchVerifier& verifier, const Block& block,
+                         const WorldState& state, bool replay, bool verify,
+                         common::SimTime now);
 
   /// Token for `tx_id`, or nullptr if not resident.
   const ValidationToken* token(const std::string& tx_id) const;

@@ -84,33 +84,29 @@ ShardMap::ShardMap(net::Transport& network, net::ReliableChannel& channel,
   if (config_.shard_count == 0) {
     throw common::ProtocolError("shard: shard_count must be positive");
   }
+  // Reserved up front: each replica keeps a pointer to its shard's log.
   shards_.reserve(config_.shard_count);
   for (std::uint64_t s = 0; s < config_.shard_count; ++s) {
-    Shard shard;
+    Shard& shard = shards_.emplace_back();
     shard.index = s;
     shard.mempool = Mempool(config_.mempool);
     shard.admission = AdmissionController(config_.admission);
     const std::string base = config_.scope + "-" + std::to_string(s);
-    shard.nodes.push_back(
-        Node{base, crypto::KeyPair::generate(group, rng), {}, {}, {}});
-    for (std::size_t i = 0; i < config_.replicas_per_shard; ++i) {
-      shard.nodes.push_back(Node{base + "-r" + std::to_string(i),
-                                 crypto::KeyPair::generate(group, rng),
-                                 {},
-                                 {},
-                                 {}});
-    }
-    shards_.push_back(std::move(shard));
-  }
-  for (std::uint64_t s = 0; s < config_.shard_count; ++s) {
-    for (std::size_t n = 0; n < shards_[s].nodes.size(); ++n) {
+    for (std::size_t n = 0; n <= config_.replicas_per_shard; ++n) {
+      // Node 0 is the primary; keys are drawn in node order.
+      shard.nodes.push_back(Node{
+          crypto::KeyPair::generate(group, rng),
+          Replica(n == 0 ? base : base + "-r" + std::to_string(n - 1),
+                  config_.scope, &shard.ordered_log, {},
+                  {.apply = std::bind_front(&ShardMap::apply_block, this, s,
+                                            n)})});
       attach_node(s, n);
     }
   }
 }
 
 const net::Principal& ShardMap::primary(std::uint64_t shard) const {
-  return primary_node(shard).name;
+  return primary_node(shard).name();
 }
 
 const crypto::PublicKey& ShardMap::primary_public_key(
@@ -119,7 +115,7 @@ const crypto::PublicKey& ShardMap::primary_public_key(
 }
 
 void ShardMap::attach_node(std::uint64_t shard, std::size_t node_index) {
-  const net::Principal name = shards_[shard].nodes[node_index].name;
+  const net::Principal name = shards_[shard].nodes[node_index].name();
   if (node_index == 0) {
     channel_->attach(name, [this, shard](const net::Message& m) {
       on_primary_message(shard, m);
@@ -175,7 +171,7 @@ SubmitReceipt ShardMap::submit(const Transaction& tx) {
     }
   }
   Shard& shard = shards_[owner.value_or(0)];
-  if (network_->crashed(shard.nodes[0].name)) {
+  if (network_->crashed(shard.nodes[0].name())) {
     rc.reason = "shard primary down";
     return rc;
   }
@@ -209,7 +205,7 @@ SubmitReceipt ShardMap::submit(const Transaction& tx) {
 void ShardMap::flush_all() {
   for (Shard& shard : shards_) {
     if (shard.pending.empty()) continue;
-    if (network_->crashed(shard.nodes[0].name)) continue;
+    if (network_->crashed(shard.nodes[0].name())) continue;
     std::vector<Transaction> txs;
     txs.swap(shard.pending);
     seal_block(shard, std::move(txs));
@@ -218,55 +214,60 @@ void ShardMap::flush_all() {
 
 void ShardMap::seal_block(Shard& shard, std::vector<Transaction> txs) {
   if (txs.empty()) return;
-  Node& primary = shard.nodes[0];
-  const common::SimTime now = network_->clock().now();
-  const Block block = Block::make(primary.chain.height(),
-                                  primary.chain.tip_hash(), std::move(txs), now);
-  // WAL before the in-memory mutation it describes.
-  wal_log_block(primary.wal, block);
-  primary.chain.append(block);
-  {
-    WorldState::Batch writes(primary.state);
-    for (const Transaction& tx : block.transactions) {
-      const crypto::Digest digest = tx.body_digest();
-      shard.mempool.validated(digest, primary.state, now);
-      if (writes.apply(tx) == CommitResult::Applied) {
-        ++stats_.committed;
-      } else {
-        ++stats_.invalidated;
-      }
-      shard.mempool.remove(tx_id(digest), EvictionRecord::Cause::Committed,
-                           now);
-    }
-  }
-  ++stats_.blocks_sealed;
-  shard.ordered_log.push_back(block);
+  Replica& primary = shard.nodes[0].replica;
+  Block block =
+      Block::make(primary.chain().height(), primary.chain().tip_hash(),
+                  std::move(txs), network_->clock().now());
   const common::Bytes wire = block.encode();
+  primary.apply(block, /*replay=*/false, wire);
+  ++stats_.blocks_sealed;
+  shard.ordered_log.push_back(std::move(block));
   for (std::size_t i = 1; i < shard.nodes.size(); ++i) {
-    channel_->send(primary.name, shard.nodes[i].name, "shard.block", wire);
+    channel_->send(primary.principal(), shard.nodes[i].name(), "shard.block",
+                   wire);
   }
+}
+
+bool ShardMap::apply_block(std::uint64_t shard_index, std::size_t node_index,
+                           Block block, bool replay,
+                           common::BytesView encoded) {
+  Shard& shard = shards_[shard_index];
+  Replica& replica = shard.nodes[node_index].replica;
+  const Block& committed = replica.commit(std::move(block), replay, encoded);
+  const common::SimTime now = network_->clock().now();
+  WorldState::Batch writes(replica.state());
+  for (const Transaction& tx : committed.transactions) {
+    if (node_index != 0 || replay) {
+      writes.apply(tx);
+      continue;
+    }
+    // The primary seals: it settles each transaction's mempool entry and
+    // counts the outcome.
+    const crypto::Digest digest = tx.body_digest();
+    shard.mempool.validated(digest, replica.state(), now);
+    if (writes.apply(tx) == CommitResult::Applied) {
+      ++stats_.committed;
+    } else {
+      ++stats_.invalidated;
+    }
+    shard.mempool.remove(tx_id(digest), EvictionRecord::Cause::Committed, now);
+  }
+  return true;
 }
 
 void ShardMap::on_replica_message(std::uint64_t shard_index,
                                   std::size_t node_index,
                                   const net::Message& msg) {
   if (msg.topic != "shard.block") return;
-  Shard& shard = shards_[shard_index];
-  Node& node = shard.nodes[node_index];
+  Block block;
   try {
-    const Block block = Block::decode(msg.payload);
-    if (block.header.height < node.chain.height()) return;  // duplicate
-    if (block.header.height > node.chain.height()) {
-      ++stats_.replica_gapped;  // resync_all() fills the gap
-      return;
-    }
-    wal_log_block(node.wal, block);
-    node.chain.append(block);
-    WorldState::Batch writes(node.state);
-    for (const Transaction& tx : block.transactions) writes.apply(tx);
+    block = Block::decode(msg.payload);
   } catch (const common::Error&) {
     ++stats_.malformed;
+    return;
   }
+  shards_[shard_index].nodes[node_index].replica.deliver(std::move(block),
+                                                         msg.payload);
 }
 
 void ShardMap::on_primary_message(std::uint64_t shard_index,
@@ -309,7 +310,7 @@ void ShardMap::on_prepare(Shard& shard, const net::Message& msg) {
   // different in-flight transaction, and admission accepts the work.
   bool yes = true;
   for (const ReadAccess& rd : prep.subtx.reads) {
-    if (shard.nodes[0].state.version_of(rd.key) != rd.version) {
+    if (shard.nodes[0].replica.state().version_of(rd.key) != rd.version) {
       yes = false;
       break;
     }
@@ -352,7 +353,7 @@ void ShardMap::on_prepare(Shard& shard, const net::Message& msg) {
   const crypto::Digest digest = prep.subtx.body_digest();
   shard.mempool.admit(prep.subtx, digest, true, now);
   shard.mempool.pin(tx_id(digest));
-  shard.nodes[0].wal.append(kWalXPrepare, prep.encode());
+  shard.nodes[0].replica.wal().append(kWalXPrepare, prep.encode());
   PreparedTx p;
   p.prepare = prep;
   shard.prepared.emplace(prep.xid, std::move(p));
@@ -369,10 +370,10 @@ void ShardMap::send_vote(Shard& shard, const XPrepare& prepare, bool yes) {
   vote.xid = prepare.xid;
   vote.shard = shard.index;
   vote.yes = yes;
-  if (yes) vote.state_root = primary.state.digest();
-  vote.voter = primary.name;
+  if (yes) vote.state_root = primary.replica.state().digest();
+  vote.voter = primary.name();
   vote.sig = primary.key.sign(vote.to_be_signed());
-  channel_->send(primary.name, prepare.coordinator, "xshard.vote",
+  channel_->send(primary.name(), prepare.coordinator, "xshard.vote",
                  vote.encode());
 }
 
@@ -441,7 +442,7 @@ void ShardMap::on_decision(Shard& shard, const net::Message& msg) {
       const common::Bytes wire = d.encode();
       for (const std::uint64_t s : p.prepare.participants) {
         if (s == shard.index || s >= config_.shard_count) continue;
-        channel_->send(shard.nodes[0].name, primary(s), "xshard.echo", wire);
+        channel_->send(shard.nodes[0].name(), primary(s), "xshard.echo", wire);
       }
     } else {
       // Primary and standby disagree (no proof either lied): fail closed.
@@ -467,7 +468,7 @@ void ShardMap::echo_decision(Shard& shard, const PreparedTx& p,
   const common::Bytes wire = d.encode();
   for (const std::uint64_t s : p.prepare.participants) {
     if (s == shard.index || s >= config_.shard_count) continue;
-    channel_->send(shard.nodes[0].name, primary(s), "xshard.echo", wire);
+    channel_->send(shard.nodes[0].name(), primary(s), "xshard.echo", wire);
   }
 }
 
@@ -478,7 +479,7 @@ void ShardMap::convict_equivocation(Shard& shard, PreparedTx& p,
   audit::Evidence e;
   e.kind = audit::Misbehavior::CoordinatorEquivocation;
   e.accused = commit_side.decider;
-  e.reporter = shard.nodes[0].name;
+  e.reporter = shard.nodes[0].name();
   e.detail =
       "2PC coordinator signed both commit and abort for " + commit_side.xid;
   e.detected_at = network_->clock().now();
@@ -506,7 +507,7 @@ void ShardMap::arm_finalize(std::uint64_t shard_index, const std::string& xid) {
 
 void ShardMap::finalize(std::uint64_t shard_index, const std::string& xid) {
   Shard& shard = shards_[shard_index];
-  if (network_->crashed(shard.nodes[0].name)) return;
+  if (network_->crashed(shard.nodes[0].name())) return;
   const auto it = shard.prepared.find(xid);
   if (it == shard.prepared.end()) return;
   PreparedTx& p = it->second;
@@ -542,7 +543,7 @@ void ShardMap::apply_outcome(Shard& shard, const std::string& xid,
     w.str(xid);
     w.boolean(decision.commit);
     w.bytes(decision.encode());
-    shard.nodes[0].wal.append(kWalXOutcome, w.data());
+    shard.nodes[0].replica.wal().append(kWalXOutcome, w.data());
   }
   shard.outcomes[xid] = decision;
   shard.prepared.erase(xid);
@@ -590,7 +591,8 @@ void ShardMap::on_query(Shard& shard, const net::Message& msg) {
       pit->second.fenced = true;
     }
   }
-  channel_->send(shard.nodes[0].name, msg.from, "xshard.qreply", rep.encode());
+  channel_->send(shard.nodes[0].name(), msg.from, "xshard.qreply",
+                 rep.encode());
 }
 
 void ShardMap::arm_indoubt(std::uint64_t shard_index, const std::string& xid) {
@@ -602,7 +604,7 @@ void ShardMap::arm_indoubt(std::uint64_t shard_index, const std::string& xid) {
 void ShardMap::indoubt_check(std::uint64_t shard_index,
                              const std::string& xid) {
   Shard& shard = shards_[shard_index];
-  if (network_->crashed(shard.nodes[0].name)) return;
+  if (network_->crashed(shard.nodes[0].name())) return;
   const auto it = shard.prepared.find(xid);
   if (it == shard.prepared.end() || it->second.pending_decision ||
       it->second.poisoned) {
@@ -618,8 +620,8 @@ void ShardMap::indoubt_check(std::uint64_t shard_index,
   XStatus st;
   st.xid = xid;
   st.shard = shard_index;
-  st.requester = shard.nodes[0].name;
-  channel_->send(shard.nodes[0].name, p.prepare.coordinator, "xshard.status",
+  st.requester = shard.nodes[0].name();
+  channel_->send(shard.nodes[0].name(), p.prepare.coordinator, "xshard.status",
                  st.encode());
   // Escalate to the standby if the coordinator stays silent, then loop
   // back for the next bounded round.
@@ -627,7 +629,7 @@ void ShardMap::indoubt_check(std::uint64_t shard_index,
       network_->clock().now() + config_.status_timeout_us,
       [this, shard_index, xid] {
         Shard& sh = shards_[shard_index];
-        if (network_->crashed(sh.nodes[0].name)) return;
+        if (network_->crashed(sh.nodes[0].name())) return;
         const auto pit = sh.prepared.find(xid);
         if (pit == sh.prepared.end() || pit->second.pending_decision ||
             pit->second.poisoned) {
@@ -637,8 +639,8 @@ void ShardMap::indoubt_check(std::uint64_t shard_index,
           XStatus st2;
           st2.xid = xid;
           st2.shard = shard_index;
-          st2.requester = sh.nodes[0].name;
-          channel_->send(sh.nodes[0].name, standby_, "xshard.recover",
+          st2.requester = sh.nodes[0].name();
+          channel_->send(sh.nodes[0].name(), standby_, "xshard.recover",
                          st2.encode());
         }
         arm_indoubt(shard_index, xid);
@@ -647,7 +649,7 @@ void ShardMap::indoubt_check(std::uint64_t shard_index,
 
 void ShardMap::redrive_indoubt() {
   for (Shard& shard : shards_) {
-    if (network_->crashed(shard.nodes[0].name)) continue;
+    if (network_->crashed(shard.nodes[0].name())) continue;
     for (auto& [xid, p] : shard.prepared) {
       if (p.pending_decision || p.poisoned) continue;
       p.indoubt_round = 0;
@@ -661,7 +663,7 @@ void ShardMap::redrive_indoubt() {
 bool ShardMap::maybe_crash_primary(Shard& shard, PCrashPoint point) {
   if (shard.crash_point != point) return false;
   shard.crash_point = PCrashPoint::None;  // fire once
-  network_->crash(shard.nodes[0].name);
+  network_->crash(shard.nodes[0].name());
   return true;
 }
 
@@ -672,10 +674,7 @@ void ShardMap::arm_primary_crash(std::uint64_t shard, PCrashPoint point) {
 void ShardMap::on_node_crash(std::uint64_t shard_index,
                              std::size_t node_index) {
   Shard& shard = shards_[shard_index];
-  Node& node = shard.nodes[node_index];
-  // Volatile state is gone; the WAL survives.
-  node.chain = Chain();
-  node.state = WorldState();
+  shard.nodes[node_index].replica.crash();
   if (node_index != 0) return;
   shard.mempool.clear();
   shard.admission = AdmissionController(config_.admission);
@@ -688,23 +687,16 @@ void ShardMap::on_node_crash(std::uint64_t shard_index,
 void ShardMap::on_node_restart(std::uint64_t shard_index,
                                std::size_t node_index) {
   Shard& shard = shards_[shard_index];
-  Node& node = shard.nodes[node_index];
-  const WalRecovery recovered = wal_recover_blocks(node.wal);
-  node.chain = Chain();
-  node.state = WorldState();
-  for (const Block& b : recovered.blocks) {
-    node.chain.append(b);
-    WorldState::Batch writes(node.state);
-    for (const Transaction& tx : b.transactions) writes.apply(tx);
-  }
+  Replica& node = shard.nodes[node_index].replica;
+  node.recover();
   if (node_index != 0) {
-    catch_up(shard, node);
+    node.catch_up();
     return;
   }
   // Primary: rebuild the 2PC participant state from the raw records.
   const common::SimTime now = network_->clock().now();
   std::map<std::string, XPrepare> prepares;
-  for (const WriteAheadLog::Record& r : node.wal.recover()) {
+  for (const WriteAheadLog::Record& r : node.wal().recover()) {
     try {
       if (r.type == kWalXPrepare) {
         XPrepare prep = XPrepare::decode(r.payload);
@@ -723,7 +715,7 @@ void ShardMap::on_node_restart(std::uint64_t shard_index,
     const auto oit = shard.outcomes.find(xid);
     if (oit != shard.outcomes.end()) {
       if (oit->second.commit &&
-          !node.chain.find_transaction_block(prep.subtx.id())) {
+          !node.chain().find_transaction_block(prep.subtx.id())) {
         // Outcome record durable but the crash hit before the block was
         // sealed: re-drive the apply (without re-logging the verdict).
         std::vector<Transaction> txs;
@@ -745,7 +737,7 @@ void ShardMap::on_node_restart(std::uint64_t shard_index,
   }
   // The ordering log is the replica catch-up source; restore it from the
   // replayed chain.
-  shard.ordered_log = node.chain.live_blocks();
+  shard.ordered_log = node.chain().live_blocks();
   // Re-announce votes (the coordinator may have decided while we were
   // down) and re-arm the in-doubt escalation.
   for (auto& [xid, p] : shard.prepared) {
@@ -754,21 +746,11 @@ void ShardMap::on_node_restart(std::uint64_t shard_index,
   }
 }
 
-void ShardMap::catch_up(Shard& shard, Node& node) {
-  for (const Block& b : shard.ordered_log) {
-    if (b.header.height < node.chain.height()) continue;
-    wal_log_block(node.wal, b);
-    node.chain.append(b);
-    WorldState::Batch writes(node.state);
-    for (const Transaction& tx : b.transactions) writes.apply(tx);
-  }
-}
-
 void ShardMap::resync_all() {
   for (Shard& shard : shards_) {
     for (std::size_t i = 1; i < shard.nodes.size(); ++i) {
-      if (network_->crashed(shard.nodes[i].name)) continue;
-      catch_up(shard, shard.nodes[i]);
+      if (network_->crashed(shard.nodes[i].name())) continue;
+      shard.nodes[i].replica.catch_up();
     }
   }
 }
@@ -786,20 +768,20 @@ ShardMap::Outcome ShardMap::outcome(std::uint64_t shard,
 }
 
 std::uint64_t ShardMap::height(std::uint64_t shard) const {
-  return primary_node(shard).chain.height();
+  return primary_node(shard).replica.chain().height();
 }
 
 crypto::Digest ShardMap::shard_root(std::uint64_t shard) const {
-  return primary_node(shard).state.digest();
+  return primary_node(shard).replica.state().digest();
 }
 
 crypto::Digest ShardMap::replica_root(std::uint64_t shard,
                                       std::size_t replica) const {
-  return shards_.at(shard).nodes.at(replica + 1).state.digest();
+  return node(shard, replica + 1).state().digest();
 }
 
 std::optional<VersionedValue> ShardMap::get(const std::string& key) const {
-  return primary_node(shard_for_key(key)).state.get(key);
+  return primary_node(shard_for_key(key)).replica.state().get(key);
 }
 
 crypto::Digest ShardMap::composite_root() const {
@@ -807,8 +789,8 @@ crypto::Digest ShardMap::composite_root() const {
   parts.reserve(shards_.size());
   for (const Shard& shard : shards_) {
     parts.push_back(ShardRootPart{"shard-" + std::to_string(shard.index),
-                                  shard.nodes[0].chain.height(),
-                                  shard.nodes[0].state.digest()});
+                                  shard.nodes[0].replica.chain().height(),
+                                  shard.nodes[0].replica.state().digest()});
   }
   return compose_roots(std::move(parts));
 }
@@ -817,13 +799,13 @@ std::vector<ShardRootVote> ShardMap::collect_root_votes() const {
   std::vector<ShardRootVote> votes;
   for (const Shard& shard : shards_) {
     for (const Node& node : shard.nodes) {
-      if (network_->crashed(node.name)) continue;
+      if (network_->crashed(node.name())) continue;
       ShardRootVote v;
       v.label = "shard-" + std::to_string(shard.index);
       v.shard = shard.index;
-      v.height = node.chain.height();
-      v.root = node.state.digest();
-      v.voter = node.name;
+      v.height = node.replica.chain().height();
+      v.root = node.replica.state().digest();
+      v.voter = node.name();
       v.sig = node.key.sign(v.to_be_signed());
       votes.push_back(std::move(v));
     }
@@ -841,7 +823,7 @@ crypto::Digest ShardMap::verified_composite_root() const {
       if (v.shard != shard.index) continue;
       const auto node = std::find_if(
           shard.nodes.begin(), shard.nodes.end(),
-          [&](const Node& n) { return n.name == v.voter; });
+          [&](const Node& n) { return n.name() == v.voter; });
       if (node == shard.nodes.end() ||
           !crypto::verify(*group_, node->key.public_key(), v.to_be_signed(),
                           v.sig)) {
@@ -864,7 +846,7 @@ crypto::Digest ShardMap::verified_composite_root() const {
 }
 
 const WriteAheadLog& ShardMap::primary_wal(std::uint64_t shard) const {
-  return primary_node(shard).wal;
+  return primary_node(shard).replica.wal();
 }
 
 const Mempool& ShardMap::mempool(std::uint64_t shard) const {

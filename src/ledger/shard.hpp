@@ -27,12 +27,14 @@
 //    delayed primary-coordinator commit lands after the standby already
 //    aborted on a unanimous "still prepared" reply set.
 //
-// Crash model: a crashed node loses chain, state, mempool, locks, and
-// prepared table; its WAL survives. Restart replays blocks, rebuilds the
+// Crash model: every node is a ledger::Replica (replica.hpp). A crashed
+// node loses chain, state, mempool, locks, and prepared table; its WAL
+// survives. Restart replays blocks, rebuilds the
 // prepared table from kWalXPrepare/kWalXOutcome records (re-locking and
 // re-pinning), re-drives commits whose outcome record made it to the WAL
 // but whose block did not, and re-arms in-doubt timers. Replicas catch up
-// from the shard's ordered log; honest replicas of a shard end
+// from the shard's ordered log, on restart and whenever a delivery
+// arrives past a gap; honest replicas of a shard end
 // bit-identical (state digests equal), the invariant the chaos suite
 // asserts.
 //
@@ -54,6 +56,7 @@
 #include "ledger/admission.hpp"
 #include "ledger/chain.hpp"
 #include "ledger/mempool.hpp"
+#include "ledger/replica.hpp"
 #include "ledger/state.hpp"
 #include "ledger/wal.hpp"
 #include "ledger/xshard.hpp"
@@ -151,7 +154,6 @@ struct ShardMapStats {
   std::uint64_t fenced_refused = 0;    // non-standby decisions after fencing
   std::uint64_t indoubt_queries = 0;
   std::uint64_t indoubt_stalled = 0;  // escalation rounds exhausted
-  std::uint64_t replica_gapped = 0;   // out-of-order blocks awaiting resync
   std::uint64_t malformed = 0;        // undecodable xshard/shard payloads
 };
 
@@ -186,7 +188,9 @@ class ShardMap {
   /// (operator redrive after a partition heals or timers stalled).
   void redrive_indoubt();
 
-  /// Catch every live replica up to its shard's ordered log.
+  /// Catch every live replica up to its shard's ordered log. A replica
+  /// seeks that log on its own when a delivery arrives past a gap; this
+  /// closes gaps no later delivery will reveal.
   void resync_all();
 
   /// Participant-side crash points, applied to the primary of `shard`
@@ -205,6 +209,10 @@ class ShardMap {
   std::uint64_t height(std::uint64_t shard) const;
   crypto::Digest shard_root(std::uint64_t shard) const;
   crypto::Digest replica_root(std::uint64_t shard, std::size_t replica) const;
+  /// One node's replica: index 0 is the primary, i + 1 follower replica i.
+  const Replica& node(std::uint64_t shard, std::size_t index) const {
+    return shards_.at(shard).nodes.at(index).replica;
+  }
   std::optional<VersionedValue> get(const std::string& key) const;
 
   /// Unverified composite root straight off the primaries.
@@ -225,11 +233,10 @@ class ShardMap {
 
  private:
   struct Node {
-    net::Principal name;
     crypto::KeyPair key;
-    WriteAheadLog wal;  // durable across crashes
-    Chain chain;        // volatile, rebuilt on restart
-    WorldState state;   // volatile, rebuilt on restart
+    Replica replica;  // only its WAL survives a crash
+
+    const net::Principal& name() const { return replica.principal(); }
   };
 
   /// Primary-side record of one prepared (voted-yes) cross-shard tx.
@@ -298,7 +305,11 @@ class ShardMap {
   void indoubt_check(std::uint64_t shard_index, const std::string& xid);
 
   void seal_block(Shard& shard, std::vector<Transaction> txs);
-  void catch_up(Shard& shard, Node& node);
+  /// The nodes' block apply (Replica::Hooks::apply). The primary, which
+  /// seals, also settles mempool entries and counts outcomes, except on
+  /// WAL replay.
+  bool apply_block(std::uint64_t shard_index, std::size_t node_index,
+                   Block block, bool replay, common::BytesView encoded);
   void on_node_crash(std::uint64_t shard, std::size_t node_index);
   void on_node_restart(std::uint64_t shard, std::size_t node_index);
   /// Fire an armed crash point; returns true when the primary crashed

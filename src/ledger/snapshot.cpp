@@ -2,15 +2,6 @@
 
 namespace veil::ledger {
 
-bool SnapshotStore::maybe_checkpoint(WriteAheadLog& wal, std::uint64_t height,
-                                     const crypto::Digest& tip_hash,
-                                     const WorldState& state,
-                                     common::BytesView aux) {
-  if (!due(height)) return false;
-  checkpoint(wal, height, tip_hash, state, aux);
-  return true;
-}
-
 void SnapshotStore::checkpoint(WriteAheadLog& wal, std::uint64_t height,
                                const crypto::Digest& tip_hash,
                                const WorldState& state, common::BytesView aux) {

@@ -50,20 +50,15 @@ class SnapshotStore {
   bool enabled() const { return config_.interval != 0; }
 
   /// True when a checkpoint is due at `height` (it lands on the
-  /// interval). Lets a caller build an expensive `aux` only then.
+  /// interval): ledger::Replica checks after every committed block, and
+  /// builds an expensive `aux` only then.
   bool due(std::uint64_t height) const {
     return enabled() && height != 0 && height % config_.interval == 0;
   }
 
-  /// Call after every committed block. Takes a checkpoint when `height`
-  /// lands on the interval; returns true if one was taken. `aux` rides
-  /// the WAL checkpoint record only (platform-private sidecar, e.g.
+  /// Take a checkpoint: keep it resident and seal it into the WAL. `aux`
+  /// rides the WAL checkpoint record only (platform-private sidecar, e.g.
   /// Quorum private state) and never leaves the replica.
-  bool maybe_checkpoint(WriteAheadLog& wal, std::uint64_t height,
-                        const crypto::Digest& tip_hash,
-                        const WorldState& state, common::BytesView aux = {});
-
-  /// Unconditional checkpoint (rejoin installs, tests).
   void checkpoint(WriteAheadLog& wal, std::uint64_t height,
                   const crypto::Digest& tip_hash, const WorldState& state,
                   common::BytesView aux = {});

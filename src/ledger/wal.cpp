@@ -84,10 +84,12 @@ void WriteAheadLog::corrupt_byte(std::size_t offset) {
   if (offset < log_.size()) log_[offset] ^= 0x5a;
 }
 
-common::Bytes wal_encode_checkpoint(std::uint64_t height,
-                                    const crypto::Digest& tip_hash,
-                                    const WorldState& state,
-                                    common::BytesView aux) {
+namespace {
+
+common::Bytes encode_checkpoint(std::uint64_t height,
+                                const crypto::Digest& tip_hash,
+                                const WorldState& state,
+                                common::BytesView aux) {
   common::Writer w;
   w.u64(height);
   w.raw(common::BytesView(tip_hash.data(), tip_hash.size()));
@@ -98,18 +100,12 @@ common::Bytes wal_encode_checkpoint(std::uint64_t height,
   return w.take();
 }
 
-void wal_log_checkpoint(WriteAheadLog& wal, std::uint64_t height,
-                        const crypto::Digest& tip_hash, const WorldState& state,
-                        common::BytesView aux) {
-  wal.append(kWalCheckpoint,
-             wal_encode_checkpoint(height, tip_hash, state, aux));
-}
+}  // namespace
 
 void wal_checkpoint_compact(WriteAheadLog& wal, std::uint64_t height,
                             const crypto::Digest& tip_hash,
                             const WorldState& state, common::BytesView aux) {
-  wal.compact(kWalCheckpoint,
-              wal_encode_checkpoint(height, tip_hash, state, aux));
+  wal.compact(kWalCheckpoint, encode_checkpoint(height, tip_hash, state, aux));
 }
 
 void wal_log_block(WriteAheadLog& wal, const Block& block) {

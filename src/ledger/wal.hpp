@@ -123,17 +123,9 @@ struct WalCheckpoint {
   crypto::Digest state_root{};
 };
 
-common::Bytes wal_encode_checkpoint(std::uint64_t height,
-                                    const crypto::Digest& tip_hash,
-                                    const WorldState& state,
-                                    common::BytesView aux = {});
-
-void wal_log_checkpoint(WriteAheadLog& wal, std::uint64_t height,
-                        const crypto::Digest& tip_hash, const WorldState& state,
-                        common::BytesView aux = {});
-
 /// Checkpoint + compact in fsync order: seal the checkpoint record, then
-/// truncate everything it supersedes (see WriteAheadLog::compact).
+/// truncate everything it supersedes (see WriteAheadLog::compact). Every
+/// checkpoint, a late join's included, is logged this way.
 void wal_checkpoint_compact(WriteAheadLog& wal, std::uint64_t height,
                             const crypto::Digest& tip_hash,
                             const WorldState& state, common::BytesView aux = {});

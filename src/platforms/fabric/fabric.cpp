@@ -55,40 +55,27 @@ FabricNetwork::FabricNetwork(net::Transport& network,
       registry_(network.auditor()),
       engine_(registry_),
       channel_(network),
-      triesync_(channel_,
-                ledger::TrieSync::Callbacks{
-                    .provider =
-                        [this](const net::Principal& self,
-                               const std::string& scope, std::uint64_t) {
-                          return provide_trie(self, scope);
-                        },
-                    .offer_check =
-                        [this](const net::Principal&, const std::string& scope,
-                               std::uint64_t height,
-                               const crypto::Digest& tip_hash) {
-                          return check_offer(scope, height, tip_hash);
-                        },
-                    .on_complete =
-                        [this](const net::Principal& self,
-                               const std::string& scope, std::uint64_t height,
-                               const crypto::Digest& tip_hash,
-                               ledger::WorldState state,
-                               const ledger::TrieSync::Report&) {
-                          install_delta(self, scope, height, tip_hash,
-                                        std::move(state));
-                        },
-                    .on_reject =
-                        [this](const net::Principal& self,
-                               const std::string& scope,
-                               const net::Principal& donor,
-                               ledger::TransferReject reason,
-                               common::BytesView proof_a,
-                               common::BytesView proof_b) {
-                          on_transfer_reject(self, scope, donor, reason,
-                                             proof_a, proof_b);
-                        },
-                    .on_fail = nullptr,
-                }),
+      sync_(network, channel_,
+            [this](const net::Principal& self,
+                   const std::string& scope) -> ledger::Replica* {
+              // Only members donate, vote and install.
+              const auto ch = channels_.find(scope);
+              const std::string org = org_of(self);
+              if (ch == channels_.end() || !ch->second.members.contains(org)) {
+                return nullptr;
+              }
+              return &ch->second.replicas.at(org);
+            },
+            [this](const net::Principal& self, const std::string& scope,
+                   const net::Principal& donor, audit::Misbehavior kind,
+                   ledger::TransferReject reason, common::BytesView proof_a,
+                   common::BytesView proof_b) {
+              convict(kind, org_of(donor), org_of(self),
+                      "channel " + scope +
+                          " rejoin: " + ledger::to_string(reason),
+                      common::Bytes(proof_a.begin(), proof_a.end()),
+                      common::Bytes(proof_b.begin(), proof_b.end()), donor);
+            }),
       mempool_(config.mempool),
       admission_(config.admission),
       breaker_(config.breaker),
@@ -120,13 +107,7 @@ void FabricNetwork::add_org(const std::string& org) {
   // per distinct message.
   const std::string peer = peer_of(org);
   channel_.attach(peer, [this, org](const net::Message& msg) {
-    if (ledger::TrieSync::owns_topic(msg.topic)) {
-      const auto attack = byz_offerers_.find(org);
-      triesync_.handle(peer_of(org), msg,
-                       attack != byz_offerers_.end() &&
-                           attack->second == SnapshotAttack::TamperNode);
-      return;
-    }
+    if (sync_.handle(peer_of(org), msg)) return;
     if (msg.topic == "fabric.pdc-push") {
       // Gossip receipt of private data: acknowledge to the submitter.
       channel_.send(peer_of(org), msg.from, "fabric.pdc-ack", msg.payload);
@@ -143,96 +124,42 @@ void FabricNetwork::add_org(const std::string& org) {
       // computed from the received transaction bytes.
       block = ledger::Block::decode(msg.payload);
     } catch (const common::Error&) {
-      return;  // corrupted in flight: drop; resync() catches the peer up
+      return;  // corrupted in flight: drop; a seek catches the peer up
     }
     if (block.transactions.empty()) return;
     const std::string& channel_name = block.transactions.front().channel;
     const auto ch = channels_.find(channel_name);
     if (ch == channels_.end() || !ch->second.members.contains(org)) return;
-    PeerReplica& replica = ch->second.replicas.at(org);
-
-    if (block.header.height < replica.chain.height()) return;  // duplicate
-    // Fail closed on a block damaged in flight: the delivered copy must
-    // hash to the orderer's logged block at its height (its body already
-    // matched that header at decode). Anything else is dropped, never
-    // committed — the peer catches up from the delivery log via resync().
-    if (block.header.height >= ch->second.ordered_log.size()) return;
-    if (block.header.hash() !=
-        ch->second.ordered_log[block.header.height].header.hash()) {
-      return;
-    }
-    while (replica.chain.height() < block.header.height) {
-      if (!commit_block(org, ch->second,
-                        ch->second.ordered_log[replica.chain.height()])) {
-        return;  // rejected orderer output: do not seek past it
-      }
-    }
-    if (block.header.previous_hash != replica.chain.tip_hash()) return;
-    commit_block(org, ch->second, std::move(block), /*replay=*/false,
-                 msg.payload);
+    ch->second.replicas.at(org).deliver(std::move(block), msg.payload);
   });
-  network_->set_crash_hook(peer, [this, org] { on_crash(org); });
-  network_->set_restart_hook(peer, [this, org] { on_restart(org); });
+  // Crash-stop: the admission pool is volatile and never WAL-logged, so a
+  // crash drops every validation token and recovery re-verifies whatever
+  // the WAL replays. Restart: WAL recovery, then the blocks delivered
+  // while down — only on channels the org is still a member of.
+  network_->set_crash_hook(peer, [this, org] {
+    mempool_.clear();
+    for (auto& [name, ch] : channels_) {
+      const auto it = ch.replicas.find(org);
+      if (it != ch.replicas.end()) sync_.crash(it->second);
+    }
+  });
+  network_->set_restart_hook(peer, [this, org] {
+    for (auto& [name, ch] : channels_) {
+      const auto it = ch.replicas.find(org);
+      if (it == ch.replicas.end()) continue;
+      it->second.recover();
+      if (ch.members.contains(org)) it->second.catch_up();
+    }
+  });
 
   orgs_.insert_or_assign(org, Org{std::move(keypair), std::move(cert)});
-}
-
-void FabricNetwork::on_crash(const std::string& org) {
-  // The admission pool is volatile and never WAL-logged: a crash drops
-  // every validation token, and recovery re-verifies whatever the WAL
-  // replays. Committed blocks are durable and unaffected.
-  mempool_.clear();
-  for (auto& [name, ch] : channels_) {
-    const auto it = ch.replicas.find(org);
-    if (it == ch.replicas.end()) continue;
-    // Memory is gone; the WAL is the only thing that survives. An
-    // in-progress rejoin transfer dies with it — rejoin() restarts one.
-    triesync_.abort(peer_of(org), name);
-    it->second.chain = ledger::Chain();
-    it->second.state = ledger::WorldState();
-    it->second.endorsements_seen.clear();
-  }
-}
-
-void FabricNetwork::on_restart(const std::string& org) {
-  for (auto& [name, ch] : channels_) {
-    const auto it = ch.replicas.find(org);
-    if (it == ch.replicas.end()) continue;
-    PeerReplica& replica = it->second;
-    ledger::WalRecovery recovered = ledger::wal_recover_blocks(replica.wal);
-    if (recovered.checkpoint) {
-      // Snapshot-joined peer: bootstrap from the checkpoint record.
-      replica.state = recovered.checkpoint->state;
-      replica.chain = ledger::Chain::from_checkpoint(
-          recovered.checkpoint->height, recovered.checkpoint->tip_hash);
-      // Re-materialize the resident snapshot so the restarted peer can
-      // donate state transfer again without waiting for the next interval.
-      replica.snapshots.restore(recovered.checkpoint->height,
-                                recovered.checkpoint->tip_hash,
-                                recovered.checkpoint->state);
-    }
-    for (ledger::Block& block : recovered.blocks) {
-      if (!commit_block(org, ch, std::move(block), /*replay=*/true)) break;
-    }
-    // Blocks delivered while down: seek into the delivery service's log.
-    while (replica.chain.height() < ch.ordered_log.size()) {
-      if (!commit_block(org, ch, ch.ordered_log[replica.chain.height()])) {
-        break;
-      }
-    }
-  }
 }
 
 void FabricNetwork::resync(const std::string& channel) {
   auto& ch = channels_.at(channel);
   for (const std::string& member : ch.members) {
     if (network_->crashed(peer_of(member))) continue;
-    PeerReplica& replica = ch.replicas.at(member);
-    while (replica.chain.height() < ch.ordered_log.size()) {
-      if (!commit_block(member, ch, ch.ordered_log[replica.chain.height()])) {
-        break;
-      }
-    }
+    ch.replicas.at(member).catch_up();
   }
 }
 
@@ -262,8 +189,7 @@ void FabricNetwork::create_channel(const std::string& channel,
   if (!inserted) throw common::ProtocolError("channel exists: " + channel);
   it->second.members = members;
   for (const std::string& member : members) {
-    auto [replica, _] = it->second.replicas.try_emplace(member);
-    replica->second.snapshots = ledger::SnapshotStore(config_.snapshots);
+    add_replica(channel, it->second, member);
   }
   if (config_.orderer_deployment == ledger::OrdererDeployment::Private) {
     // The first member (alphabetical) operates the channel's orderer.
@@ -287,43 +213,34 @@ void FabricNetwork::join_channel(const std::string& channel,
   if (mode == JoinMode::Snapshot && !ch.members.empty()) {
     // Bootstrap from an existing member's state snapshot + chain
     // checkpoint: current data only, no transaction history.
-    const PeerReplica& donor = ch.replicas.at(*ch.members.begin());
-    PeerReplica replica;
-    replica.snapshots = ledger::SnapshotStore(config_.snapshots);
-    replica.state = donor.state;
-    replica.chain = ledger::Chain::from_checkpoint(donor.chain.height(),
-                                                   donor.chain.tip_hash());
+    const ledger::Replica& donor = ch.replicas.at(*ch.members.begin());
+    const std::uint64_t height = donor.chain().height();
+    const crypto::Digest tip_hash = donor.chain().tip_hash();
+    const ledger::WorldState state = donor.state();
     std::uint64_t snapshot_bytes = 0;
-    replica.state.for_each([&snapshot_bytes](const std::string& key,
-                                             const common::Bytes& value,
-                                             std::uint64_t) {
+    state.for_each([&snapshot_bytes](const std::string& key,
+                                     const common::Bytes& value,
+                                     std::uint64_t) {
       snapshot_bytes += key.size() + value.size();
       return true;
     });
     network_->auditor().record(peer_of(org),
                                "channel/" + channel + "/state-snapshot",
                                snapshot_bytes);
-    // The snapshot is the joiner's durable bootstrap: a checkpoint record
+    // The snapshot is the joiner's durable bootstrap: its checkpoint record
     // lets a crashed joiner recover without any historical blocks.
-    ledger::wal_log_checkpoint(replica.wal, replica.chain.height(),
-                               replica.chain.tip_hash(), replica.state);
-    replica.snapshots.restore(replica.chain.height(), replica.chain.tip_hash(),
-                              replica.state);
+    add_replica(channel, ch, org).install(height, tip_hash, state);
     ch.members.insert(org);
-    ch.replicas.insert_or_assign(org, std::move(replica));
     return;
   }
 
   ch.members.insert(org);
-  {
-    auto [replica, _] = ch.replicas.try_emplace(org);
-    replica->second.snapshots = ledger::SnapshotStore(config_.snapshots);
-  }
-  // Replay bootstrap: the delivery service replays blocks from genesis,
-  // so the joiner observes the channel's entire history.
-  for (const ledger::Block& block : ch.ordered_log) {
-    if (!commit_block(org, ch, block)) break;
-  }
+  // Replay bootstrap: the delivery service replays blocks from genesis
+  // (or from where a returning member's retained replica stopped), so the
+  // joiner observes the channel's entire history.
+  const auto kept = ch.replicas.find(org);
+  (kept != ch.replicas.end() ? kept->second : add_replica(channel, ch, org))
+      .catch_up();
 }
 
 void FabricNetwork::leave_channel(const std::string& channel,
@@ -400,69 +317,33 @@ void FabricNetwork::convict(audit::Misbehavior kind, const std::string& accused,
   }
 }
 
+ledger::Replica& FabricNetwork::add_replica(const std::string& channel_name,
+                                            Channel& channel,
+                                            const std::string& org) {
+  Channel* ch = &channel;  // map node: stable for the network's life
+  ledger::Replica replica(
+      peer_of(org), channel_name, &ch->ordered_log, config_.snapshots,
+      {.apply = std::bind_front(&FabricNetwork::commit_block, this, org,
+                                std::ref(*ch)),
+       .on_crash = [ch, org] { ch->endorsements_seen.erase(org); },
+       .on_install =
+           [ch, org](auto, auto) { ch->endorsements_seen.erase(org); }});
+  return ch->replicas.insert_or_assign(org, std::move(replica)).first->second;
+}
+
 bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
                                  ledger::Block block, bool replay,
                                  common::BytesView encoded) {
-  PeerReplica& replica = channel.replicas.at(org);
-  // Endorsement-signature verification dominates commit cost and is a
-  // pure function of each transaction — check every endorsement the
-  // admission tokens do not cover in one batch, then walk the block
-  // serially (auditor records, state.apply and receipts keep their
-  // original order). Trusting peers skip it: they take the orderer's
-  // word, which is exactly the deployment the paper's orderer caveat
-  // warns about.
+  ledger::Replica& replica = channel.replicas.at(org);
+  // Endorsement signatures dominate commit cost; a validate-once token
+  // (same body digest, unmoved read versions) skips them. Trusting peers
+  // skip them all: they take the orderer's word, the deployment the
+  // paper's orderer caveat warns about. Each body is hashed once here,
+  // and every later step uses that digest and its id.
   const std::size_t tx_count = block.transactions.size();
-  // This replica hashes each body it decoded, once: the token check, the
-  // batched signature check, the auditor record and the receipt all use
-  // that digest and the id derived from it.
-  std::vector<crypto::Digest> digests(tx_count);
-  std::vector<std::string> ids(tx_count);
-  for (std::size_t i = 0; i < tx_count; ++i) {
-    digests[i] = block.transactions[i].body_digest();
-    ids[i] = ledger::tx_id(digests[i]);
-  }
-  std::vector<char> sig_valid(tx_count, 1);
-  // Per-transaction "at least one endorsement verifies" — the Detect-mode
-  // orderer-tampering signal. Token hits count as fully verified.
-  std::vector<char> any_sig_valid(tx_count, 1);
-  if (validation_mode_ != ValidationMode::Trusting) {
-    // Validate-once: a transaction whose admission token still speaks for
-    // it (same body digest — the id IS the digest — and unmoved read
-    // versions) skips signature work entirely. Read versions are checked
-    // against pre-block state; a version that moves mid-block only
-    // affects MVCC (state.apply re-validates), never signature validity.
-    // Token misses pool every endorsement into ONE batched check.
-    const common::SimTime now = network_->clock().now();
-    std::vector<std::size_t> misses;
-    for (std::size_t i = 0; i < tx_count; ++i) {
-      if (replay || !mempool_.validated(digests[i], replica.state, now)) {
-        misses.push_back(i);
-      }
-    }
-    std::vector<std::pair<std::size_t, std::size_t>> queued;  // (tx, sig)
-    for (const std::size_t i : misses) {
-      const ledger::Transaction& tx = block.transactions[i];
-      const common::BytesView msg(digests[i].data(), digests[i].size());
-      for (std::size_t e = 0; e < tx.endorsements.size(); ++e) {
-        batch_verifier_.add_signature(tx.endorsements[e].key, msg,
-                                      tx.endorsements[e].signature);
-        queued.push_back({i, e});
-      }
-      if (!tx.endorsements.empty()) any_sig_valid[i] = 0;  // until proven
-    }
-    if (batch_verifier_.pending() > 0) {
-      const crypto::BatchOutcome outcome = batch_verifier_.verify();
-      std::set<std::size_t> bad(outcome.invalid.begin(),
-                                outcome.invalid.end());
-      for (std::size_t k = 0; k < queued.size(); ++k) {
-        if (bad.contains(k)) {
-          sig_valid[queued[k].first] = 0;
-        } else {
-          any_sig_valid[queued[k].first] = 1;
-        }
-      }
-    }
-  }
+  const ledger::Mempool::BlockCheck check = mempool_.check_block(
+      batch_verifier_, block, replica.state(), replay,
+      validation_mode_ != ValidationMode::Trusting, network_->clock().now());
 
   if (validation_mode_ == ValidationMode::Detect) {
     // Orderer-output check, before anything becomes durable: a
@@ -477,7 +358,7 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
     for (std::size_t i = 0; i < tx_count; ++i) {
       const ledger::Transaction& tx = block.transactions[i];
       if (tx.endorsements.empty()) continue;
-      if (any_sig_valid[i] == 0) {
+      if (check.any_valid[i] == 0) {
         const std::string orderer = orderer_operator(tx.channel);
         convict(audit::Misbehavior::OrdererTampering, orderer, org,
                 "ordered transaction fails every endorsement signature",
@@ -487,31 +368,24 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
     }
   }
 
-  // WAL invariant: the block is durable before any in-memory mutation.
-  // A delivered block is logged in the bytes it arrived in.
-  if (!replay) {
-    if (encoded.empty()) {
-      ledger::wal_log_block(replica.wal, block);
-    } else {
-      ledger::wal_log_block(replica.wal, encoded);
-    }
-  }
-  // The chain keeps the block; the apply loop reads it back from there.
-  const ledger::Block& committed = replica.chain.append(std::move(block));
+  // WAL, then chain; the apply loop reads the block back from the chain.
+  const ledger::Block& committed =
+      replica.commit(std::move(block), replay, encoded);
+  EndorsementHistory& endorsements_seen = channel.endorsements_seen[org];
   {
     // The block's writes land in unsealed trie nodes; each node they dirty
     // is hashed once, when the batch ends with the last transaction.
-    ledger::WorldState::Batch writes(replica.state);
+    ledger::WorldState::Batch writes(replica.state());
     for (std::size_t i = 0; i < tx_count; ++i) {
       const ledger::Transaction& tx = committed.transactions[i];
-      const std::string& tx_id = ids[i];
+      const std::string& tx_id = check.ids[i];
       // Every member peer sees the full transaction (recorded once, at the
       // original commit — WAL replay is a local re-read, not a new leak).
       if (!replay) {
         record_visibility(network_->auditor(), peer_of(org), tx, tx_id);
       }
 
-      bool valid = sig_valid[i] != 0;
+      bool valid = check.all_valid[i] != 0;
       // Validate-stage TTL check, deterministic across replicas: the block
       // timestamp (sealed by the orderer) is compared, never the local
       // clock, so every peer drops exactly the same expired transactions
@@ -528,10 +402,9 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
         for (const ledger::Endorsement& e : tx.endorsements) {
           const std::string ctx = endorsement_context(tx, e.endorser);
           const crypto::Digest wd = writes_digest(tx);
-          const auto seen = replica.endorsements_seen.find(ctx);
-          if (seen == replica.endorsements_seen.end()) {
-            replica.endorsements_seen.emplace(ctx,
-                                              std::make_pair(wd, tx.encode()));
+          const auto seen = endorsements_seen.find(ctx);
+          if (seen == endorsements_seen.end()) {
+            endorsements_seen.emplace(ctx, std::make_pair(wd, tx.encode()));
           } else if (seen->second.first != wd) {
             convict(audit::Misbehavior::EndorserEquivocation, e.endorser, org,
                     "endorser signed conflicting write-sets for one proposal",
@@ -578,15 +451,6 @@ bool FabricNetwork::commit_block(const std::string& org, Channel& channel,
       }
     }
   }  // `writes` ends: the block's dirty trie nodes are hashed here
-  ++replica.blocks_applied;
-  // Interval checkpoint: seal the committed state into the WAL and
-  // compact the clean prefix behind it. Replay skips this — the recovered
-  // WAL already reflects any checkpoints taken before the crash.
-  if (!replay) {
-    replica.snapshots.maybe_checkpoint(replica.wal, replica.chain.height(),
-                                       replica.chain.tip_hash(),
-                                       replica.state);
-  }
   return true;
 }
 
@@ -613,9 +477,8 @@ void FabricNetwork::deliver_block(const std::string& channel_name,
   // The orderer's delivery service retains every cut block; peers that
   // miss a delivery seek into this log to catch up. A Byzantine orderer
   // logs its rewritten block — the delivery log is its own record.
-  ch.block_height = block.header.height + 1;
   ch.ordered_log.push_back(std::move(block));
-  ch.pdc.expire(ch.block_height);
+  ch.pdc.expire(ch.ordered_log.size());
 
   const std::string from = orderer_operator(channel_name);
   for (const std::string& member : ch.members) {
@@ -723,7 +586,7 @@ FabricNetwork::PreparedSubmission FabricNetwork::prepare_submission(
   exec_results.reserve(eligible.size());
   for (const std::string& org : eligible) {
     exec_results.push_back(engine_.execute(peer_of(org), chaincode, action,
-                                           args, ch.replicas.at(org).state,
+                                           args, ch.replicas.at(org).state(),
                                            channel));
   }
 
@@ -790,7 +653,8 @@ FabricNetwork::PreparedSubmission FabricNetwork::prepare_submission(
 
     const auto ref = ch.pdc.put_private(private_data->collection,
                                         private_data->key,
-                                        private_data->value, ch.block_height);
+                                        private_data->value,
+                                        ch.ordered_log.size());
     if (!ref) return fail("unknown collection");
     tx.hash_refs.push_back(*ref);
     // The paper's caveat: members of the collection are listed in the
@@ -830,31 +694,6 @@ FabricNetwork::PreparedSubmission FabricNetwork::prepare_submission(
   prepared.tx = std::move(tx);
   prepared.endorsers = std::move(endorsers);
   return prepared;
-}
-
-void FabricNetwork::admit_wave_to_mempool(
-    std::vector<PreparedSubmission>& prepared) {
-  if (validation_mode_ == ValidationMode::Trusting) return;
-  const common::SimTime now = network_->clock().now();
-  // One batch for the whole wave; a forged endorsement's add-order index
-  // maps back to its transaction.
-  std::vector<std::size_t> queued;  // batch index -> prepared index
-  for (std::size_t p = 0; p < prepared.size(); ++p) {
-    const crypto::Digest& digest = prepared[p].body_digest;
-    const common::BytesView msg(digest.data(), digest.size());
-    for (const ledger::Endorsement& e : prepared[p].tx.endorsements) {
-      batch_verifier_.add_signature(e.key, msg, e.signature);
-      queued.push_back(p);
-    }
-  }
-  std::vector<char> ok(prepared.size(), 1);
-  if (batch_verifier_.pending() > 0) {
-    const crypto::BatchOutcome outcome = batch_verifier_.verify();
-    for (const std::size_t bad : outcome.invalid) ok[queued[bad]] = 0;
-  }
-  for (std::size_t p = 0; p < prepared.size(); ++p) {
-    mempool_.admit(prepared[p].tx, prepared[p].body_digest, ok[p] != 0, now);
-  }
 }
 
 void FabricNetwork::order_transaction(const std::string& channel_name,
@@ -948,8 +787,15 @@ std::vector<TxReceipt> FabricNetwork::submit_many(
       }
     }
     // Stage C (serial, in submission order): one admission check across
-    // every endorsement in the wave.
-    admit_wave_to_mempool(prepared);
+    // every endorsement in the wave mints each transaction's token.
+    // Trusting peers never consult tokens.
+    if (validation_mode_ != ValidationMode::Trusting) {
+      std::vector<ledger::Mempool::WaveItem> wave_items;
+      for (const PreparedSubmission& p : prepared) {
+        wave_items.push_back({&p.tx, &p.body_digest});
+      }
+      mempool_.admit_wave(batch_verifier_, wave_items, network_->clock().now());
+    }
     for (const PreparedSubmission& p : prepared) {
       mempool_.pin(p.tx_id);
       wave_pins.push_back(p.tx_id);
@@ -999,29 +845,14 @@ std::vector<TxReceipt> FabricNetwork::submit_many(
   return out;
 }
 
-const ledger::WorldState& FabricNetwork::state(const std::string& channel,
-                                               const std::string& org) const {
+const ledger::Replica& FabricNetwork::replica(const std::string& channel,
+                                              const std::string& org) const {
   const auto& ch = channels_.at(channel);
   const auto it = ch.replicas.find(org);
   if (it == ch.replicas.end()) {
     throw common::AccessError(org + " holds no replica of " + channel);
   }
-  return it->second.state;
-}
-
-const ledger::Chain& FabricNetwork::chain(const std::string& channel,
-                                          const std::string& org) const {
-  const auto& ch = channels_.at(channel);
-  const auto it = ch.replicas.find(org);
-  if (it == ch.replicas.end()) {
-    throw common::AccessError(org + " holds no replica of " + channel);
-  }
-  return it->second.chain;
-}
-
-crypto::Digest FabricNetwork::state_root(const std::string& channel,
-                                         const std::string& org) const {
-  return state(channel, org).digest();
+  return it->second;
 }
 
 crypto::Digest FabricNetwork::composite_state_root(
@@ -1030,8 +861,8 @@ crypto::Digest FabricNetwork::composite_state_root(
   for (const auto& [name, ch] : channels_) {
     const auto it = ch.replicas.find(org);
     if (it == ch.replicas.end()) continue;
-    parts.push_back(ledger::ShardRootPart{name, it->second.chain.height(),
-                                          it->second.state.digest()});
+    parts.push_back(ledger::ShardRootPart{name, it->second.chain().height(),
+                                          it->second.state().digest()});
   }
   return ledger::compose_roots(std::move(parts));
 }
@@ -1052,180 +883,35 @@ bool FabricNetwork::is_channel_member(const std::string& channel,
 
 // ---- Recovery tier ---------------------------------------------------------
 
-void FabricNetwork::rejoin_peers(const std::string& channel,
-                                 const std::string& org,
-                                 const std::vector<std::string>& donor_orgs,
-                                 std::vector<net::Principal>& donors,
-                                 std::vector<net::Principal>& voters) const {
-  const auto& ch = channels_.at(channel);
-  // Root verification quorum: every live, unquarantined fellow member.
-  for (const std::string& member : ch.members) {
-    if (member == org) continue;
-    const std::string peer = peer_of(member);
-    if (network_->crashed(peer) || network_->is_quarantined(peer)) continue;
-    voters.push_back(peer);
-  }
-  if (donor_orgs.empty()) {
-    donors = voters;
-    // The breaker remembers which peers kept timing out under load;
-    // don't pick one of those as a snapshot donor when we have a choice
-    // (an explicit donor list overrides — the caller knows better).
-    if (config_.circuit_breaker && donors.size() > 1) {
-      const common::SimTime now = network_->clock().now();
-      std::erase_if(donors, [&](const net::Principal& peer) {
-        return breaker_.state(peer, now) == net::BreakerState::Open;
-      });
-      if (donors.empty()) donors = voters;  // all open: degrade, don't stall
-    }
-  } else {
-    for (const std::string& d : donor_orgs) donors.push_back(peer_of(d));
-  }
-}
-
-void FabricNetwork::replay_tail(const std::string& channel,
-                                const std::string& org) {
-  // Post-checkpoint delta (or the whole lag, if no donor had a newer
-  // checkpoint): seek into the channel's sealed delivery log.
-  auto& ch = channels_.at(channel);
-  const std::string self = peer_of(org);
-  PeerReplica& replica = ch.replicas.at(org);
-  while (!network_->crashed(self) &&
-         replica.chain.height() < ch.ordered_log.size()) {
-    if (!commit_block(org, ch, ch.ordered_log[replica.chain.height()])) break;
-  }
-}
-
 void FabricNetwork::rejoin(const std::string& channel, const std::string& org,
                            std::vector<std::string> donor_orgs) {
   auto& ch = channels_.at(channel);
-  const std::string self = peer_of(org);
-  if (!ch.members.contains(org) || network_->crashed(self)) return;
-  PeerReplica& replica = ch.replicas.at(org);
-
+  if (!ch.members.contains(org)) return;
+  std::vector<net::Principal> members;
   std::vector<net::Principal> donors;
-  std::vector<net::Principal> voters;
-  rejoin_peers(channel, org, donor_orgs, donors, voters);
-  // The joiner's own state is the dedup set: only nodes it lacks move.
-  triesync_.fetch(self, channel, std::move(donors), voters,
-                  replica.chain.height() + 1, replica.state);
-  network_->run();
-  // Still active after the network drained = stalled on loss — keep it
-  // resumable rather than replaying what the checkpoint was about to save.
-  if (triesync_.active(self, channel)) return;
-  replay_tail(channel, org);
+  for (const std::string& member : ch.members) {
+    members.push_back(peer_of(member));
+  }
+  for (const std::string& donor : donor_orgs) donors.push_back(peer_of(donor));
+  // The breaker remembers which peers kept timing out under load: don't
+  // pick one of those as a donor when there is a choice (an explicit donor
+  // list overrides — the caller knows better).
+  const common::SimTime now = network_->clock().now();
+  sync_.rejoin(ch.replicas.at(org), members, std::move(donors),
+               [this, now](const net::Principal& peer) {
+                 return config_.circuit_breaker &&
+                        breaker_.state(peer, now) == net::BreakerState::Open;
+               });
 }
 
 void FabricNetwork::resume_rejoin(const std::string& channel,
                                   const std::string& org) {
-  const std::string self = peer_of(org);
-  if (network_->crashed(self)) return;
-  triesync_.resume(self, channel);
-  network_->run();
-  if (triesync_.active(self, channel)) return;  // still stalled: resumable
-  replay_tail(channel, org);
+  sync_.resume(channels_.at(channel).replicas.at(org));
 }
 
 void FabricNetwork::set_byzantine_snapshot_offerer(const std::string& org,
                                                    SnapshotAttack attack) {
-  byz_offerers_.insert_or_assign(org, attack);
-}
-
-std::uint64_t FabricNetwork::blocks_applied(const std::string& channel,
-                                            const std::string& org) const {
-  return channels_.at(channel).replicas.at(org).blocks_applied;
-}
-
-const ledger::SnapshotStore& FabricNetwork::snapshot_store(
-    const std::string& channel, const std::string& org) const {
-  return channels_.at(channel).replicas.at(org).snapshots;
-}
-
-const ledger::WriteAheadLog& FabricNetwork::peer_wal(
-    const std::string& channel, const std::string& org) const {
-  return channels_.at(channel).replicas.at(org).wal;
-}
-
-bool FabricNetwork::check_offer(const std::string& scope, std::uint64_t height,
-                                const crypto::Digest& tip_hash) const {
-  // Structural pre-filter against the channel's sealed delivery log: the
-  // offered head must be a block the orderer actually sealed. (The state
-  // root itself is vouched for by the member vote quorum — a block hash
-  // does not commit to world state.)
-  const auto ch = channels_.find(scope);
-  if (ch == channels_.end()) return false;
-  return height > 0 && height <= ch->second.ordered_log.size() &&
-         ch->second.ordered_log[height - 1].header.hash() == tip_hash;
-}
-
-std::optional<ledger::TrieSync::DonorState> FabricNetwork::provide_trie(
-    const std::string& self, const std::string& scope) {
-  // Availability vs the joiner's min height is enforced by the engine.
-  const std::string org = org_of(self);
-  const auto ch = channels_.find(scope);
-  if (ch == channels_.end() || !ch->second.members.contains(org)) {
-    return std::nullopt;
-  }
-  const auto replica = ch->second.replicas.find(org);
-  if (replica == ch->second.replicas.end()) return std::nullopt;
-  const ledger::Checkpoint* latest = replica->second.snapshots.latest();
-  if (latest == nullptr) return std::nullopt;
-
-  ledger::TrieSync::DonorState ds;
-  ds.height = latest->height;
-  ds.tip_hash = latest->tip_hash;
-  ds.state = &latest->state;
-
-  const auto attack = byz_offerers_.find(org);
-  if (attack != byz_offerers_.end() &&
-      attack->second == SnapshotAttack::EquivocateRoot) {
-    // Scripted adversary: offer (and serve nodes for) a tampered state.
-    // Every node it ships verifies against ITS root — only the member
-    // vote quorum can (and does) disavow the root itself.
-    const auto key = std::make_pair(self, scope);
-    ledger::WorldState tampered = latest->state;
-    tampered.put("asset/forged/owner", common::to_bytes(org));
-    const auto [it, inserted] =
-        forged_states_.insert_or_assign(key, std::move(tampered));
-    (void)inserted;
-    ds.state = &it->second;
-  }
-  return ds;
-}
-
-void FabricNetwork::install_delta(const std::string& self,
-                                  const std::string& scope,
-                                  std::uint64_t height,
-                                  const crypto::Digest& tip_hash,
-                                  ledger::WorldState state) {
-  const std::string org = org_of(self);
-  const auto ch = channels_.find(scope);
-  if (ch == channels_.end()) return;
-  const auto it = ch->second.replicas.find(org);
-  if (it == ch->second.replicas.end()) return;
-  PeerReplica& replica = it->second;
-  if (height <= replica.chain.height()) return;  // stale by now
-
-  replica.chain = ledger::Chain::from_checkpoint(height, tip_hash);
-  replica.state = std::move(state);
-  replica.endorsements_seen.clear();
-  // Seal the installed state as this replica's own durable checkpoint,
-  // compacting any stale pre-crash WAL prefix behind it.
-  replica.snapshots.checkpoint(replica.wal, height, tip_hash, replica.state);
-}
-
-void FabricNetwork::on_transfer_reject(
-    const std::string& self, const std::string& scope,
-    const std::string& donor, ledger::TransferReject reason,
-    common::BytesView proof_a, common::BytesView proof_b) {
-  if (!ledger::is_misbehavior(reason)) return;
-  const audit::Misbehavior kind =
-      reason == ledger::TransferReject::EquivocatedRoot
-          ? audit::Misbehavior::SnapshotEquivocation
-          : audit::Misbehavior::SnapshotTampering;
-  convict(kind, org_of(donor), org_of(self),
-          "channel " + scope + " rejoin: " + ledger::to_string(reason),
-          common::Bytes(proof_a.begin(), proof_a.end()),
-          common::Bytes(proof_b.begin(), proof_b.end()), donor);
+  sync_.set_attack(peer_of(org), attack, org);
 }
 
 }  // namespace veil::fabric

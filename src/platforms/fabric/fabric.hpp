@@ -37,10 +37,8 @@
 #include "ledger/chain.hpp"
 #include "ledger/mempool.hpp"
 #include "ledger/ordering.hpp"
-#include "ledger/snapshot.hpp"
+#include "ledger/replica.hpp"
 #include "ledger/state.hpp"
-#include "ledger/triesync.hpp"
-#include "ledger/wal.hpp"
 #include "net/network.hpp"
 #include "net/overload.hpp"
 #include "net/reliable.hpp"
@@ -185,16 +183,25 @@ class FabricNetwork {
   std::vector<TxReceipt> submit_many(const std::vector<SubmitRequest>& requests,
                                      std::size_t pipeline_depth = 8);
 
-  /// Member-only access to an org's channel replica.
+  /// Member-only access to an org's channel replica (AccessError for an
+  /// org that holds none).
+  const ledger::Replica& replica(const std::string& channel,
+                                 const std::string& org) const;
   const ledger::WorldState& state(const std::string& channel,
-                                  const std::string& org) const;
+                                  const std::string& org) const {
+    return replica(channel, org).state();
+  }
   const ledger::Chain& chain(const std::string& channel,
-                             const std::string& org) const;
+                             const std::string& org) const {
+    return replica(channel, org).chain();
+  }
 
   /// Authenticated state root of one org's replica of `channel` (the
   /// incremental trie root; member-only, same access rule as state()).
   crypto::Digest state_root(const std::string& channel,
-                            const std::string& org) const;
+                            const std::string& org) const {
+    return state(channel, org).digest();
+  }
   /// Deployment-wide accumulator over every channel `org` holds a
   /// replica of, folded with ledger::compose_roots over the per-channel
   /// (name, height, root) triples — one digest attesting the org's whole
@@ -210,51 +217,44 @@ class FabricNetwork {
   bool is_channel_member(const std::string& channel,
                          const std::string& org) const;
 
-  /// Delivery-service seek: every live member peer that missed block
-  /// deliveries (loss, partition, give-up after bounded retries) replays
-  /// the orderer's log up to the current height. Crashed peers catch up
-  /// on restart instead.
+  /// Delivery-service seek: every live member peer replays the orderer's
+  /// log past its tip (a peer also seeks on its own when a delivery
+  /// arrives past a gap). Crashed peers catch up on restart instead.
   void resync(const std::string& channel);
 
   // ---- Recovery tier (docs/fault_model.md "Recovery tier") -----------------
 
-  /// Rejoin for one lagging live member peer: fetch a fellow member's
-  /// newer checkpoint over TrieSync (ledger/triesync.hpp) — only the
-  /// content-addressed trie nodes the joiner's own state lacks move, the
-  /// offered root is confirmed by the member vote quorum and the sealed
-  /// delivery log, every node is hash-verified on arrival — install it,
-  /// then replay only the post-checkpoint tail. Falls back to plain
-  /// replay when no member holds a newer checkpoint. `donor_orgs`
-  /// overrides the candidate order (tests put the Byzantine offerer
-  /// first).
+  /// Rejoin one lagging live member peer (ledger::ReplicaSync::rejoin):
+  /// install a fellow member's newer checkpoint over TrieSync, its root
+  /// confirmed by the member vote quorum and the sealed delivery log,
+  /// then replay the tail. `donor_orgs` overrides the donor order (tests
+  /// put the Byzantine offerer first).
   void rejoin(const std::string& channel, const std::string& org,
               std::vector<std::string> donor_orgs = {});
-
-  /// Re-drive a rejoin stalled by message loss beyond the reliable
-  /// channel's retry budget (verified nodes are kept).
+  /// Re-drive a rejoin stalled by message loss (verified nodes are kept).
   void resume_rejoin(const std::string& channel, const std::string& org);
-
   /// Rejoin engine counters (offers, votes, nodes and node bytes
   /// received, rejections, completions).
-  const ledger::TrieSyncStats& rejoin_stats() const {
-    return triesync_.stats();
-  }
+  const ledger::TrieSyncStats& rejoin_stats() const { return sync_.stats(); }
 
   /// Scripted rejoin adversary: when `org`'s peer is asked to donate a
   /// checkpoint it misbehaves instead.
-  enum class SnapshotAttack {
-    TamperNode,      // honest offer, one flipped byte in a served node
-    EquivocateRoot,  // offers and serves a tampered state's root
-  };
+  using SnapshotAttack = ledger::SnapshotAttack;
   void set_byzantine_snapshot_offerer(const std::string& org,
                                       SnapshotAttack attack);
 
   std::uint64_t blocks_applied(const std::string& channel,
-                               const std::string& org) const;
+                               const std::string& org) const {
+    return replica(channel, org).blocks_applied();
+  }
   const ledger::SnapshotStore& snapshot_store(const std::string& channel,
-                                              const std::string& org) const;
+                                              const std::string& org) const {
+    return replica(channel, org).snapshots();
+  }
   const ledger::WriteAheadLog& peer_wal(const std::string& channel,
-                                        const std::string& org) const;
+                                        const std::string& org) const {
+    return replica(channel, org).wal();
+  }
   std::uint64_t sealed_height(const std::string& channel) const {
     return channels_.at(channel).ordered_log.size();
   }
@@ -321,33 +321,22 @@ class FabricNetwork {
     pki::Certificate certificate;
   };
 
-  struct PeerReplica {
-    ledger::Chain chain;
-    ledger::WorldState state;
-    /// Durable log: survives a crash-stop; replayed on restart.
-    ledger::WriteAheadLog wal;
-    /// Detect-mode endorsement history: proposal-context digest (channel,
-    /// chaincode, action, args, reads, endorser) -> (writes digest, full
-    /// tx encoding). A deterministic chaincode must produce identical
-    /// writes for an identical context, so a second sighting with
-    /// different writes is proof of endorser equivocation. Volatile;
-    /// rebuilt by WAL replay.
-    std::map<std::string, std::pair<crypto::Digest, common::Bytes>>
-        endorsements_seen;
-    /// Checkpoint driver: seals interval snapshots into the WAL
-    /// (compacting it) and keeps the latest resident for state transfer.
-    ledger::SnapshotStore snapshots;
-    /// Applied-record counter for the rejoin-delta assertions.
-    std::uint64_t blocks_applied = 0;
-  };
+  /// Detect-mode endorsement history of one peer: proposal-context
+  /// digest (channel, chaincode, action, args, reads, endorser) -> (writes
+  /// digest, full tx encoding). A deterministic chaincode must produce
+  /// identical writes for an identical context, so a second sighting with
+  /// different writes is proof of endorser equivocation. Volatile; rebuilt
+  /// by WAL replay.
+  using EndorsementHistory =
+      std::map<std::string, std::pair<crypto::Digest, common::Bytes>>;
 
   struct Channel {
     std::set<std::string> members;
-    std::map<std::string, PeerReplica> replicas;  // org -> replica
+    std::map<std::string, ledger::Replica> replicas;  // org -> replica
+    std::map<std::string, EndorsementHistory> endorsements_seen;  // by org
     std::map<std::string, contracts::EndorsementPolicy> policies;
     std::unique_ptr<ledger::OrderingService> private_orderer;
     offchain::PdcManager pdc;
-    std::uint64_t block_height = 0;
     /// Every block the orderer has cut, in order — the delivery service
     /// peers seek into when they missed deliveries.
     std::vector<ledger::Block> ordered_log;
@@ -371,10 +360,6 @@ class FabricNetwork {
     std::vector<std::string> endorsers;
   };
   PreparedSubmission prepare_submission(const SubmitRequest& request);
-  /// Wave admission: every endorsement across the wave joins one queued
-  /// check, and each transaction's ValidationToken is minted. No-op in
-  /// Trusting mode.
-  void admit_wave_to_mempool(std::vector<PreparedSubmission>& prepared);
   /// Hand the endorsed transaction to the ordering service and deliver
   /// any blocks it cut. Does NOT flush partial blocks.
   void order_transaction(const std::string& channel_name,
@@ -385,56 +370,29 @@ class FabricNetwork {
   /// them.
   void deliver_block(const std::string& channel_name, ledger::Block block,
                      const std::vector<std::string>& tx_ids);
-  /// Validate and commit one block into one org's replica. `replay` marks
-  /// WAL recovery: the block is already durable and was already observed
-  /// pre-crash, so it is neither re-logged nor re-recorded in the auditor.
-  /// Returns false when Detect-mode validation rejects the whole block
-  /// (orderer conviction) — callers must stop seeking past it. `encoded`
-  /// is the delivered payload the block was decoded from, logged to the
-  /// WAL as it is; empty for blocks taken from the delivery log.
+  /// Give `org` a fresh replica of `channel_name`.
+  ledger::Replica& add_replica(const std::string& channel_name,
+                               Channel& channel, const std::string& org);
+  /// One peer's block apply (ledger::Replica::Hooks::apply): validate and
+  /// commit one block into one org's replica. `replay` marks WAL
+  /// recovery: the block is already durable and was already observed
+  /// pre-crash, so it is not re-recorded in the auditor. Returns false
+  /// when Detect-mode validation rejects the whole block (orderer
+  /// conviction); the replica stops seeking past it.
   bool commit_block(const std::string& org, Channel& channel,
-                    ledger::Block block, bool replay = false,
-                    common::BytesView encoded = {});
+                    ledger::Block block, bool replay,
+                    common::BytesView encoded);
   /// Record evidence (signed by `reporter_org`) and quarantine
   /// `quarantine_principal` (skipped when empty).
   void convict(audit::Misbehavior kind, const std::string& accused,
                const std::string& reporter_org, std::string detail,
                common::Bytes proof_a, common::Bytes proof_b,
                const std::string& quarantine_principal);
-  /// Crash-stop: volatile replica state (chain, world state) is lost; the
-  /// WAL is durable and survives.
-  void on_crash(const std::string& org);
-  /// Restart: rebuild each replica from its WAL (checkpoint + blocks),
-  /// then catch up on blocks delivered while down via the delivery log.
-  void on_restart(const std::string& org);
   static std::string peer_of(const std::string& org) { return "peer." + org; }
   /// Inverse of peer_of (principal -> org).
   static std::string org_of(const std::string& peer) {
     return peer.rfind("peer.", 0) == 0 ? peer.substr(5) : peer;
   }
-
-  // TrieSync callbacks (recovery tier). Scope = channel name,
-  // principals = peer names.
-  std::optional<ledger::TrieSync::DonorState> provide_trie(
-      const std::string& self, const std::string& scope);
-  bool check_offer(const std::string& scope, std::uint64_t height,
-                   const crypto::Digest& tip_hash) const;
-  void install_delta(const std::string& self, const std::string& scope,
-                     std::uint64_t height, const crypto::Digest& tip_hash,
-                     ledger::WorldState state);
-  void on_transfer_reject(const std::string& self, const std::string& scope,
-                          const std::string& donor,
-                          ledger::TransferReject reason,
-                          common::BytesView proof_a,
-                          common::BytesView proof_b);
-  /// Shared rejoin scaffolding: voter/donor selection for `org` on
-  /// `channel` (live, unquarantined members; breaker-filtered donors).
-  void rejoin_peers(const std::string& channel, const std::string& org,
-                    const std::vector<std::string>& donor_orgs,
-                    std::vector<net::Principal>& donors,
-                    std::vector<net::Principal>& voters) const;
-  /// Replay the post-checkpoint delta from the sealed delivery log.
-  void replay_tail(const std::string& channel, const std::string& org);
 
   net::Transport* network_;
   const crypto::Group* group_;
@@ -449,13 +407,8 @@ class FabricNetwork {
   /// lossy wire, exactly-once to handlers. Bounded retries keep the
   /// fail-closed behavior on a dead network.
   net::ReliableChannel channel_;
-  ledger::TrieSync triesync_;
-  std::map<std::string, SnapshotAttack> byz_offerers_;  // by org
-  /// Forged states served by EquivocateRoot adversaries, keyed by
-  /// (peer, channel) — the engine holds the provider's pointer across
-  /// the serve rounds, so the forgery must outlive the callback.
-  std::map<std::pair<std::string, std::string>, ledger::WorldState>
-      forged_states_;
+  /// Rejoin over TrieSync. Scope = channel name, principals = peer names.
+  ledger::ReplicaSync sync_;
   std::unique_ptr<ledger::OrderingService> shared_orderer_;
   std::map<std::string, Org> orgs_;
   std::map<std::string, Channel> channels_;

@@ -35,55 +35,59 @@ QuorumNetwork::QuorumNetwork(net::Transport& network,
       block_size_(block_size),
       channel_(network),
       snapshot_config_(snapshots),
-      triesync_(channel_,
-                ledger::TrieSync::Callbacks{
-                    .provider =
-                        [this](const net::Principal& self,
-                               const std::string& scope, std::uint64_t) {
-                          return provide_trie(self, scope);
-                        },
-                    .offer_check =
-                        [this](const net::Principal&, const std::string&,
-                               std::uint64_t height,
-                               const crypto::Digest& tip_hash) {
-                          return check_offer(height, tip_hash);
-                        },
-                    .on_complete =
-                        [this](const net::Principal& self, const std::string&,
-                               std::uint64_t height,
-                               const crypto::Digest& tip_hash,
-                               ledger::WorldState state,
-                               const ledger::TrieSync::Report&) {
-                          install_delta(self, height, tip_hash,
-                                        std::move(state));
-                        },
-                    .on_reject =
-                        [this](const net::Principal& self, const std::string&,
-                               const net::Principal& donor,
-                               ledger::TransferReject reason,
-                               common::BytesView proof_a,
-                               common::BytesView proof_b) {
-                          on_transfer_reject(self, donor, reason, proof_a,
-                                             proof_b);
-                        },
-                    .on_fail = nullptr,
-                }),
+      sync_(network, channel_,
+            [this](const net::Principal& self,
+                   const std::string& scope) -> ledger::Replica* {
+              const auto node = nodes_.find(self);
+              if (scope != "quorum" || node == nodes_.end()) return nullptr;
+              return &node->second.replica;
+            },
+            [this](const net::Principal& self, const std::string&,
+                   const net::Principal& donor, audit::Misbehavior kind,
+                   ledger::TransferReject reason, common::BytesView proof_a,
+                   common::BytesView proof_b) {
+              convict(kind, donor, self,
+                      std::string("rejoin: ") + ledger::to_string(reason),
+                      common::Bytes(proof_a.begin(), proof_a.end()),
+                      common::Bytes(proof_b.begin(), proof_b.end()));
+            }),
       // The verifier ignores its seed; the draw stays so that every
       // seeded transcript is unchanged.
-      batch_verifier_(group, rng_.next_u64()) {
-  tip_hash_ = crypto::sha256(std::string_view("veil.chain.genesis"));
-}
+      batch_verifier_(group, rng_.next_u64()) {}
 
 void QuorumNetwork::add_node(const std::string& org) {
   if (nodes_.contains(org)) return;
+  crypto::KeyPair keypair = crypto::KeyPair::generate(*group_, rng_);
+  // The private state rides each checkpoint record as its aux sidecar.
+  ledger::Replica replica(
+      org, "quorum", &ordered_log_, snapshot_config_,
+      {.apply = std::bind_front(&QuorumNetwork::apply_block, this, org),
+       .checkpoint_aux =
+           [this, org] { return nodes_.at(org).private_state.encode(); },
+       .restore_aux =
+           [this, org](common::BytesView aux) {
+             nodes_.at(org).private_state = ledger::WorldState::decode(aux);
+           },
+       .on_crash =
+           [this, org] { nodes_.at(org).private_state = ledger::WorldState(); },
+       .on_install =
+           std::bind_front(&QuorumNetwork::catch_up_private, this, org)});
   nodes_.insert_or_assign(
-      org, Node{crypto::KeyPair::generate(*group_, rng_), {}, {}, {}, {}, {},
-                ledger::SnapshotStore(snapshot_config_), 0});
+      org, Node{std::move(keypair), std::move(replica), {}, {}});
   channel_.attach(org, [this, org](const net::Message& msg) {
     on_node_message(org, msg);
   });
-  network_->set_crash_hook(org, [this, org] { on_node_crash(org); });
-  network_->set_restart_hook(org, [this, org] { on_node_restart(org); });
+  // A crash drops every token of the volatile admission pool; the
+  // transaction-manager store (a separate durable process) survives.
+  // Restart: WAL recovery, then the blocks sealed while down.
+  network_->set_crash_hook(org, [this, org] {
+    mempool_.clear();
+    sync_.crash(nodes_.at(org).replica);
+  });
+  network_->set_restart_hook(org, [this, org] {
+    nodes_.at(org).replica.recover();
+    nodes_.at(org).replica.catch_up();
+  });
 }
 
 TxResult QuorumNetwork::submit_public(
@@ -349,7 +353,13 @@ std::vector<TxResult> QuorumNetwork::submit_waves(
     // gate let through, then enqueue in submission order. The wave's
     // tokens stay pinned while it drains: capacity eviction must not take
     // validate-once entries out from under in-flight blocks.
-    admit_wave_to_mempool(items, survivors);
+    if (verify_commits_) {
+      std::vector<ledger::Mempool::WaveItem> wave_items;
+      for (const std::size_t j : survivors) {
+        wave_items.push_back({&items[j].tx, &items[j].digest});
+      }
+      mempool_.admit_wave(batch_verifier_, wave_items, network_->clock().now());
+    }
     for (const std::size_t j : survivors) mempool_.pin(items[j].tx_id);
     for (const std::size_t j : survivors) {
       pending_.push_back({std::move(items[j].tx), items[j].tx_id});
@@ -360,65 +370,9 @@ std::vector<TxResult> QuorumNetwork::submit_waves(
   return out;
 }
 
-void QuorumNetwork::admit_wave_to_mempool(
-    const std::vector<Prepared>& items, const std::vector<std::size_t>& admit) {
-  if (!verify_commits_) return;
-  const common::SimTime now = network_->clock().now();
-  std::vector<std::size_t> queued;  // batch index -> position in `admit`
-  for (std::size_t k = 0; k < admit.size(); ++k) {
-    const Prepared& item = items[admit[k]];
-    const common::BytesView msg(item.digest.data(), item.digest.size());
-    for (const ledger::Endorsement& e : item.tx.endorsements) {
-      batch_verifier_.add_signature(e.key, msg, e.signature);
-      queued.push_back(k);
-    }
-  }
-  std::vector<char> ok(admit.size(), 1);
-  if (batch_verifier_.pending() > 0) {
-    const crypto::BatchOutcome outcome = batch_verifier_.verify();
-    for (const std::size_t bad : outcome.invalid) ok[queued[bad]] = 0;
-  }
-  for (std::size_t k = 0; k < admit.size(); ++k) {
-    const Prepared& item = items[admit[k]];
-    mempool_.admit(item.tx, item.digest, ok[k] != 0, now);
-  }
-}
-
-std::vector<char> QuorumNetwork::block_signatures_valid(
-    const ledger::Block& block, const std::vector<crypto::Digest>& digests,
-    const ledger::WorldState& state, bool replay) {
-  std::vector<char> ok(block.transactions.size(), 1);
-  if (!verify_commits_) return ok;
-  // Validate-once: a token minted at admission (same body digest — the
-  // id IS the digest) stands in for re-verification. Quorum transactions
-  // carry no read-set, so the token's version check is digest-only.
-  // Token misses join one batched check.
-  const common::SimTime now = network_->clock().now();
-  std::vector<std::size_t> queued;  // batch index -> tx index
-  for (std::size_t i = 0; i < block.transactions.size(); ++i) {
-    if (!replay && mempool_.validated(digests[i], state, now)) continue;
-    const common::BytesView msg(digests[i].data(), digests[i].size());
-    for (const ledger::Endorsement& e : block.transactions[i].endorsements) {
-      batch_verifier_.add_signature(e.key, msg, e.signature);
-      queued.push_back(i);
-    }
-  }
-  if (batch_verifier_.pending() > 0) {
-    const crypto::BatchOutcome outcome = batch_verifier_.verify();
-    for (const std::size_t bad : outcome.invalid) ok[queued[bad]] = 0;
-  }
-  return ok;
-}
-
 void QuorumNetwork::on_node_message(const std::string& self,
                                     const net::Message& msg) {
-  if (ledger::TrieSync::owns_topic(msg.topic)) {
-    const auto attack = byz_offerers_.find(self);
-    triesync_.handle(self, msg,
-                     attack != byz_offerers_.end() &&
-                         attack->second == SnapshotAttack::TamperNode);
-    return;
-  }
+  if (sync_.handle(self, msg)) return;
   if (msg.topic == "quorum.tm-push") {
     PrivateEnvelope env;
     try {
@@ -453,21 +407,7 @@ void QuorumNetwork::on_node_message(const std::string& self,
     } catch (const common::Error&) {
       return;
     }
-    Node& node = nodes_.at(self);
-    if (block.header.height < node.chain.height()) return;  // duplicate
-    // Fail closed on a block damaged in flight: the delivered copy must
-    // hash to the sealed block at its height (header integrity); decode
-    // already checked its body against that header (payload integrity).
-    // Anything else is dropped — the node catches up via sync() instead.
-    if (block.header.height >= ordered_log_.size()) return;
-    if (block.header.hash() !=
-        ordered_log_[block.header.height].header.hash()) {
-      return;
-    }
-    while (node.chain.height() < block.header.height) {
-      apply_block(self, ordered_log_[node.chain.height()]);
-    }
-    apply_block(self, block, /*replay=*/false, msg.payload);
+    nodes_.at(self).replica.deliver(std::move(block), msg.payload);
   }
 }
 
@@ -493,48 +433,36 @@ void QuorumNetwork::seal_block() {
     ids.push_back(std::move(p.id));
   }
   pending_.clear();
-  ledger::Block block = ledger::Block::make(next_height_, tip_hash_,
-                                            std::move(txs),
-                                            network_->clock().now());
-  tip_hash_ = block.header.hash();
-  ++next_height_;
+  // The delivery log is the sealing authority's record: it gives the next
+  // height and the tip to link to.
+  ledger::Block block = ledger::Block::make(
+      ordered_log_.size(),
+      ordered_log_.empty() ? ledger::Chain().tip_hash()
+                           : ordered_log_.back().header.hash(),
+      std::move(txs), network_->clock().now());
   deliver(block, ids);
 }
 
-void QuorumNetwork::apply_block(const std::string& org,
-                                const ledger::Block& block, bool replay,
-                                common::BytesView encoded) {
+bool QuorumNetwork::apply_block(const std::string& org, ledger::Block block,
+                                bool replay, common::BytesView encoded) {
   Node& node = nodes_.at(org);
-  // This node hashes each body it applies, once: the signature check,
-  // the auditor record, the replay detector and the private-detail
-  // lookup all use that digest and the id derived from it.
+  // Each body is hashed once here, and every later step uses that digest
+  // and its id. Only verify-commits deployments check signatures; a
+  // (digest-only: no read-set) validate-once token stands in for them.
   const std::size_t tx_count = block.transactions.size();
-  std::vector<crypto::Digest> digests(tx_count);
-  std::vector<std::string> ids(tx_count);
-  for (std::size_t i = 0; i < tx_count; ++i) {
-    digests[i] = block.transactions[i].body_digest();
-    ids[i] = ledger::tx_id(digests[i]);
-  }
-  const std::vector<char> sig_ok =
-      block_signatures_valid(block, digests, node.public_state, replay);
-  // WAL invariant: the block is durable before any in-memory mutation.
-  // A delivered block is logged in the bytes it arrived in.
-  if (!replay) {
-    if (encoded.empty()) {
-      ledger::wal_log_block(node.wal, block);
-    } else {
-      ledger::wal_log_block(node.wal, encoded);
-    }
-  }
-  node.chain.append(block);
+  const ledger::Mempool::BlockCheck check =
+      mempool_.check_block(batch_verifier_, block, node.replica.state(),
+                           replay, verify_commits_, network_->clock().now());
+  const ledger::Block& committed =
+      node.replica.commit(std::move(block), replay, encoded);
   {
     // One batch per state: each trie node the block dirties is hashed once,
     // when the batches end with the last transaction.
-    ledger::WorldState::Batch public_writes(node.public_state);
+    ledger::WorldState::Batch public_writes(node.replica.state());
     ledger::WorldState::Batch private_writes(node.private_state);
     for (std::size_t i = 0; i < tx_count; ++i) {
-      const ledger::Transaction& tx = block.transactions[i];
-      const std::string& id = ids[i];
+      const ledger::Transaction& tx = committed.transactions[i];
+      const std::string& id = check.ids[i];
       // Every node sees the full on-chain form: public payload in clear,
       // private payload as hash — but always the participant list.
       // (Recorded once, at the original commit; WAL replay is a local
@@ -542,15 +470,9 @@ void QuorumNetwork::apply_block(const std::string& org,
       if (!replay) record_visibility(auditor(), org, tx, id);
       // Fail closed on a forged endorsement (verify-commits deployments
       // only): the transaction stays on chain but mutates no state.
-      if (sig_ok[i] == 0) continue;
+      if (check.all_valid[i] == 0) continue;
       if (tx.action == "public") {
-        for (const ledger::KvWrite& kv : tx.writes) {
-          if (kv.is_delete) {
-            public_writes.erase(kv.key);
-          } else {
-            public_writes.put(kv.key, kv.value);
-          }
-        }
+        public_writes.apply(tx);  // no read-set: every write lands
       } else {
         // Nullifier cross-check: the payload hash of every private
         // transaction is public, so any node can notice the same hash
@@ -568,47 +490,16 @@ void QuorumNetwork::apply_block(const std::string& org,
           if (detection_ && org != tx.participants.front()) {
             // Two validly signed transactions carrying one nullifier are
             // self-contained proof; the replay's submitter is the culprit.
-            const std::string accused = tx.participants.front();
-            audit::Evidence e;
-            e.kind = audit::Misbehavior::PrivateReplay;
-            e.accused = accused;
-            e.reporter = org;
-            e.detail = "private payload hash re-submitted under a new tx id";
-            e.detected_at = network_->clock().now();
-            e.proof_a = seen->second.second;
-            e.proof_b = tx.encode();
-            e.sign(node.keypair);
-            evidence_.add(std::move(e));
-            network_->quarantine(accused);
+            convict(audit::Misbehavior::PrivateReplay, tx.participants.front(),
+                    org, "private payload hash re-submitted under a new tx id",
+                    seen->second.second, tx.encode());
           }
         }
-        const auto detail = private_details_.find(id);
-        if (detail != private_details_.end() &&
-            detail->second.recipients.contains(org) &&
-            !(detection_ && replayed)) {
-          // Recipients decrypt via their TM store and update private state.
-          // A detected replay is skipped: fail closed, no double credit.
-          for (const ledger::KvWrite& kv : detail->second.writes) {
-            if (kv.is_delete) {
-              private_writes.erase(kv.key);
-            } else {
-              private_writes.put(kv.key, kv.value);
-            }
-          }
-        }
+        write_private(org, id, replayed, private_writes);
       }
     }
   }  // the batches end: the block's dirty trie nodes are hashed here
-  ++node.blocks_applied;
-  // Interval checkpoint: seal the post-block state into the WAL and
-  // compact the prefix. Private state rides the checkpoint record as aux
-  // (it never leaves the node), encoded only when a checkpoint is due;
-  // WAL replay must not re-checkpoint.
-  if (!replay && node.snapshots.due(node.chain.height())) {
-    node.snapshots.checkpoint(node.wal, node.chain.height(),
-                              node.chain.tip_hash(), node.public_state,
-                              node.private_state.encode());
-  }
+  return true;
 }
 
 void QuorumNetwork::deliver(const ledger::Block& block,
@@ -627,236 +518,87 @@ void QuorumNetwork::deliver(const ledger::Block& block,
   }
 }
 
+void QuorumNetwork::convict(audit::Misbehavior kind, const std::string& accused,
+                            const std::string& reporter, std::string detail,
+                            common::Bytes proof_a, common::Bytes proof_b) {
+  audit::Evidence e;
+  e.kind = kind;
+  e.accused = accused;
+  e.reporter = reporter;
+  e.detail = std::move(detail);
+  e.detected_at = network_->clock().now();
+  e.proof_a = std::move(proof_a);
+  e.proof_b = std::move(proof_b);
+  e.sign(nodes_.at(reporter).keypair);
+  evidence_.add(std::move(e));
+  network_->quarantine(accused);
+}
+
 void QuorumNetwork::sync() {
   for (auto& [org, node] : nodes_) {
     // A quarantined node is isolated: it neither receives deliveries nor
     // seeks the log until released. Honest nodes re-converge without it.
     if (network_->crashed(org) || network_->is_quarantined(org)) continue;
-    while (node.chain.height() < ordered_log_.size()) {
-      apply_block(org, ordered_log_[node.chain.height()]);
-    }
-  }
-}
-
-void QuorumNetwork::on_node_crash(const std::string& org) {
-  // The admission pool is volatile (never WAL-logged): any crash drops
-  // all tokens and recovery re-verifies what the WAL replays.
-  mempool_.clear();
-  Node& node = nodes_.at(org);
-  // Volatile replica state is gone; the WAL and the transaction-manager
-  // store (a separate durable process) survive. An in-progress rejoin
-  // transfer is volatile too — received nodes die with the node.
-  node.chain = ledger::Chain();
-  node.public_state = ledger::WorldState();
-  node.private_state = ledger::WorldState();
-  triesync_.abort(org, "quorum");
-}
-
-void QuorumNetwork::on_node_restart(const std::string& org) {
-  Node& node = nodes_.at(org);
-  const ledger::WalRecovery recovered = ledger::wal_recover_blocks(node.wal);
-  if (recovered.checkpoint.has_value()) {
-    // Bootstrap from the sealed checkpoint: chain from the trusted head,
-    // public state from the record, private state from the aux sidecar.
-    const ledger::WalCheckpoint& cp = *recovered.checkpoint;
-    node.chain = ledger::Chain::from_checkpoint(cp.height, cp.tip_hash);
-    node.public_state = cp.state;
-    if (!cp.aux.empty()) {
-      node.private_state = ledger::WorldState::decode(cp.aux);
-    }
-    node.snapshots.restore(cp.height, cp.tip_hash, cp.state);
-  }
-  for (const ledger::Block& block : recovered.blocks) {
-    apply_block(org, block, /*replay=*/true);
-  }
-  // Blocks sealed while down: seek into the shared delivery log.
-  while (node.chain.height() < ordered_log_.size()) {
-    apply_block(org, ordered_log_[node.chain.height()]);
+    node.replica.catch_up();
   }
 }
 
 void QuorumNetwork::rejoin(const std::string& org,
                            std::vector<std::string> donors) {
   const auto it = nodes_.find(org);
-  if (it == nodes_.end() || network_->crashed(org)) return;
-  Node& node = it->second;
-  std::vector<std::string> voters;
-  for (const auto& [peer, peer_node] : nodes_) {
-    if (peer == org || network_->crashed(peer) ||
-        network_->is_quarantined(peer)) {
-      continue;
-    }
-    voters.push_back(peer);
-  }
-  if (donors.empty()) donors = voters;
-  // The node's own public state is the dedup set: only nodes it lacks
-  // move. Private state never rides the wire (catch_up_private).
-  triesync_.fetch(org, "quorum", std::move(donors), std::move(voters),
-                  node.chain.height() + 1, node.public_state);
-  network_->run();
-  // A transfer still active after the network drained stalled on message
-  // loss (retries exhausted) — leave it resumable instead of replaying
-  // everything it was about to save us. A FAILED transfer (donor list
-  // exhausted) is gone from the engine, so the delta loop below becomes
-  // the full-replay fallback.
-  if (triesync_.active(org, "quorum")) return;
-  // Whatever the transfer achieved — a checkpoint install, or nothing
-  // because no peer held a newer checkpoint — close the remaining delta
-  // from the delivery log.
-  while (!network_->crashed(org) &&
-         node.chain.height() < ordered_log_.size()) {
-    apply_block(org, ordered_log_[node.chain.height()]);
-  }
+  if (it == nodes_.end()) return;
+  std::vector<net::Principal> peers;
+  for (const auto& [peer, node] : nodes_) peers.push_back(peer);
+  // Only public state rides the wire: the install hook fills private
+  // state for the skipped range from this node's own transaction manager.
+  sync_.rejoin(it->second.replica, peers, std::move(donors));
 }
 
 void QuorumNetwork::resume_rejoin(const std::string& org) {
-  triesync_.resume(org, "quorum");
-  network_->run();
-  if (triesync_.active(org, "quorum")) return;  // still stalled: resumable
-  Node& node = nodes_.at(org);
-  while (!network_->crashed(org) &&
-         node.chain.height() < ordered_log_.size()) {
-    apply_block(org, ordered_log_[node.chain.height()]);
-  }
+  sync_.resume(nodes_.at(org).replica);
 }
 
 void QuorumNetwork::set_byzantine_snapshot_offerer(const std::string& org,
                                                    SnapshotAttack attack) {
-  byz_offerers_.insert_or_assign(org, attack);
+  sync_.set_attack(org, attack, org);
 }
 
-std::optional<ledger::TrieSync::DonorState> QuorumNetwork::provide_trie(
-    const std::string& self, const std::string& scope) {
-  if (scope != "quorum") return std::nullopt;
-  const auto it = nodes_.find(self);
-  if (it == nodes_.end()) return std::nullopt;
-  const ledger::Checkpoint* latest = it->second.snapshots.latest();
-  if (latest == nullptr) return std::nullopt;
-
-  ledger::TrieSync::DonorState ds;
-  ds.height = latest->height;
-  ds.tip_hash = latest->tip_hash;
-  ds.state = &latest->state;
-
-  const auto attack = byz_offerers_.find(self);
-  if (attack != byz_offerers_.end() &&
-      attack->second == SnapshotAttack::EquivocateRoot) {
-    // A state no honest replica ever held: every node it ships verifies
-    // against ITS root, but the quorum of peer checkpoints disavows that
-    // root.
-    ledger::WorldState tampered = latest->state;
-    tampered.put("asset/forged/owner", common::to_bytes(self));
-    const auto [forged, inserted] =
-        forged_states_.insert_or_assign(self, std::move(tampered));
-    (void)inserted;
-    ds.state = &forged->second;
+void QuorumNetwork::write_private(const std::string& org,
+                                  const std::string& id, bool replayed,
+                                  ledger::WorldState::Batch& writes) const {
+  // Recipients decrypt via their TM store and update private state. A
+  // detected replay is skipped: fail closed, no double credit.
+  const auto detail = private_details_.find(id);
+  if (detail == private_details_.end() ||
+      !detail->second.recipients.contains(org) || (detection_ && replayed)) {
+    return;
   }
-  return ds;
-}
-
-bool QuorumNetwork::check_offer(std::uint64_t height,
-                                const crypto::Digest& tip_hash) const {
-  // The shared delivery log is the sealing authority: the announced
-  // height must exist and the announced tip must be the sealed header
-  // hash at that height.
-  if (height == 0 || height > ordered_log_.size()) return false;
-  return ordered_log_[height - 1].header.hash() == tip_hash;
-}
-
-void QuorumNetwork::install_delta(const std::string& org, std::uint64_t height,
-                                  const crypto::Digest& tip_hash,
-                                  ledger::WorldState state) {
-  Node& node = nodes_.at(org);
-  const std::uint64_t from_height = node.chain.height();
-  if (height <= from_height) return;  // stale completion
-  node.chain = ledger::Chain::from_checkpoint(height, tip_hash);
-  node.public_state = std::move(state);
-  catch_up_private(org, from_height, height);
-  // Seal the installed checkpoint into our own WAL (compacting whatever
-  // preceded it) so a crash right after rejoin recovers from here, and
-  // this node can donate the checkpoint onward.
-  node.snapshots.checkpoint(node.wal, height, tip_hash, node.public_state,
-                            node.private_state.encode());
-}
-
-void QuorumNetwork::on_transfer_reject(const std::string& self,
-                                       const std::string& donor,
-                                       ledger::TransferReject reason,
-                                       common::BytesView proof_a,
-                                       common::BytesView proof_b) {
-  if (!ledger::is_misbehavior(reason)) return;
-  Node& node = nodes_.at(self);
-  audit::Evidence e;
-  e.kind = reason == ledger::TransferReject::EquivocatedRoot
-               ? audit::Misbehavior::SnapshotEquivocation
-               : audit::Misbehavior::SnapshotTampering;
-  e.accused = donor;
-  e.reporter = self;
-  e.detail = std::string("rejoin: ") + ledger::to_string(reason);
-  e.detected_at = network_->clock().now();
-  e.proof_a = common::Bytes(proof_a.begin(), proof_a.end());
-  e.proof_b = common::Bytes(proof_b.begin(), proof_b.end());
-  e.sign(node.keypair);
-  evidence_.add(std::move(e));
-  network_->quarantine(donor);
+  for (const ledger::KvWrite& kv : detail->second.writes) {
+    if (kv.is_delete) {
+      writes.erase(kv.key);
+    } else {
+      writes.put(kv.key, kv.value);
+    }
+  }
 }
 
 void QuorumNetwork::catch_up_private(const std::string& org,
                                      std::uint64_t from_height,
                                      std::uint64_t to_height) {
-  Node& node = nodes_.at(org);
+  ledger::WorldState::Batch writes(nodes_.at(org).private_state);
   for (std::uint64_t h = from_height;
        h < to_height && h < ordered_log_.size(); ++h) {
     for (const ledger::Transaction& tx : ordered_log_[h].transactions) {
       if (tx.action != "private") continue;
-      const auto detail = private_details_.find(tx.id());
-      if (detail == private_details_.end() ||
-          !detail->second.recipients.contains(org)) {
-        continue;
-      }
-      // Same replay rule as apply_block: a detected replay is skipped.
-      const std::string nullifier(tx.payload.begin(), tx.payload.end());
-      const auto seen = nullifiers_.find(nullifier);
-      const bool replayed =
-          seen != nullifiers_.end() && seen->second.first != tx.id();
-      if (detection_ && replayed) continue;
-      for (const ledger::KvWrite& kv : detail->second.writes) {
-        if (kv.is_delete) {
-          node.private_state.erase(kv.key);
-        } else {
-          node.private_state.put(kv.key, kv.value);
-        }
-      }
+      // The apply-time replay rule; the nullifier is already on record.
+      const std::string id = tx.id();
+      const auto seen = nullifiers_.find(
+          std::string(tx.payload.begin(), tx.payload.end()));
+      write_private(org, id,
+                    seen != nullifiers_.end() && seen->second.first != id,
+                    writes);
     }
   }
-}
-
-std::uint64_t QuorumNetwork::blocks_applied(const std::string& org) const {
-  return nodes_.at(org).blocks_applied;
-}
-
-const ledger::SnapshotStore& QuorumNetwork::snapshot_store(
-    const std::string& org) const {
-  return nodes_.at(org).snapshots;
-}
-
-const ledger::WriteAheadLog& QuorumNetwork::node_wal(
-    const std::string& org) const {
-  return nodes_.at(org).wal;
-}
-
-const ledger::Chain& QuorumNetwork::public_chain(const std::string& org) const {
-  return nodes_.at(org).chain;
-}
-
-const ledger::WorldState& QuorumNetwork::public_state(
-    const std::string& org) const {
-  return nodes_.at(org).public_state;
-}
-
-const ledger::WorldState& QuorumNetwork::private_state(
-    const std::string& org) const {
-  return nodes_.at(org).private_state;
 }
 
 std::optional<common::Bytes> QuorumNetwork::private_payload(

@@ -28,10 +28,8 @@
 #include "ledger/admission.hpp"
 #include "ledger/chain.hpp"
 #include "ledger/mempool.hpp"
-#include "ledger/snapshot.hpp"
+#include "ledger/replica.hpp"
 #include "ledger/state.hpp"
-#include "ledger/triesync.hpp"
-#include "ledger/wal.hpp"
 #include "net/network.hpp"
 #include "net/overload.hpp"
 #include "net/reliable.hpp"
@@ -165,53 +163,57 @@ class QuorumNetwork {
   audit::EvidenceLog& evidence() { return evidence_; }
   const audit::EvidenceLog& evidence() const { return evidence_; }
 
-  /// Delivery catch-up: every live node that missed block deliveries
-  /// (loss, partition, retries exhausted) replays the shared block log up
-  /// to the current height. Crashed nodes catch up on restart instead.
+  /// Delivery catch-up: every live, unquarantined node replays the shared
+  /// block log past its tip (a node also seeks on its own when a delivery
+  /// arrives past a gap). Crashed nodes catch up on restart instead.
   void sync();
 
   // ---- Recovery tier (docs/fault_model.md "Recovery tier") -----------------
 
-  /// Rejoin for one lagging live node: fetch a peer's newer checkpoint
-  /// of the public state over TrieSync (ledger/triesync.hpp) — only the
-  /// trie nodes the node's own public state lacks move, every node is
-  /// hash-verified, the offered root is confirmed by a quorum of live
-  /// peers and the shared delivery log — install it, fill private state
-  /// for the skipped range from the node's own transaction manager, then
-  /// replay only the post-checkpoint tail. When no peer has a checkpoint
-  /// beyond this node's height the transfer fails over to plain replay —
-  /// rejoin() is always safe to call. `donors` overrides the candidate
-  /// order (tests put the Byzantine offerer first); default is every
-  /// live, unquarantined peer.
+  /// Rejoin one lagging live node (ledger::ReplicaSync::rejoin): install a
+  /// peer's newer checkpoint of the public state over TrieSync, its root
+  /// confirmed by a quorum of live peers and the shared delivery log,
+  /// fill private state for the skipped range from the node's own
+  /// transaction manager, then replay the tail. Always safe to call.
+  /// `donors` overrides the donor order (tests put the Byzantine offerer
+  /// first).
   void rejoin(const std::string& org, std::vector<std::string> donors = {});
-
-  /// Re-drive a rejoin stalled by message loss beyond the reliable
-  /// channel's retry budget (verified nodes are kept).
+  /// Re-drive a rejoin stalled by message loss (verified nodes are kept).
   void resume_rejoin(const std::string& org);
 
   /// Scripted rejoin adversary: when `org` is asked to donate a
   /// checkpoint it misbehaves instead.
-  enum class SnapshotAttack {
-    TamperNode,      // honest offer, one flipped byte in a served node
-    EquivocateRoot,  // offers and serves a tampered state's root
-  };
+  using SnapshotAttack = ledger::SnapshotAttack;
   void set_byzantine_snapshot_offerer(const std::string& org,
                                       SnapshotAttack attack);
 
-  std::uint64_t blocks_applied(const std::string& org) const;
-  const ledger::SnapshotStore& snapshot_store(const std::string& org) const;
-  const ledger::WriteAheadLog& node_wal(const std::string& org) const;
+  std::uint64_t blocks_applied(const std::string& org) const {
+    return replica(org).blocks_applied();
+  }
+  const ledger::SnapshotStore& snapshot_store(const std::string& org) const {
+    return replica(org).snapshots();
+  }
+  const ledger::WriteAheadLog& node_wal(const std::string& org) const {
+    return replica(org).wal();
+  }
   /// Rejoin engine counters (offers, votes, nodes and node bytes
   /// received, rejections, completions).
-  const ledger::TrieSyncStats& rejoin_stats() const {
-    return triesync_.stats();
-  }
+  const ledger::TrieSyncStats& rejoin_stats() const { return sync_.stats(); }
   std::uint64_t sealed_height() const { return ordered_log_.size(); }
 
-  /// Node views.
-  const ledger::Chain& public_chain(const std::string& org) const;
-  const ledger::WorldState& public_state(const std::string& org) const;
-  const ledger::WorldState& private_state(const std::string& org) const;
+  /// Node views. The replica holds the public chain and state.
+  const ledger::Replica& replica(const std::string& org) const {
+    return nodes_.at(org).replica;
+  }
+  const ledger::Chain& public_chain(const std::string& org) const {
+    return replica(org).chain();
+  }
+  const ledger::WorldState& public_state(const std::string& org) const {
+    return replica(org).state();
+  }
+  const ledger::WorldState& private_state(const std::string& org) const {
+    return nodes_.at(org).private_state;
+  }
 
   /// Private payload retrieval through the transaction manager; nullopt
   /// for non-recipients.
@@ -232,20 +234,13 @@ class QuorumNetwork {
  private:
   struct Node {
     crypto::KeyPair keypair;
-    ledger::Chain chain;
-    ledger::WorldState public_state;
+    ledger::Replica replica;  // public chain and state, WAL, checkpoints
+    /// Volatile; rides each checkpoint record as its aux sidecar.
     ledger::WorldState private_state;
     // Tessera-like store: tx id -> plaintext payload (recipients only).
     // The transaction manager is a separate durable process: it survives
     // a node crash, like the WAL does.
     std::map<std::string, common::Bytes> tm_store;
-    /// Durable block log replayed on restart.
-    ledger::WriteAheadLog wal;
-    /// Checkpoint driver: seals interval snapshots into the WAL
-    /// (compacting it) and keeps the latest resident for state transfer.
-    ledger::SnapshotStore snapshots;
-    /// Applied-record counter for the rejoin-delta assertions.
-    std::uint64_t blocks_applied = 0;
   };
 
   /// One submission for the commit path: a public write, a private
@@ -287,40 +282,25 @@ class QuorumNetwork {
   /// The commit path (see submit_private_many).
   std::vector<TxResult> submit_waves(const std::vector<Request>& requests,
                                      std::size_t pipeline_depth);
-  /// Wave admission: one batched signature check spanning `items[admit]`,
-  /// then a token per transaction (no-op unless verify_commits_).
-  void admit_wave_to_mempool(const std::vector<Prepared>& items,
-                             const std::vector<std::size_t>& admit);
-  /// Per-transaction signature validity for a block at apply time:
-  /// validate-once token hits skip verification, misses go through one
-  /// batched check. `digests` are the applying node's own hashes of the
-  /// block's bodies. All-ones unless verify_commits_.
-  std::vector<char> block_signatures_valid(
-      const ledger::Block& block, const std::vector<crypto::Digest>& digests,
-      const ledger::WorldState& state, bool replay);
   /// `ids` are the block's transaction ids, in order, as prepare()
   /// computed them.
   void deliver(const ledger::Block& block, const std::vector<std::string>& ids);
   void on_node_message(const std::string& self, const net::Message& msg);
-  /// Append one block to one node's replica. `replay` marks WAL recovery
-  /// (already durable, already observed — no re-log, no auditor record).
-  /// `encoded` is the delivered payload the block was decoded from,
-  /// logged to the WAL as it is; empty for blocks from the ordered log.
-  void apply_block(const std::string& org, const ledger::Block& block,
-                   bool replay = false, common::BytesView encoded = {});
-  void on_node_crash(const std::string& org);
-  void on_node_restart(const std::string& org);
-
-  // TrieSync callbacks (recovery tier; scope is always "quorum").
-  std::optional<ledger::TrieSync::DonorState> provide_trie(
-      const std::string& self, const std::string& scope);
-  bool check_offer(std::uint64_t height, const crypto::Digest& tip_hash) const;
-  void install_delta(const std::string& org, std::uint64_t height,
-                     const crypto::Digest& tip_hash, ledger::WorldState state);
-  void on_transfer_reject(const std::string& self, const std::string& donor,
-                          ledger::TransferReject reason,
-                          common::BytesView proof_a,
-                          common::BytesView proof_b);
+  /// One node's block apply (ledger::Replica::Hooks::apply); a Quorum
+  /// node rejects no block. `replay` marks WAL recovery (already durable,
+  /// already observed — no re-log, no auditor record). `encoded` is the
+  /// delivered payload the block was decoded from, logged to the WAL as
+  /// it is; empty for blocks from the ordered log.
+  bool apply_block(const std::string& org, ledger::Block block, bool replay,
+                   common::BytesView encoded);
+  /// Signed evidence from `reporter`, and `accused` quarantined.
+  void convict(audit::Misbehavior kind, const std::string& accused,
+               const std::string& reporter, std::string detail,
+               common::Bytes proof_a, common::Bytes proof_b);
+  /// Stage `org`'s private writes of private transaction `id`, if it is a
+  /// recipient and the transaction is not a detected replay.
+  void write_private(const std::string& org, const std::string& id,
+                     bool replayed, ledger::WorldState::Batch& writes) const;
   /// Private writes in a skipped block range come from the node's own
   /// transaction manager (which retained the plaintext), never the wire.
   void catch_up_private(const std::string& org, std::uint64_t from_height,
@@ -332,13 +312,9 @@ class QuorumNetwork {
   std::size_t block_size_;
   net::ReliableChannel channel_;
   ledger::SnapshotConfig snapshot_config_;
-  ledger::TrieSync triesync_;
+  /// Rejoin over TrieSync; the scope is always "quorum".
+  ledger::ReplicaSync sync_;
   std::map<std::string, Node> nodes_;
-  std::map<std::string, SnapshotAttack> byz_offerers_;
-  /// Forged states served by EquivocateRoot adversaries (the engine holds
-  /// the provider's pointer across the serve rounds, so the forgery must
-  /// outlive the callback).
-  std::map<std::string, ledger::WorldState> forged_states_;
   /// A sealed-to-be transaction with the id prepare() computed for it.
   struct PendingTx {
     ledger::Transaction tx;
@@ -356,8 +332,6 @@ class QuorumNetwork {
     std::vector<ledger::KvWrite> writes;
   };
   std::map<std::string, PrivateDetail> private_details_;
-  std::uint64_t next_height_ = 0;
-  crypto::Digest tip_hash_{};
   std::uint64_t public_count_ = 0;
   std::uint64_t private_count_ = 0;
   std::uint64_t nonce_ = 0;

@@ -276,5 +276,27 @@ TEST_F(ShardTest, ReplicaResyncsAfterDowntime) {
   EXPECT_EQ(shards_.replica_root(0, 0), shards_.shard_root(0));
 }
 
+TEST_F(ShardTest, ReplicaConvergesWithBlocksInFlight) {
+  // Two blocks in flight at once: the jittered latency lets the second
+  // overtake the first. A replica that receives a block past a gap seeks
+  // the shard's ordered log instead of dropping it, so every later block
+  // still applies — no resync_all() needed.
+  ShardConfig cfg;
+  cfg.scope = "inflight";
+  cfg.shard_count = 1;
+  cfg.replicas_per_shard = 1;
+  cfg.block_size = 2;
+  ShardMap shards(net_, channel_, crypto::Group::test_group(), rng_, cfg);
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_TRUE(shards.submit(local_tx("k/" + std::to_string(i), i)).accepted);
+    if (i % 4 == 3) net_.run();
+  }
+  EXPECT_EQ(shards.height(0), 20u);
+  EXPECT_EQ(shards.node(0, 1).chain().height(), 20u);
+  EXPECT_EQ(shards.node(0, 1).chain().tip_hash(),
+            shards.node(0, 0).chain().tip_hash());
+  EXPECT_EQ(shards.replica_root(0, 0), shards.shard_root(0));
+}
+
 }  // namespace
 }  // namespace veil::ledger

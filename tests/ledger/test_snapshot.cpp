@@ -26,8 +26,7 @@ TEST(SnapshotStore, DisabledByDefault) {
   SnapshotStore store;
   WriteAheadLog wal;
   EXPECT_FALSE(store.enabled());
-  EXPECT_FALSE(
-      store.maybe_checkpoint(wal, 4, tip("t"), sample_state(3)));
+  EXPECT_FALSE(store.due(4));
   EXPECT_EQ(store.latest(), nullptr);
   EXPECT_EQ(wal.record_count(), 0u);
 }
@@ -40,7 +39,8 @@ TEST(SnapshotStore, IntervalCheckpointsAndCompactsWal) {
   for (std::uint64_t height = 1; height <= 12; ++height) {
     state.put("k" + std::to_string(height), to_bytes("v"));
     wal.append(kWalBlock, to_bytes("blk"));  // stand-in block record
-    if (store.maybe_checkpoint(wal, height, tip("t"), state)) {
+    if (store.due(height)) {
+      store.checkpoint(wal, height, tip("t"), state);
       ++checkpoints;
       // Compaction leaves exactly the checkpoint record.
       EXPECT_EQ(wal.record_count(), 1u);

@@ -127,7 +127,9 @@ class TransferTest : public ::testing::Test {
         r.height = height;
         r.tip = next_tip(r.tip, height);
         sealed_tips_[height] = r.tip;
-        r.store.maybe_checkpoint(r.wal, height, r.tip, r.live);
+        if (r.store.due(height)) {
+          r.store.checkpoint(r.wal, height, r.tip, r.live);
+        }
       }
     }
   }

@@ -142,7 +142,7 @@ TEST(Wal, CheckpointPlusBlocksRoundTrip) {
   const crypto::Digest tip = crypto::sha256(std::string_view("fake-tip"));
 
   WriteAheadLog wal;
-  wal_log_checkpoint(wal, 5, tip, snap_state);
+  wal_checkpoint_compact(wal, 5, tip, snap_state);
   Block block = make_block(5, tip, "post-snap");
   wal_log_block(wal, block);
 

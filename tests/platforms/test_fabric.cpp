@@ -352,6 +352,20 @@ TEST_F(FabricTest, LeaveChannelStopsNewDataButKeepsOld) {
   EXPECT_FALSE(fab_.is_channel_member("trade", "OrgB"));
 }
 
+TEST_F(FabricTest, LeftPeerRestartRecoversWithoutNewBlocks) {
+  fab_.submit("trade", "OrgA", "kv", "put:before", to_bytes("1"));
+  fab_.leave_channel("trade", "OrgB");
+  fab_.submit("trade", "OrgA", "kv", "put:after", to_bytes("2"));
+  const std::uint64_t seen = fab_.auditor().bytes_seen("peer.OrgB", "tx/");
+  // A restart rebuilds the retained replica from its WAL, but seeks no
+  // block the channel cut after the org left.
+  net_.crash("peer.OrgB");
+  net_.restart("peer.OrgB");
+  EXPECT_TRUE(fab_.state("trade", "OrgB").get("before").has_value());
+  EXPECT_FALSE(fab_.state("trade", "OrgB").get("after").has_value());
+  EXPECT_EQ(fab_.auditor().bytes_seen("peer.OrgB", "tx/"), seen);
+}
+
 TEST_F(FabricTest, PdcRequiredPeerCountEnforced) {
   fab_.create_channel("wide2", {"OrgA", "OrgB", "OrgC"});
   fab_.install_chaincode("wide2", "OrgA", kv_chaincode(),
