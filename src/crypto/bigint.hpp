@@ -9,8 +9,9 @@
 // moduli up to 2048 bits through the fixed-width Montgomery kernel in
 // montgomery.hpp (64-bit limbs on the stack), and Group keeps its
 // products there too, so BigInt only sees conversions at those APIs and
-// the short scalar arithmetic mod q. Wider or even moduli take the
-// classic square-and-multiply path in mod_pow.
+// the short scalar arithmetic mod q outside signing (which runs on
+// ScalarField). Wider or even moduli take the classic square-and-multiply
+// path in mod_pow.
 //
 // BigInt is non-negative. Subtraction below zero throws; signed
 // book-keeping needed by the extended Euclidean algorithm is internal to

@@ -12,6 +12,7 @@ struct Features {
   bool aesni = false;
   bool shani = false;
   bool sse41 = false;
+  bool adx_bmi2 = false;
 };
 
 Features detect() {
@@ -24,6 +25,7 @@ Features detect() {
   }
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
     f.shani = (ebx & (1u << 29)) != 0;
+    f.adx_bmi2 = (ebx & (1u << 8)) != 0 && (ebx & (1u << 19)) != 0;
   }
 #endif
   return f;
@@ -39,5 +41,6 @@ const Features& features() {
 bool cpu_has_aesni() { return features().aesni; }
 bool cpu_has_shani() { return features().shani; }
 bool cpu_has_sse41() { return features().sse41; }
+bool cpu_has_adx_bmi2() { return features().adx_bmi2; }
 
 }  // namespace veil::crypto

@@ -41,32 +41,50 @@ FixedBaseTable::FixedBaseTable(std::shared_ptr<const MontgomeryCtx> ctx,
   });
 }
 
-BigInt FixedBaseTable::pow(const BigInt& e) const {
+template <std::size_t K>
+void FixedBaseTable::accumulate(MontgomeryCtx::Limb* acc, bool& any,
+                                const BigInt& e) const {
   const std::size_t bits = e.bit_length();
-  if (bits > digits_ * window_bits_) {
-    return ctx_->pow(base_, e);
+  const std::vector<std::uint32_t>& limbs = e.limbs();
+  const std::uint32_t mask = static_cast<std::uint32_t>(row_);
+  for (std::size_t i = 0; i * window_bits_ < bits; ++i) {
+    const std::size_t pos = i * window_bits_;
+    const std::uint32_t digit = (limbs[pos / 32] >> (pos % 32)) & mask;
+    if (digit == 0) continue;
+    const MontgomeryCtx::Limb* entry = &windows_[(i * row_ + digit - 1) * K];
+    if (any) {
+      ctx_->mul<K>(acc, acc, entry);
+    } else {
+      std::copy(entry, entry + K, acc);
+      any = true;
+    }
   }
+}
+
+BigInt FixedBaseTable::pow(const BigInt& e) const {
+  if (!covers(e)) return ctx_->pow(base_, e);
   // Product of one table entry per nonzero w-bit exponent digit; no
   // squarings.
   return ctx_->dispatch([&](auto width) {
     constexpr std::size_t K = width;
     std::array<MontgomeryCtx::Limb, K> acc{};
     bool any = false;
-    const std::vector<std::uint32_t>& limbs = e.limbs();
-    const std::uint32_t mask = static_cast<std::uint32_t>(row_);
-    for (std::size_t i = 0; i * window_bits_ < bits; ++i) {
-      const std::size_t pos = i * window_bits_;
-      const std::uint32_t digit = (limbs[pos / 32] >> (pos % 32)) & mask;
-      if (digit == 0) continue;
-      const MontgomeryCtx::Limb* entry =
-          &windows_[(i * row_ + digit - 1) * K];
-      if (any) {
-        ctx_->mul<K>(acc.data(), acc.data(), entry);
-      } else {
-        std::copy(entry, entry + K, acc.begin());
-        any = true;
-      }
-    }
+    accumulate<K>(acc.data(), any, e);
+    return any ? ctx_->leave<K>(acc.data()) : BigInt(1);
+  });
+}
+
+BigInt FixedBaseTable::pow_mul(const BigInt& e, const FixedBaseTable& other,
+                               const BigInt& f) const {
+  if (ctx_ != other.ctx_ || !covers(e) || !other.covers(f)) {
+    return ctx_->mod_mul(pow(e), other.pow(f));
+  }
+  return ctx_->dispatch([&](auto width) {
+    constexpr std::size_t K = width;
+    std::array<MontgomeryCtx::Limb, K> acc{};
+    bool any = false;
+    accumulate<K>(acc.data(), any, e);
+    other.accumulate<K>(acc.data(), any, f);
     return any ? ctx_->leave<K>(acc.data()) : BigInt(1);
   });
 }
@@ -129,6 +147,7 @@ Group::Group(BigInt p, BigInt q, BigInt g, BigInt h)
       q_(std::move(q)),
       g_(std::move(g)),
       h_(std::move(h)),
+      scalars_(q_),
       key_cache_(std::make_shared<KeyCache>()) {
   // The Montgomery context must exist before the is_element checks below,
   // which route through pow().
@@ -254,7 +273,7 @@ BigInt Group::hash_to_scalar(common::BytesView data) const {
   std::array<std::uint8_t, 2 * kSha256DigestSize> wide;
   std::copy(d1.begin(), d1.end(),
             std::copy(d0.begin(), d0.end(), wide.begin()));
-  return BigInt::from_bytes_be(wide) % q_;
+  return ScalarField::to_big(scalars_.reduce(wide));
 }
 
 BigInt Group::hash_to_element(common::BytesView data) const {

@@ -15,6 +15,7 @@
 #include "common/rng.hpp"
 #include "crypto/bigint.hpp"
 #include "crypto/montgomery.hpp"
+#include "crypto/scalar_field.hpp"
 #include "crypto/sha256.hpp"
 
 namespace veil::crypto {
@@ -38,9 +39,22 @@ class FixedBaseTable {
 
   /// base^e mod n.
   BigInt pow(const BigInt& e) const;
+  /// base^e * other.base()^f mod n. Over one shared context both
+  /// exponents' digits feed one accumulator: one conversion out and no
+  /// modular multiply of two results.
+  BigInt pow_mul(const BigInt& e, const FixedBaseTable& other,
+                 const BigInt& f) const;
   const BigInt& base() const { return base_; }
 
  private:
+  bool covers(const BigInt& e) const {
+    return e.bit_length() <= digits_ * window_bits_;
+  }
+  /// acc *= base^e, one product per nonzero digit; `any` says whether
+  /// acc holds a value yet (it starts as the first entry, not as 1).
+  template <std::size_t K>
+  void accumulate(MontgomeryCtx::Limb* acc, bool& any, const BigInt& e) const;
+
   std::shared_ptr<const MontgomeryCtx> ctx_;
   BigInt base_;
   std::size_t window_bits_;
@@ -53,9 +67,10 @@ class FixedBaseTable {
 
 class Group {
  public:
-  /// p: field prime; q: subgroup order (q | p-1); g: generator of the
-  /// order-q subgroup; h: second independent generator (for Pedersen),
-  /// derived as SHA-based hash-to-group so log_g(h) is unknown.
+  /// p: field prime; q: subgroup order (q | p-1, at most 256 bits); g:
+  /// generator of the order-q subgroup; h: second independent generator
+  /// (for Pedersen), derived as SHA-based hash-to-group so log_g(h) is
+  /// unknown.
   Group(BigInt p, BigInt q, BigInt g, BigInt h);
 
   /// 1024-bit p / 256-bit q production-style parameters.
@@ -82,6 +97,13 @@ class Group {
   BigInt pow_h(const BigInt& e) const {
     return h_table_ ? h_table_->pow(e) : h_.mod_pow(e, p_);
   }
+  /// g^s * table.base()^e mod p: a Schnorr verification's g^s * y^e
+  /// from two tables in one accumulator.
+  BigInt pow_g_mul(const BigInt& s, const FixedBaseTable& table,
+                   const BigInt& e) const {
+    return g_table_ ? g_table_->pow_mul(s, table, e)
+                    : mul(pow_g(s), table.pow(e));
+  }
   /// Window width of the g and h tables.
   static constexpr std::size_t kGeneratorWindowBits = 8;
   /// a*b mod p (two Montgomery products).
@@ -94,6 +116,9 @@ class Group {
   }
   /// Multiplicative inverse mod p.
   BigInt inv(const BigInt& a) const { return a.mod_inverse(p_); }
+
+  /// Division-free arithmetic mod q (signing's scalars, challenges).
+  const ScalarField& scalars() const { return scalars_; }
 
   /// The group's Montgomery context for Z_p* arithmetic.
   const std::shared_ptr<const MontgomeryCtx>& mont() const { return mont_p_; }
@@ -144,6 +169,7 @@ class Group {
 
  private:
   BigInt p_, q_, g_, h_;
+  ScalarField scalars_;
   // Shared so Group keeps value semantics: copies reuse the same
   // precomputation (all members above are immutable after construction).
   std::shared_ptr<const MontgomeryCtx> mont_p_;

@@ -11,6 +11,19 @@
 
 namespace veil::crypto {
 
+/// HMAC-SHA256 under one key (any length). The key's inner and outer
+/// SHA-256 states, after their pad blocks, are computed once, so each
+/// mac() hashes only `data` and the two finishing blocks.
+class HmacSha256 {
+ public:
+  explicit HmacSha256(common::BytesView key);
+  Digest mac(common::BytesView data) const;
+
+ private:
+  Sha256 inner_;
+  Sha256 outer_;
+};
+
 /// HMAC-SHA256 over `data` with `key` (any key length).
 Digest hmac_sha256(common::BytesView key, common::BytesView data);
 

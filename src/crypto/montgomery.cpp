@@ -5,19 +5,12 @@
 #include <mutex>
 #include <vector>
 
+#include "crypto/cpu_features.hpp"
 #include "crypto/montgomery_kernel.hpp"
 
 namespace veil::crypto {
 
 namespace {
-
-// -x^-1 mod 2^64 for odd x, by Newton iteration: each step doubles the
-// number of correct low bits, and x itself is already correct mod 8.
-std::uint64_t neg_inverse_u64(std::uint64_t x) {
-  std::uint64_t inv = x;
-  for (int i = 0; i < 5; ++i) inv *= 2u - x * inv;
-  return ~inv + 1u;
-}
 
 bool usable(const BigInt& n) {
   return n.is_odd() && n != BigInt(1) &&
@@ -64,7 +57,8 @@ void pow_mont(const MontgomeryCtx& ctx, const MontgomeryCtx::Limb* base,
 MontgomeryCtx::MontgomeryCtx(const BigInt& n) : n_(n) {
   k_ = (n_.bit_length() + 63) / 64;
   load(n_, n_limbs_.data());
-  n0inv_ = neg_inverse_u64(n_limbs_[0]);
+  n0inv_ = mont_detail::neg_inverse_u64(n_limbs_[0]);
+  adx_ = k_ == 8 && cpu_has_adx_bmi2();
   // R mod n and R^2 mod n by division alone: no wide multiplies.
   const BigInt r_mod_n = (BigInt(1) << (64 * k_)) % n_;
   load(r_mod_n, one_.data());

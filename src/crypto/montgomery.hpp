@@ -12,7 +12,9 @@
 // stack arrays, column sums in unsigned __int128, and R = 2^(64K).
 // Values stay in Montgomery form for a whole exponentiation or fixed-base
 // table lookup; BigInt appears only at this class's API and at the Group
-// API above it. The limb-level templates live in montgomery_kernel.hpp.
+// API above it. The limb-level templates live in montgomery_kernel.hpp;
+// 512-bit moduli run an x86-64 MULX/ADX product there when CPUID reports
+// BMI2 and ADX, and the portable product everywhere else.
 //
 // Contexts are cheap to build but not free (two divisions for R mod n and
 // R^2 mod n), so callers with a long-lived modulus hold one context and
@@ -98,6 +100,7 @@ class MontgomeryCtx {
   BigInt n_;
   std::size_t k_ = 0;      // 64-bit limb count of n_
   Limb n0inv_ = 0;         // -n^-1 mod 2^64
+  bool adx_ = false;       // k_ == 8 on a CPU with MULX and ADCX/ADOX
   std::array<Limb, kMaxLimbs> n_limbs_{};
   std::array<Limb, kMaxLimbs> one_{};  // R mod n, R = 2^(64k)
   std::array<Limb, kMaxLimbs> r2_{};   // R^2 mod n, converts into the domain

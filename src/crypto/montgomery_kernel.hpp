@@ -6,6 +6,12 @@
 // instantiations once per operation (pow, table build, table lookup), not
 // once per product. Included only by the crypto translation units that
 // run whole operations in the Montgomery domain.
+//
+// Two kernels compute the product: the portable one below for every width,
+// and for K = 8 (512-bit moduli) an x86-64 MULX/ADCX/ADOX one in
+// montgomery_adx.cpp, which MontgomeryCtx uses when cpu_has_adx_bmi2().
+// Both return the one value in [0, n), so a result never depends on which
+// ran.
 #pragma once
 
 #include <array>
@@ -20,6 +26,14 @@ namespace mont_detail {
 
 using u128 = unsigned __int128;
 using Limb = MontgomeryCtx::Limb;
+
+/// -x^-1 mod 2^64 for odd x, by Newton iteration: each step doubles the
+/// number of correct low bits, and x itself is already correct mod 8.
+inline Limb neg_inverse_u64(Limb x) {
+  Limb inv = x;
+  for (int i = 0; i < 5; ++i) inv *= 2u - x * inv;
+  return ~inv + 1u;
+}
 
 /// Three-limb column accumulator (hi:lo) for product scanning.
 struct Column {
@@ -46,6 +60,69 @@ inline Limb shift(Column& c) {
   return low;
 }
 
+// Montgomery multiplication by finely integrated product scanning (Koç,
+// Acar and Kaliski's FIPS):
+// column k of a*b + m*n is summed into a three-limb accumulator, where
+// m_i = (low limb of column i) * -n^-1 cancels the low limb of each of
+// the first K columns, and the remaining columns are the result shifted
+// down by R = 2^(64K). The a*b and m*n products of a column feed two
+// separate accumulators, so their carry chains overlap. Compared with
+// operand scanning (CIOS), which rewrites a K+2-limb row per step, the
+// column form keeps every carry in registers; under GCC it measured about
+// 1.5-2x faster on the 512- to 2048-bit moduli used here. With a, b < n
+// the result before the final subtraction is < 2n, so one conditional
+// subtract of n (counting the bit that spilled into t[K]) lands it in
+// [0, n).
+//
+// out = a*b*R^-1 mod n, with n0inv = -n^-1 mod 2^64. Inputs < n; out may
+// alias a or b.
+template <std::size_t K>
+void mul_portable(Limb* out, const Limb* a, const Limb* b, const Limb* n,
+                  Limb n0inv) {
+  std::array<Limb, K> m{};
+  std::array<Limb, K + 1> t{};
+  Column acc;
+  for (std::size_t i = 0; i < K; ++i) {
+    Column mn;
+    for (std::size_t j = 0; j < i; ++j) {
+      mac(acc, a[j], b[i - j]);
+      mac(mn, m[j], n[i - j]);
+    }
+    mac(acc, a[i], b[0]);
+    fold(acc, mn);
+    m[i] = static_cast<Limb>(acc.lo) * n0inv;
+    mac(acc, m[i], n[0]);  // the column's low limb is now zero
+    shift(acc);
+  }
+  for (std::size_t i = K; i < 2 * K - 1; ++i) {
+    Column mn;
+    for (std::size_t j = i - K + 1; j < K; ++j) {
+      mac(acc, a[j], b[i - j]);
+      mac(mn, m[j], n[i - j]);
+    }
+    fold(acc, mn);
+    t[i - K] = shift(acc);
+  }
+  t[K - 1] = shift(acc);
+  t[K] = static_cast<Limb>(acc.lo);
+
+  std::array<Limb, K> diff{};
+  Limb borrow = 0;
+  for (std::size_t j = 0; j < K; ++j) {
+    const u128 d = static_cast<u128>(t[j]) - n[j] - borrow;
+    diff[j] = static_cast<Limb>(d);
+    borrow = static_cast<Limb>(d >> 64) & 1;
+  }
+  const bool reduce = t[K] != 0 || borrow == 0;
+  for (std::size_t j = 0; j < K; ++j) out[j] = reduce ? diff[j] : t[j];
+}
+
+/// mul_portable<8> with MULX/ADCX/ADOX; same contract. Generated into
+/// montgomery_adx.cpp by tools/gen_montgomery_adx.py. Call it only when
+/// cpu_has_adx_bmi2(); off x86-64 ELF targets it is mul_portable<8>.
+extern "C" void veil_mont_mul8_adx(Limb* out, const Limb* a, const Limb* b,
+                                   const Limb* n, Limb n0inv);
+
 template <class F, std::size_t... I>
 decltype(auto) dispatch_width(std::size_t k, F& f,
                               std::index_sequence<I...>) {
@@ -64,63 +141,15 @@ decltype(auto) MontgomeryCtx::dispatch(F&& f) const {
                                      std::make_index_sequence<kMaxLimbs>{});
 }
 
-// Montgomery multiplication by finely integrated product scanning (Koç,
-// Acar and Kaliski's FIPS):
-// column k of a*b + m*n is summed into a three-limb accumulator, where
-// m_i = (low limb of column i) * -n^-1 cancels the low limb of each of
-// the first K columns, and the remaining columns are the result shifted
-// down by R = 2^(64K). The a*b and m*n products of a column feed two
-// separate accumulators, so their carry chains overlap. Compared with
-// operand scanning (CIOS), which rewrites a K+2-limb row per step, the
-// column form keeps every carry in registers; under GCC it measured about
-// 1.5-2x faster on the 512- to 2048-bit moduli used here. With a, b < n
-// the result before the final subtraction is < 2n, so one conditional
-// subtract of n (counting the bit that spilled into t[K]) lands it in
-// [0, n).
 template <std::size_t K>
 void MontgomeryCtx::mul(Limb* out, const Limb* a, const Limb* b) const {
-  using mont_detail::Column;
-  using mont_detail::fold;
-  using mont_detail::mac;
-  using mont_detail::shift;
-  const Limb* n = n_limbs_.data();
-  std::array<Limb, K> m{};
-  std::array<Limb, K + 1> t{};
-  Column acc;
-  for (std::size_t i = 0; i < K; ++i) {
-    Column mn;
-    for (std::size_t j = 0; j < i; ++j) {
-      mac(acc, a[j], b[i - j]);
-      mac(mn, m[j], n[i - j]);
+  if constexpr (K == 8) {
+    if (adx_) {
+      mont_detail::veil_mont_mul8_adx(out, a, b, n_limbs_.data(), n0inv_);
+      return;
     }
-    mac(acc, a[i], b[0]);
-    fold(acc, mn);
-    m[i] = static_cast<Limb>(acc.lo) * n0inv_;
-    mac(acc, m[i], n[0]);  // the column's low limb is now zero
-    shift(acc);
   }
-  for (std::size_t i = K; i < 2 * K - 1; ++i) {
-    Column mn;
-    for (std::size_t j = i - K + 1; j < K; ++j) {
-      mac(acc, a[j], b[i - j]);
-      mac(mn, m[j], n[i - j]);
-    }
-    fold(acc, mn);
-    t[i - K] = shift(acc);
-  }
-  t[K - 1] = shift(acc);
-  t[K] = static_cast<Limb>(acc.lo);
-
-  using mont_detail::u128;
-  std::array<Limb, K> diff{};
-  Limb borrow = 0;
-  for (std::size_t j = 0; j < K; ++j) {
-    const u128 d = static_cast<u128>(t[j]) - n[j] - borrow;
-    diff[j] = static_cast<Limb>(d);
-    borrow = static_cast<Limb>(d >> 64) & 1;
-  }
-  const bool reduce = t[K] != 0 || borrow == 0;
-  for (std::size_t j = 0; j < K; ++j) out[j] = reduce ? diff[j] : t[j];
+  mont_detail::mul_portable<K>(out, a, b, n_limbs_.data(), n0inv_);
 }
 
 template <std::size_t K>

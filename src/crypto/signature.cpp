@@ -1,7 +1,6 @@
 #include "crypto/signature.hpp"
 
 #include "common/error.hpp"
-#include "crypto/hmac.hpp"
 
 namespace veil::crypto {
 
@@ -101,7 +100,10 @@ Signature Signature::decode(common::BytesView data) {
 }
 
 KeyPair::KeyPair(const Group& group, BigInt secret)
-    : group_(&group), secret_(std::move(secret)) {
+    : group_(&group),
+      secret_(std::move(secret)),
+      x_(group.scalars().reduce(secret_)),
+      nonce_mac_(secret_.to_bytes_be()) {
   public_key_.y = group.pow_g(secret_);
 }
 
@@ -119,22 +121,22 @@ KeyPair KeyPair::from_secret(const Group& group, const BigInt& secret) {
 
 Signature KeyPair::sign(common::BytesView message) const {
   const Group& group = *group_;
+  const ScalarField& scalars = group.scalars();
   // Deterministic nonce: k = HMAC(secret, message) reduced mod q, nonzero.
-  common::Bytes seed = secret_.to_bytes_be();
-  Digest mac = hmac_sha256(seed, message);
-  BigInt k = BigInt::from_bytes_be(digest_bytes(mac)) % group.q();
-  while (k.is_zero()) {
-    mac = hmac_sha256(seed, digest_bytes(mac));
-    k = BigInt::from_bytes_be(digest_bytes(mac)) % group.q();
+  Digest mac = nonce_mac_.mac(message);
+  ScalarField::Scalar k = scalars.reduce(mac);
+  while (ScalarField::is_zero(k)) {
+    mac = nonce_mac_.mac(mac);
+    k = scalars.reduce(mac);
   }
 
-  const BigInt commitment = group.pow_g(k);  // R = g^k
+  const BigInt commitment = group.pow_g(ScalarField::to_big(k));  // R = g^k
   const BigInt e =
       schnorr_challenge(group, commitment, public_key_.y, message);
   // s = k - x*e mod q.
-  const BigInt xe = (secret_ * e) % group.q();
-  const BigInt s = (k + group.q() - xe) % group.q();
-  return Signature{e, s, commitment};
+  const ScalarField::Scalar s =
+      scalars.sub(k, scalars.mul(x_, scalars.reduce(e)));
+  return Signature{e, ScalarField::to_big(s), commitment};
 }
 
 bool verify(const Group& group, const PublicKey& pub,
@@ -146,10 +148,12 @@ bool verify(const Group& group, const PublicKey& pub,
   // one AND hash to the transmitted challenge. The equation forces R into
   // the order-q subgroup (its right-hand side is a product of subgroup
   // elements), so no separate membership check on R is needed. A key
-  // seen before brings its own fixed-base table for y^e.
-  const BigInt y_e = key.table ? key.table->pow(sig.challenge)
-                               : group.pow(pub.y, sig.challenge);
-  const BigInt r_prime = group.mul(group.pow_g(sig.response), y_e);
+  // seen before brings its own fixed-base table for y^e, which shares
+  // one accumulator with g's.
+  const BigInt r_prime =
+      key.table ? group.pow_g_mul(sig.response, *key.table, sig.challenge)
+                : group.mul(group.pow_g(sig.response),
+                            group.pow(pub.y, sig.challenge));
   if (sig.commitment != r_prime) return false;
   const BigInt e = schnorr_challenge(group, r_prime, pub.y, message);
   return e == sig.challenge;

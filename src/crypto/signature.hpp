@@ -14,6 +14,7 @@
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "crypto/group.hpp"
+#include "crypto/hmac.hpp"
 
 namespace veil::crypto {
 
@@ -71,6 +72,10 @@ class KeyPair {
   const Group* group_;
   BigInt secret_;
   PublicKey public_key_;
+  // The secret as a scalar mod q, and the nonce HMAC keyed with its
+  // minimal big-endian bytes; both fixed for the key's life.
+  ScalarField::Scalar x_;
+  HmacSha256 nonce_mac_;
 };
 
 /// Verify `sig` on `message` under `pub` in `group`.

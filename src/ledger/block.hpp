@@ -37,9 +37,10 @@ struct Block {
   /// Parse a received block. The Merkle leaves are the transaction bytes
   /// as received, so decode rejects a body that does not reproduce
   /// `header.tx_root`. It also rejects trailing bytes and non-minimal
-  /// length prefixes, so the framing is canonical; once Chain::append has
-  /// checked the root over the re-encoded transactions too, the received
-  /// bytes equal encode() and a replica logs them as they are.
+  /// length prefixes, and Transaction::decode refuses every non-canonical
+  /// transaction encoding, so the received bytes equal encode(): a
+  /// replica logs them as they are, and Chain::append need not check the
+  /// root again.
   static Block decode(common::BytesView data);
 };
 

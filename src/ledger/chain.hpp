@@ -31,8 +31,10 @@ class Chain {
   /// Validate linkage + body integrity and append. Throws
   /// common::LedgerError on invalid blocks. Returns the stored block,
   /// valid until the next append or prune: a caller that moves its block
-  /// in reads it back from here.
-  const Block& append(Block block);
+  /// in reads it back from here. `body_checked` skips the body check for
+  /// a block that Block::decode produced, which already matched the
+  /// header's root over the bytes the transactions re-encode to.
+  const Block& append(Block block, bool body_checked = false);
 
   std::uint64_t height() const;  // number of blocks ever appended
   const crypto::Digest& tip_hash() const { return tip_hash_; }

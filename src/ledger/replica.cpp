@@ -43,7 +43,11 @@ const Block& Replica::commit(Block block, bool replay,
   // WAL invariant: the block is durable before any in-memory mutation.
   if (!replay && encoded.empty()) wal_log_block(wal_, block);
   if (!replay && !encoded.empty()) wal_log_block(wal_, encoded);
-  return chain_.append(std::move(block));
+  // A delivered block and a replayed WAL record both come out of
+  // Block::decode, which matched the body to the header root; a block
+  // from the sealed log is an in-memory copy and is checked again.
+  return chain_.append(std::move(block),
+                       /*body_checked=*/replay || !encoded.empty());
 }
 
 void Replica::deliver(Block block, common::BytesView encoded) {

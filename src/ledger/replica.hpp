@@ -80,7 +80,9 @@ class Replica {
   /// extend the chain or the platform rejects it.
   bool apply(Block block, bool replay = false, common::BytesView encoded = {});
   /// WAL (not on replay; a delivered block in the bytes it arrived in),
-  /// then chain. Returns the stored block.
+  /// then chain. Returns the stored block. The chain re-checks the body
+  /// only of a log block: a delivered or replayed one was decoded, and
+  /// decode already checked it.
   const Block& commit(Block block, bool replay, common::BytesView encoded);
   /// Drop a duplicate; drop a block whose header differs from the sealed
   /// one; seek the log over a gap; apply.

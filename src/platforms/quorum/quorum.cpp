@@ -258,8 +258,12 @@ std::vector<TxResult> QuorumNetwork::submit_waves(
     // fixed in stage A.
     for (Prepared& it : items) {
       const common::BytesView msg(it.digest.data(), it.digest.size());
-      it.tx.endorsements.push_back(ledger::Endorsement{
-          it.from, it.keypair->public_key(), it.keypair->sign(msg)});
+      crypto::Signature sig = it.keypair->sign(msg);
+      if (forgers_.contains(it.from)) {
+        sig.response = (sig.response + crypto::BigInt(1)) % group_->q();
+      }
+      it.tx.endorsements.push_back(
+          ledger::Endorsement{it.from, it.keypair->public_key(), sig});
       for (std::size_t r = 0; r < it.push_targets.size(); ++r) {
         const common::Bytes pair_key = crypto::hkdf(
             {}, common::to_bytes(it.from + "|" + it.push_targets[r]),
@@ -585,13 +589,23 @@ void QuorumNetwork::write_private(const std::string& org,
 void QuorumNetwork::catch_up_private(const std::string& org,
                                      std::uint64_t from_height,
                                      std::uint64_t to_height) {
-  ledger::WorldState::Batch writes(nodes_.at(org).private_state);
+  Node& node = nodes_.at(org);
+  ledger::WorldState::Batch writes(node.private_state);
   for (std::uint64_t h = from_height;
        h < to_height && h < ordered_log_.size(); ++h) {
-    for (const ledger::Transaction& tx : ordered_log_[h].transactions) {
-      if (tx.action != "private") continue;
+    const ledger::Block& block = ordered_log_[h];
+    // The apply-time verdicts: one hash per body for the ids and, in a
+    // verify-commits deployment, the endorsement check. No token speaks
+    // for a block this node never applied, so every signature is checked.
+    const ledger::Mempool::BlockCheck check = mempool_.check_block(
+        batch_verifier_, block, node.replica.state(), /*replay=*/true,
+        verify_commits_, network_->clock().now());
+    for (std::size_t i = 0; i < block.transactions.size(); ++i) {
+      const ledger::Transaction& tx = block.transactions[i];
+      // A forged endorsement mutates no state, as at apply time.
+      if (tx.action != "private" || check.all_valid[i] == 0) continue;
       // The apply-time replay rule; the nullifier is already on record.
-      const std::string id = tx.id();
+      const std::string& id = check.ids[i];
       const auto seen = nullifiers_.find(
           std::string(tx.payload.begin(), tx.payload.end()));
       write_private(org, id,

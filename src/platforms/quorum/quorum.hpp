@@ -163,6 +163,11 @@ class QuorumNetwork {
   audit::EvidenceLog& evidence() { return evidence_; }
   const audit::EvidenceLog& evidence() const { return evidence_; }
 
+  /// Forged endorsements: every transaction `org` submits from now on
+  /// carries a signature no verifier accepts. A verify-commits deployment
+  /// seals it but applies none of its writes, public or private.
+  void set_byzantine_endorser(const std::string& org) { forgers_.insert(org); }
+
   /// Delivery catch-up: every live, unquarantined node replays the shared
   /// block log past its tip (a node also seeks on its own when a delivery
   /// arrives past a gap). Crashed nodes catch up on restart instead.
@@ -302,7 +307,9 @@ class QuorumNetwork {
   void write_private(const std::string& org, const std::string& id,
                      bool replayed, ledger::WorldState::Batch& writes) const;
   /// Private writes in a skipped block range come from the node's own
-  /// transaction manager (which retained the plaintext), never the wire.
+  /// transaction manager (which retained the plaintext), never the wire,
+  /// under the apply-time rules: a transaction whose endorsement fails a
+  /// verify-commits check, or a detected replay, writes nothing.
   void catch_up_private(const std::string& org, std::uint64_t from_height,
                         std::uint64_t to_height);
 
@@ -337,6 +344,7 @@ class QuorumNetwork {
   std::uint64_t nonce_ = 0;
   bool detection_ = false;
   bool verify_commits_ = false;
+  std::set<std::string> forgers_;  // see set_byzantine_endorser
   /// Validate-once admission pool (volatile; cleared on any node crash).
   ledger::Mempool mempool_;
   // Overload tier: all volatile, never WAL-logged — refused work was

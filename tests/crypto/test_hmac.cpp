@@ -72,6 +72,20 @@ TEST(Hkdf, EmptySaltUsesZeros) {
   EXPECT_EQ(a.size(), 32u);
 }
 
+TEST(Hmac, KeyedStateReusedAcrossMessages) {
+  // One HmacSha256 answers every message as a fresh one-shot call does,
+  // for a short key and for one hashed down first.
+  for (const Bytes& key : {Bytes(20, 0x0b), Bytes(131, 0xaa)}) {
+    const HmacSha256 keyed(key);
+    for (const char* msg : {"", "Hi There", "what do ya want for nothing?"}) {
+      EXPECT_EQ(keyed.mac(to_bytes(msg)), hmac_sha256(key, to_bytes(msg)))
+          << msg;
+    }
+    const Bytes long_msg(200, 0xdd);
+    EXPECT_EQ(keyed.mac(long_msg), hmac_sha256(key, long_msg));
+  }
+}
+
 TEST(Hkdf, InfoSeparatesKeys) {
   const Bytes ikm = to_bytes("shared-secret");
   EXPECT_NE(hkdf({}, ikm, "enc", 32), hkdf({}, ikm, "mac", 32));

@@ -6,7 +6,9 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "crypto/cpu_features.hpp"
 #include "crypto/group.hpp"
+#include "crypto/montgomery_kernel.hpp"
 
 namespace veil::crypto {
 namespace {
@@ -150,6 +152,29 @@ TEST(FixedBaseTable, EightBitWindowsMatchGenericPow) {
   }
 }
 
+TEST(FixedBaseTable, PowMulMatchesProductOfPows) {
+  // Two tables over one context share an accumulator; tables over
+  // different contexts and exponents past a table take the two-pow path.
+  common::Rng rng(13);
+  const Group& group = Group::test_group();
+  const std::size_t bits = group.q().bit_length() + 1;
+  const FixedBaseTable g8(group.mont(), group.g(), bits, 8);
+  const FixedBaseTable h4(group.mont(), group.h(), bits, 4);
+  const FixedBaseTable h4_own_ctx(MontgomeryCtx::create(group.p()), group.h(),
+                                  bits, 4);
+  std::vector<BigInt> exps = {BigInt(0), BigInt(1), group.q() - BigInt(1),
+                              BigInt::random_bits(rng, bits + 8)};
+  for (int i = 0; i < 5; ++i) exps.push_back(group.random_scalar(rng));
+  for (const BigInt& e : exps) {
+    for (const BigInt& f : exps) {
+      const BigInt want = group.mul(g8.pow(e), h4.pow(f));
+      EXPECT_EQ(g8.pow_mul(e, h4, f), want);
+      EXPECT_EQ(g8.pow_mul(e, h4_own_ctx, f), want);
+      EXPECT_EQ(group.pow_g_mul(e, h4, f), want);
+    }
+  }
+}
+
 TEST(FixedBaseTable, OnlyFourAndEightBitWindows) {
   // The two widths in use (key tables, generator tables); others are
   // refused.
@@ -252,6 +277,98 @@ TEST(MontgomeryKernel, WiderThanKernelFallsBack) {
   const BigInt base = BigInt::from_hex("123456789abcdef0123456789abcdef");
   const BigInt exp = BigInt::from_hex("fedcba9876543210f");
   EXPECT_EQ(base.mod_pow(exp, wider), naive_mod_pow(base, exp, wider));
+}
+
+// ---- The MULX/ADX kernel against the portable one ---------------------------
+// Both kernels are called directly on the same limbs, so nothing in the
+// process has to switch between them. Moduli are odd and 449 to 512 bits
+// wide (eight 64-bit limbs), plus the all-ones and just-over-half edges;
+// operands are random, 0, 1, n - 1 and R mod n (the Montgomery form of 1).
+
+using Limbs8 = std::array<MontgomeryCtx::Limb, 8>;
+
+Limbs8 limbs8(const BigInt& v) {
+  Limbs8 out{};
+  const std::vector<std::uint32_t>& l = v.limbs();
+  for (std::size_t i = 0; i < l.size(); ++i) {
+    out[i / 2] |= static_cast<MontgomeryCtx::Limb>(l[i]) << (32 * (i % 2));
+  }
+  return out;
+}
+
+struct Kernel8Case {
+  Limbs8 n;
+  MontgomeryCtx::Limb n0inv;
+  std::vector<Limbs8> operands;
+};
+
+Kernel8Case kernel8_case(common::Rng& rng, const BigInt& n) {
+  Kernel8Case c{limbs8(n), mont_detail::neg_inverse_u64(limbs8(n)[0]), {}};
+  for (const BigInt& v : {BigInt(0), BigInt(1), n - BigInt(1),
+                          (BigInt(1) << 512) % n}) {
+    c.operands.push_back(limbs8(v));
+  }
+  for (int i = 0; i < 4; ++i) {
+    c.operands.push_back(limbs8(BigInt::random_below(rng, n)));
+  }
+  return c;
+}
+
+std::vector<BigInt> adx_moduli(common::Rng& rng) {
+  std::vector<BigInt> moduli = {(BigInt(1) << 512) - BigInt(1),
+                                (BigInt(1) << 511) + BigInt(1),
+                                (BigInt(1) << 448) + BigInt(1)};
+  for (int i = 0; i < 200; ++i) {
+    BigInt n = BigInt::random_bits(rng, 449 + rng.next_below(64));
+    if (!n.is_odd()) n += BigInt(1);
+    moduli.push_back(n);
+  }
+  return moduli;
+}
+
+TEST(MontgomeryKernel, AdxMatchesPortable) {
+  if (!cpu_has_adx_bmi2()) GTEST_SKIP() << "CPU lacks BMI2/ADX";
+  common::Rng rng(9);
+  for (const BigInt& n : adx_moduli(rng)) {
+    const Kernel8Case c = kernel8_case(rng, n);
+    for (const Limbs8& a : c.operands) {
+      for (const Limbs8& b : c.operands) {
+        Limbs8 want{}, got{};
+        mont_detail::mul_portable<8>(want.data(), a.data(), b.data(),
+                                     c.n.data(), c.n0inv);
+        mont_detail::veil_mont_mul8_adx(got.data(), a.data(), b.data(),
+                                        c.n.data(), c.n0inv);
+        ASSERT_EQ(got, want) << n.to_hex();
+      }
+    }
+  }
+}
+
+TEST(MontgomeryKernel, AdxOutputMayAliasEitherInput) {
+  if (!cpu_has_adx_bmi2()) GTEST_SKIP() << "CPU lacks BMI2/ADX";
+  common::Rng rng(10);
+  for (const BigInt& n : adx_moduli(rng)) {
+    const Kernel8Case c = kernel8_case(rng, n);
+    const Limbs8& a = c.operands[4];
+    const Limbs8& b = c.operands[5];
+    Limbs8 want{};
+    mont_detail::mul_portable<8>(want.data(), a.data(), b.data(), c.n.data(),
+                                 c.n0inv);
+    Limbs8 x = a;
+    mont_detail::veil_mont_mul8_adx(x.data(), x.data(), b.data(), c.n.data(),
+                                    c.n0inv);
+    EXPECT_EQ(x, want) << n.to_hex();
+    Limbs8 y = b;
+    mont_detail::veil_mont_mul8_adx(y.data(), a.data(), y.data(), c.n.data(),
+                                    c.n0inv);
+    EXPECT_EQ(y, want) << n.to_hex();
+    Limbs8 sq_want{}, sq = a;
+    mont_detail::mul_portable<8>(sq_want.data(), a.data(), a.data(),
+                                 c.n.data(), c.n0inv);
+    mont_detail::veil_mont_mul8_adx(sq.data(), sq.data(), sq.data(),
+                                    c.n.data(), c.n0inv);
+    EXPECT_EQ(sq, sq_want) << n.to_hex();
+  }
 }
 
 }  // namespace

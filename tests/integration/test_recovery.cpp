@@ -149,6 +149,53 @@ TEST_F(QuorumRecoveryTest, RejoinInstallsCheckpointAndReplaysOnlyDelta) {
   EXPECT_LE(quorum_.node_wal("NodeC").record_count(), 1u + 2u);
 }
 
+TEST(QuorumRejoin, ForgedEndorsementWritesNoPrivateStateOnInstall) {
+  // A verify-commits deployment applies none of a forged transaction's
+  // writes. A node that skips the forged transaction's block by
+  // installing a checkpoint must reach the same private state as one
+  // that applied it.
+  auto net_owner =
+      net::make_transport(common::Rng(73), net::LatencyModel{100, 0, 0.0});
+  net::Transport& net = *net_owner;
+  common::Rng rng(74);
+  quorum::QuorumNetwork quorum(net, crypto::Group::test_group(), rng,
+                               /*block_size=*/3,
+                               ledger::SnapshotConfig{.interval = 2});
+  for (const char* n : {"NodeA", "NodeB", "NodeC"}) quorum.add_node(n);
+  quorum.set_verify_commits();
+  quorum.set_byzantine_endorser("NodeA");
+  // Both transfers reach NodeC's transaction manager, then wait in the
+  // pending queue; the block that seals them never reaches NodeC.
+  ASSERT_TRUE(quorum
+                  .submit_private("NodeB", {"NodeC"},
+                                  {{"asset/honest/owner", to_bytes("NodeC"),
+                                    false}})
+                  .accepted);
+  ASSERT_TRUE(quorum
+                  .submit_private("NodeA", {"NodeC"},
+                                  {{"asset/forged/owner", to_bytes("NodeC"),
+                                    false}})
+                  .accepted);
+  net.quarantine("NodeC");
+  for (int i = 0; i < 3 * 4; ++i) {
+    quorum.submit_public("NodeB", {{"k/" + std::to_string(i),
+                                    to_bytes("v"), false}});
+  }
+  ASSERT_EQ(quorum.public_chain("NodeC").height(), 0u);
+  net.release("NodeC");
+  quorum.rejoin("NodeC");
+
+  ASSERT_EQ(quorum.rejoin_stats().transfers_completed, 1u);
+  EXPECT_EQ(quorum.public_chain("NodeC").tip_hash(),
+            quorum.public_chain("NodeB").tip_hash());
+  EXPECT_TRUE(quorum.private_state("NodeC").get("asset/honest/owner")
+                  .has_value());
+  EXPECT_FALSE(quorum.private_state("NodeC").get("asset/forged/owner")
+                   .has_value());
+  EXPECT_FALSE(quorum.private_state("NodeA").get("asset/forged/owner")
+                   .has_value());
+}
+
 TEST_F(QuorumRecoveryTest, RejoinWithoutPeerCheckpointFallsBackToReplay) {
   advance(3);  // below the first interval: nobody has a checkpoint
   net_.quarantine("NodeC");

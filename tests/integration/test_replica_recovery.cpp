@@ -29,6 +29,7 @@
 #include <memory>
 #include <string>
 
+#include "common/error.hpp"
 #include "contracts/contract.hpp"
 #include "ledger/shard.hpp"
 #include "net/factory.hpp"
@@ -370,6 +371,30 @@ TEST(ReplicaRecoveryCore, UnlinkedBlockNeverReachesTheWal) {
   EXPECT_TRUE(replica.apply(first));
   EXPECT_EQ(replica.wal().record_count(), 1u);
   EXPECT_EQ(replica.chain().tip_hash(), first.header.hash());
+}
+
+// Only decoded blocks skip the chain's body check: a sealed-log block is
+// an in-memory copy, so one whose body was rewritten after sealing is
+// still refused on seek, and nothing after it is applied.
+TEST(ReplicaRecoveryCore, SeekRefusesSealedBlockWithTamperedBody) {
+  std::vector<ledger::Block> log;
+  ledger::Replica* self = nullptr;
+  ledger::Replica replica("r", "scope", &log, {},
+                          {.apply = [&self](ledger::Block block, bool replay,
+                                            common::BytesView encoded) {
+                            self->commit(std::move(block), replay, encoded);
+                            return true;
+                          }});
+  self = &replica;
+  ledger::Transaction tx;
+  tx.channel = "scope";
+  tx.writes.push_back({"k", to_bytes("v"), false});
+  log.push_back(ledger::Block::make(0, replica.chain().tip_hash(), {tx}, 1));
+  log.push_back(ledger::Block::make(1, log[0].header.hash(), {tx}, 2));
+  log[0].transactions[0].writes[0].value = to_bytes("evil");
+  EXPECT_THROW(replica.catch_up(), common::LedgerError);
+  EXPECT_EQ(replica.chain().height(), 0u);
+  EXPECT_EQ(replica.blocks_applied(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Hosts, ReplicaRecovery,
