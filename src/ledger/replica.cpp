@@ -1,5 +1,7 @@
 #include "ledger/replica.hpp"
 
+#include "common/error.hpp"
+
 namespace veil::ledger {
 
 audit::Misbehavior misbehavior_of(TransferReject reason) {
@@ -40,14 +42,17 @@ bool Replica::apply(Block block, bool replay, common::BytesView encoded) {
 
 const Block& Replica::commit(Block block, bool replay,
                              common::BytesView encoded) {
+  // A delivered block and a replayed WAL record both come out of
+  // Block::decode, which matched the body to the header root; a block
+  // from the sealed log is an in-memory copy and is checked again, before
+  // it can reach the WAL.
+  if (!replay && encoded.empty() && !block.body_matches_header()) {
+    throw common::LedgerError("commit: body does not match header root");
+  }
   // WAL invariant: the block is durable before any in-memory mutation.
   if (!replay && encoded.empty()) wal_log_block(wal_, block);
   if (!replay && !encoded.empty()) wal_log_block(wal_, encoded);
-  // A delivered block and a replayed WAL record both come out of
-  // Block::decode, which matched the body to the header root; a block
-  // from the sealed log is an in-memory copy and is checked again.
-  return chain_.append(std::move(block),
-                       /*body_checked=*/replay || !encoded.empty());
+  return chain_.append(std::move(block), /*body_checked=*/true);
 }
 
 void Replica::deliver(Block block, common::BytesView encoded) {

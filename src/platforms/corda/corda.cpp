@@ -980,6 +980,12 @@ std::vector<FlowResult> CordaNetwork::transact_many(
         fail(p, wave_start + i, flow.refusal);
       } else if (!flow.notary_signature) {
         fail(p, wave_start + i, "notarization incomplete");
+      } else if (!crypto::verify(*group_,
+                                 notaries_.at(p.notary).keypair.public_key(),
+                                 root_view(p.root), *flow.notary_signature)) {
+        // Only a signature over the Merkle root under the notary's key
+        // attests uniqueness; anything else must not reach the vaults.
+        fail(p, wave_start + i, "invalid notarization");
       }
     }
 

@@ -466,6 +466,39 @@ TEST_F(CordaNotaryTest, DetectionOnPeersConvictEquivocatingNotary) {
   EXPECT_FALSE(later.success);
 }
 
+TEST_F(CordaNotaryTest, InitiatorRejectsTamperedNotarySignature) {
+  const auto before =
+      corda_.issue("Alice", "Cash", to_bytes("100"), {"Alice"}, "Notary");
+  ASSERT_TRUE(before.success) << before.reason;
+  // From here on every message the notary sends has one bit flipped, so
+  // no notarization reaches an initiator intact.
+  net::ByzantinePlan plan;
+  plan.tamper_from(net_.clock().now(), "Notary", 1.0);
+  net_.set_byzantine_plan(plan);
+  std::size_t bad_signatures = 0;
+  for (int i = 0; i < 8; ++i) {
+    const auto r = corda_.issue("Carol", "Cash", to_bytes(std::to_string(i)),
+                                {"Carol", "Bob"}, "Notary");
+    EXPECT_FALSE(r.success) << "flow " << i;
+    if (r.reason == "invalid notarization") ++bad_signatures;
+  }
+  // Most flips land in the signature, which still decodes: only the check
+  // against the notary's key stops it.
+  EXPECT_GT(bad_signatures, 0u);
+  EXPECT_EQ(corda_.vault("Alice").size(), 1u);
+  EXPECT_TRUE(corda_.vault("Bob").empty());
+  EXPECT_TRUE(corda_.vault("Carol").empty());
+  // Once the notary is honest again, flows finalize as before.
+  net::ByzantinePlan honest;
+  honest.honest_from(net_.clock().now(), "Notary");
+  net_.set_byzantine_plan(honest);
+  const auto after = corda_.issue("Carol", "Cash", to_bytes("after"),
+                                  {"Carol", "Bob"}, "Notary");
+  ASSERT_TRUE(after.success) << after.reason;
+  EXPECT_EQ(corda_.vault("Carol").size(), 1u);
+  EXPECT_EQ(corda_.vault("Bob").size(), 1u);
+}
+
 // Satellite: the honest notary's refusal path, with signed evidence,
 // under a healthy network and under 20% loss.
 class CordaRefusalTest : public ::testing::Test {

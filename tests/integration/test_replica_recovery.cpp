@@ -395,6 +395,12 @@ TEST(ReplicaRecoveryCore, SeekRefusesSealedBlockWithTamperedBody) {
   EXPECT_THROW(replica.catch_up(), common::LedgerError);
   EXPECT_EQ(replica.chain().height(), 0u);
   EXPECT_EQ(replica.blocks_applied(), 0u);
+  // The refused block never reached the WAL, so a restart replays nothing.
+  EXPECT_EQ(replica.wal().record_count(), 0u);
+  replica.crash();
+  replica.recover();
+  EXPECT_EQ(replica.chain().height(), 0u);
+  EXPECT_EQ(replica.wal().record_count(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Hosts, ReplicaRecovery,
